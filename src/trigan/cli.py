@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -81,6 +82,20 @@ def _positive_int(raw, key: str, minimum: int = 1) -> int:
     return raw
 
 
+def _positive_float(raw, key: str) -> float:
+    try:
+        val = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(f"{key} must be a number") from None
+    if not 0.0 < val < math.inf:
+        raise ConfigInvalid(f"{key} must be positive and finite")
+    return val
+
+
+def _reject_constant(name: str):
+    raise ConfigInvalid(f"config holds the non-finite number {name}")
+
+
 def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
@@ -118,23 +133,12 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
     if "seed" in merged:
         if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], int):
             raise ConfigInvalid("seed must be an integer")
+        if not 0 <= merged["seed"] < 2**64:
+            raise ConfigInvalid("seed must lie in [0, 2**64)")
         kw["seed"] = merged["seed"]
-    if "delta" in merged:
-        kw["delta"] = float(merged["delta"])
-        if kw["delta"] <= 0.0:
-            raise ConfigInvalid("delta must be positive")
-    if "delta1" in merged:
-        kw["delta1"] = float(merged["delta1"])
-        if kw["delta1"] <= 0.0:
-            raise ConfigInvalid("delta1 must be positive")
-    if "beta" in merged:
-        kw["beta"] = float(merged["beta"])
-        if kw["beta"] <= 0.0:
-            raise ConfigInvalid("beta must be positive")
-    if "epsilon" in merged:
-        kw["epsilon"] = float(merged["epsilon"])
-        if kw["epsilon"] <= 0.0:
-            raise ConfigInvalid("epsilon must be positive")
+    for key in ("delta", "delta1", "beta", "epsilon"):
+        if key in merged:
+            kw[key] = _positive_float(merged[key], key)
     if "out" in merged:
         if not isinstance(merged["out"], str):
             raise ConfigInvalid("out must be a directory path")
@@ -330,7 +334,7 @@ def main(argv=None) -> int:
         file_cfg = {}
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+                file_cfg = json.load(fh, parse_constant=_reject_constant)
             if not isinstance(file_cfg, dict):
                 raise ConfigInvalid("config file must hold a JSON object")
         overrides = {"seed": args.seed, "threads": args.threads, "out": args.out,
@@ -340,11 +344,7 @@ def main(argv=None) -> int:
         rc = build_run_config(args.command, file_cfg, overrides)
         _DISPATCH[rc.command](rc)
         return 0
-    except TriganError as exc:
-        blob = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(blob, sort_keys=True), file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (TriganError, OSError, json.JSONDecodeError) as exc:
         blob = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(blob, sort_keys=True), file=sys.stderr)
         return 2

@@ -313,24 +313,18 @@ def conditional_cdf(density: GridDensity, axis: int, context: Sequence[float]) -
         raise ConfigInvalid(f"context must have length {axis - 1}")
     if any(c < 0.0 or c > 1.0 for c in context):
         raise ConfigInvalid("context components must lie in [0, 1]")
-    tables = prefix_marginal_tables(density)
-    vj = tables[axis - 1]          # rank == axis
+    vj = prefix_marginal_tables(density)[axis - 1]  # rank == axis
     g = _interp_prefix(vj, np.array([context]) if context else np.empty((1, 0)))[0]
-    return _cdf_from_pdf_samples(axis, context, density.knots, g)
-
-
-def _cdf_from_pdf_samples(axis: int, context: tuple, knots: np.ndarray,
-                          g: np.ndarray) -> ConditionalCDF:
     if np.any(g <= 0.0):
         raise ZeroMarginal("conditional density hit zero; positivity violated")
-    h = knots[1] - knots[0]
+    h = density.knots[1] - density.knots[0]
     raw = np.concatenate(([0.0], np.cumsum(h * (g[:-1] + g[1:]) / 2.0)))
     z = raw[-1]
     if z <= 0.0:
         raise ZeroMarginal("conditional density has zero mass")
     cdf = raw / z
     cdf[0], cdf[-1] = 0.0, 1.0
-    return ConditionalCDF(axis=axis, context=context, knots=knots,
+    return ConditionalCDF(axis=axis, context=context, knots=density.knots,
                           cdf_values=cdf, pdf_values=g / z)
 
 

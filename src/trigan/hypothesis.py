@@ -42,7 +42,7 @@ from .rosenblatt import TriangularMap, pushforward_density
 _SAFETY = 0.95          # certification margin for the box back-solve
 _BOX_TOL = 1e-9
 _NET_CAP = 1_000_000
-_KNOWN_FAMILIES = ("bernstein_triangular", "spline_triangular")
+_KNOWN_FAMILIES = ("bernstein_triangular",)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,6 @@ class HypothesisConfig:
             raise ConfigInvalid("K must exceed 1")
         if self.family not in _KNOWN_FAMILIES:
             raise ConfigInvalid(f"unknown family {self.family!r}")
-        if self.family != "bernstein_triangular":
-            raise ConfigInvalid("only the bernstein_triangular family is realized")
         if self.degree < 2:
             raise ConfigInvalid("degree must be >= 2")
         if self.coupling_degree not in (0, 1):

@@ -14,6 +14,7 @@ assignment of trials to workers produces identical numbers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,11 +65,14 @@ def make_training_sample(target, n: int, seed: int, trial: int = 0) -> TrainingS
     """Draw Y_i from the target and Z_i uniform, on disjoint RNG streams."""
     if n < 1:
         raise ConfigInvalid("sample size must be >= 1")
-    gen = target_sampler(target)
-    d = gen.dim
+    return _draw_sample(target_sampler(target), n, seed, trial)
+
+
+def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> TrainingSample:
+    d = sampler.dim
     z_real = rng.uniforms(seed, rng.stream_id(rng.KIND_REAL, trial), 0, n, d)
     noise = rng.uniforms(seed, rng.stream_id(rng.KIND_NOISE, trial), 0, n, d)
-    return TrainingSample(n=n, real_points=gen.apply(z_real),
+    return TrainingSample(n=n, real_points=sampler.apply(z_real),
                           noise_points=noise, seed=seed, trial=trial)
 
 
@@ -295,12 +299,13 @@ class SamplingErrorSummary:
 
 def _sampling_trial(args) -> float:
     config, sampler, vectors, pairs, n, seed, trial, losses = args
-    z = rng.uniforms(seed, rng.stream_id(rng.KIND_REAL, trial), 0, n, config.dim)
-    noise = rng.uniforms(seed, rng.stream_id(rng.KIND_NOISE, trial), 0, n, config.dim)
-    sample = TrainingSample(n=n, real_points=sampler.apply(z), noise_points=noise,
-                            seed=seed, trial=trial)
-    emp = empirical_pair_matrix(config, vectors, pairs, sample)
+    emp = empirical_pair_matrix(config, vectors, pairs, _draw_sample(sampler, n, seed, trial))
     return float(np.abs(emp - losses).max())
+
+
+def _worker_count(threads: int, trials: int) -> int:
+    """Processes worth starting: never more than the trials or the CPUs."""
+    return min(threads, trials, os.cpu_count() or 1)
 
 
 def sampling_error_values(config: HypothesisConfig, target, net_pair: NetPair,
@@ -318,10 +323,11 @@ def sampling_error_values(config: HypothesisConfig, target, net_pair: NetPair,
     sampler = target_sampler(target)
     tasks = [(config, sampler, vectors, net_pair.pairs, n, seed, t, losses)
              for t in range(trials)]
-    if threads <= 1:
+    workers = _worker_count(threads, trials)
+    if workers <= 1:
         vals = [_sampling_trial(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             vals = list(pool.map(_sampling_trial, tasks, chunksize=8))
     return np.asarray(vals, dtype=np.float64)
 

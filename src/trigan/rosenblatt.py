@@ -14,7 +14,9 @@ Conditional CDFs are exact piecewise-quadratic antiderivatives of the
 piecewise-linear conditional densities, so forward evaluation, inversion
 (closed form per cell), and the diagonal partials are mutually consistent
 to machine precision, and the Jacobian of the forward map telescopes to
-the stored multilinear interpolant of the density.
+the stored multilinear interpolant of the density. One prefix-linear
+kernel evaluates every component, whatever its rank, and one product of
+diagonal partials gives every Jacobian, the pushforward density included.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import rng
-from .density import (ConditionalCDF, GridDensity, _cdf_from_pdf_samples,
-                      prefix_marginal_tables, write_text_atomic)
+from .density import GridDensity, prefix_marginal_tables, write_text_atomic
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -57,13 +58,14 @@ class TableComponent:
     along its last axis) is built once; a point then reads only the
     2^(j-1) prefix corners of table and cumulative at the cells it needs,
     and the inverse finds its cell by bisection over the gathered
-    cumulatives. cumulative is derived data and is never serialized.
+    cumulatives. The same kernel serves every rank: the rank-1 component
+    has no prefix axes and a single corner of weight 1. cumulative is
+    derived data and is never serialized.
     """
 
     table: np.ndarray
     knots: np.ndarray
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
-    _cached_1d: ConditionalCDF | None = field(default=None, compare=False)
 
     def __post_init__(self):
         h = self.knots[1] - self.knots[0]
@@ -75,12 +77,6 @@ class TableComponent:
     @property
     def rank(self) -> int:
         return self.table.ndim
-
-    def _cdf_1d(self) -> ConditionalCDF:
-        if self._cached_1d is None:
-            cdf = _cdf_from_pdf_samples(1, (), self.knots, self.table)
-            object.__setattr__(self, "_cached_1d", cdf)
-        return self._cached_1d
 
     def _corner_rows(self, prefix: np.ndarray):
         """at(flat, k): entry k of each point's prefix-interpolated row of a
@@ -114,8 +110,6 @@ class TableComponent:
 
     def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        if self.rank == 1:
-            return self._cdf_1d().value(t)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
         k = self._cells(t)
@@ -127,8 +121,6 @@ class TableComponent:
 
     def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        if self.rank == 1:
-            return self._cdf_1d().derivative(t)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
         k = self._cells(t)
@@ -138,8 +130,6 @@ class TableComponent:
     def inverse_exact(self, prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Closed-form cell-wise inverse of the piecewise-quadratic CDF."""
         u = np.asarray(u, dtype=np.float64)
-        if self.rank == 1:
-            return self._cdf_1d().inverse(u)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
         m = self.knots.size
@@ -203,15 +193,14 @@ class TriangularMap:
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Product of this map's diagonal partials at the given points."""
-        pts = _as_points(points, self.dim)
-        if self.components_direct:
-            return _in_chunks(self._jacobian_direct, pts)
+        return self._jacobian(points, self.components_direct)
 
-        def via_inverse(chunk):
-            u = self._solve_components(chunk)
-            j = self._jacobian_direct(u)
-            return 1.0 / j
-        return _in_chunks(via_inverse, pts)
+    def _jacobian(self, points: np.ndarray, direct: bool) -> np.ndarray:
+        """Jacobian of the map the components realize (direct) or of its inverse."""
+        pts = _as_points(points, self.dim)
+        if direct:
+            return _in_chunks(self._jacobian_direct, pts)
+        return _in_chunks(lambda c: 1.0 / self._jacobian_direct(self._solve_components(c)), pts)
 
     # internal single-chunk kernels -----------------------------------------
 
@@ -248,24 +237,10 @@ class PushforwardDensity:
         return self.base_map.dim
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The Jacobian of the generator's inverse: the direct product when
+        the components realize the forward map."""
         gen = self.base_map
-        pts = _as_points(points, gen.dim)
-        if not gen.components_direct:
-            # components realize the forward map; its Jacobian IS the density
-            def kernel(chunk):
-                jac = np.ones(chunk.shape[0])
-                for j, comp in enumerate(gen.components):
-                    part = comp.partial(chunk[:, :j], chunk[:, j])
-                    if np.any(part < _JAC_FLOOR):
-                        raise DegenerateJacobian("diagonal partial below floor")
-                    jac = jac * part
-                return jac
-            return _in_chunks(kernel, pts)
-
-        def kernel(chunk):
-            u = gen._solve_components(chunk)
-            return 1.0 / gen._jacobian_direct(u)
-        return _in_chunks(kernel, pts)
+        return gen._jacobian(points, not gen.components_direct)
 
     @property
     def density_bounds(self) -> tuple[float, float] | None:
@@ -321,10 +296,6 @@ def invert(tri_map: TriangularMap, x: np.ndarray) -> np.ndarray:
     if residual > _RESIDUAL_TOL:
         raise RootNotBracketed(f"inverse residual {residual:.3e} exceeds 1e-10")
     return y
-
-
-def jacobian(tri_map: TriangularMap, y: np.ndarray) -> np.ndarray:
-    return tri_map.jacobian(y)
 
 
 def sample(generator: TriangularMap, n: int, seed: int, trial: int = 0) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_criterion_01_rosenblatt_roundtrip(tilted, product2, coupled):
                        float(np.abs(phi.apply(psi.apply(pts)) - pts).max()))
         grid = _cube_grid(dens.dim, 17)
         worst_jac = max(worst_jac, float(
-            np.abs(rb.jacobian(psi, grid) - dens.evaluate(grid)).max()))
+            np.abs(psi.jacobian(grid) - dens.evaluate(grid)).max()))
     secs = time.perf_counter() - t0
     ok = worst_rt < 1e-8 and worst_jac < 1e-5 and secs < 10.0
     _verdict(1, "rosenblatt-roundtrip", ok,

@@ -66,6 +66,9 @@ def test_override_merges_over_file():
     ({"epsilon": 0.0}, "epsilon"),
     ({"resolution": 1}, "resolution"),
     ({"out": 3}, "out"),
+    ({"epsilon": float("inf")}, "epsilon"),
+    ({"delta": float("nan")}, "delta"),
+    ({"epsilon": "x"}, "epsilon must be a number"),
 ])
 def test_scalar_validation(patch, msg):
     base = {"target": {"family": "uniform"}, "hypothesis": HYP,
@@ -259,3 +262,28 @@ def test_config_must_be_object(tmp_path, capsys):
     assert main(["bounds", "--config", str(path)]) == 2
     blob = json.loads(capsys.readouterr().err)
     assert "JSON object" in blob["message"]
+
+
+@pytest.mark.parametrize("patch,argv", [
+    ({"seed": -1}, []),
+    ({"seed": 2**64}, []),
+    ({}, ["--seed", "-3"]),
+])
+def test_seed_out_of_range(tmp_path, capsys, patch, argv):
+    cfg = write_cfg(tmp_path, "s.json",
+                    {"target": {"family": "uniform"}, "n": 4, "seed": 1, **patch})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s"), *argv]) == 2
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "ConfigInvalid" and "seed" in blob["message"]
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_number(tmp_path, capsys, raw):
+    path = tmp_path / "nan.json"
+    path.write_text(f'{{"hypothesis": {json.dumps(HYP)}, "n": 10, "delta": {raw}}}',
+                    encoding="utf-8")
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "bd")]) == 2
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "ConfigInvalid" and raw in blob["message"]
+    assert not (tmp_path / "bd").exists()

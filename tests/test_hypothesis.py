@@ -23,16 +23,11 @@ from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
     {"dim": 1, "family": "fourier_triangular"},
     {"dim": 1, "degree": 1},
     {"dim": 1, "coupling_degree": 2},
+    {"dim": 1, "family": "spline_triangular"},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigInvalid):
         hyp.make_config(**kwargs)
-
-
-def test_spline_family_listed_but_unrealized():
-    # the enum admits the name; construction refuses it
-    with pytest.raises(ConfigInvalid, match="realized"):
-        hyp.make_config(1, family="spline_triangular")
 
 
 def test_regular_flag():

@@ -223,6 +223,16 @@ def test_sampling_error_decreases_over_decade(cfg1, uniform1, net_pair):
     assert all(v >= 0.0 for v in lo.values)
 
 
+def test_worker_count_bounded(monkeypatch):
+    # the count handed to the process pool; no pool is started here
+    monkeypatch.setattr(lr.os, "cpu_count", lambda: 4)
+    assert lr._worker_count(1000, 12) == 4
+    assert lr._worker_count(2, 12) == 2
+    assert lr._worker_count(8, 3) == 3
+    monkeypatch.setattr(lr.os, "cpu_count", lambda: None)
+    assert lr._worker_count(8, 3) == 1
+
+
 def test_sampling_error_thread_count_invariant(cfg1, uniform1, net_pair):
     one = lr.sampling_error_values(cfg1, uniform1, net_pair, 100, 12, seed=5)
     two = lr.sampling_error_values(cfg1, uniform1, net_pair, 100, 12, seed=5,

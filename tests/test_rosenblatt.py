@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trigan import density as dn
 from trigan import rosenblatt as rb
@@ -105,13 +107,15 @@ def test_chunked_apply_matches_split(coupled, rng):
         assert np.array_equal(whole, split)
 
 
-def test_table_component_matches_row_cdf(coupled, rough3):
-    # reference: conditional_cdf interpolates a whole row, then sums it
+def test_table_component_matches_row_cdf(tilted, coupled, rough3):
+    # reference: conditional_cdf interpolates a whole row, then sums it;
+    # the rank-1 component (empty prefix) runs through the same kernel
     gen = np.random.default_rng(47)
     t = np.concatenate([[0.0, 1.0], gen.random(62)])
-    for dens in (coupled, rough3):
+    bimodal = dn.make_density("bimodal-mollified", dim=1)
+    for dens in (tilted, bimodal, coupled, rough3):
         comp = rb.build_rosenblatt(dens).components[-1]
-        for context in gen.random((5, dens.dim - 1)):
+        for context in gen.random((5 if dens.dim > 1 else 1, dens.dim - 1)):
             ref = dn.conditional_cdf(dens, dens.dim, context)
             prefix = np.tile(context, (t.size, 1))
             assert np.abs(comp.value(prefix, t) - ref.value(t)).max() < 1e-13
@@ -131,6 +135,26 @@ def test_solve_monotone_returns_closed_form(coupled, cfg2):
     for comp in (table, quad):
         assert np.array_equal(rb._solve_monotone(comp, prefix, target),
                               comp.inverse_exact(prefix, target))
+
+
+@st.composite
+def grid_densities(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(3, 9))
+    vals = draw(arrays(np.float64, (m,) * d, elements=st.floats(0.05, 20.0)))
+    return dn.normalize(dn.GridDensity(d, m, vals))
+
+
+@given(dens=grid_densities(), seed=st.integers(0, 2**32 - 1))
+def test_roundtrip_and_telescoping_property(dens, seed):
+    psi = rb.build_rosenblatt(dens)
+    pts = np.random.default_rng(seed).random((64, dens.dim))
+    assert np.abs(psi.invert(psi.apply(pts)) - pts).max() < 1e-10
+    assert np.abs(psi.apply(psi.invert(pts)) - pts).max() < 1e-10
+    jac = psi.jacobian(pts)
+    assert np.abs(jac - dens.evaluate(pts)).max() < 1e-10
+    # the generator's pushforward density is the same Jacobian, bit for bit
+    assert np.array_equal(rb.pushforward_density(psi.inverse()).evaluate(pts), jac)
 
 
 def test_order_permutation(coupled, rng):

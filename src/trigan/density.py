@@ -187,24 +187,35 @@ def _contract_trailing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # interpolation
 
 
+def _corners(points: np.ndarray, m: int):
+    """The 2^k multilinear corners of (N, k) points on m nodes per axis:
+    flat row-major offsets into an (m,)*k array, and their weights."""
+    pos = np.clip(points, 0.0, 1.0) * (m - 1)
+    i0 = np.minimum(pos.astype(np.int64), m - 2)
+    frac = pos - i0
+    n, k = points.shape
+    offsets, weights = [], []
+    for corner in range(1 << k):
+        weight = np.ones(n)
+        flat = np.zeros(n, dtype=np.int64)
+        for ax in range(k):
+            bit = (corner >> ax) & 1
+            weight *= frac[:, ax] if bit else (1.0 - frac[:, ax])
+            flat = flat * m + i0[:, ax] + bit
+        offsets.append(flat)
+        weights.append(weight)
+    return offsets, weights
+
+
 def _interp_multilinear(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     d = values.ndim
-    m = values.shape[0]
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != d:
         raise ConfigInvalid(f"points have dim {pts.shape[1]}, density has dim {d}")
-    pos = np.clip(pts, 0.0, 1.0) * (m - 1)
-    i0 = np.minimum(pos.astype(np.int64), m - 2)
-    frac = pos - i0
+    flat = values.ravel()
     out = np.zeros(pts.shape[0])
-    for corner in range(1 << d):
-        weight = np.ones(pts.shape[0])
-        idx = []
-        for j in range(d):
-            bit = (corner >> j) & 1
-            weight *= frac[:, j] if bit else (1.0 - frac[:, j])
-            idx.append(i0[:, j] + bit)
-        out += weight * values[tuple(idx)]
+    for off, weight in zip(*_corners(pts, values.shape[0])):
+        out += weight * flat[off]
     return out
 
 
@@ -214,26 +225,14 @@ def _interp_prefix(values: np.ndarray, prefix: np.ndarray) -> np.ndarray:
     values has shape (m,)*j; prefix has shape (N, j-1). The result row i is
     the slice values[prefix_i, :] of the multilinear interpolant.
     """
-    j = values.ndim
     m = values.shape[0]
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
-    if j == 1:
-        n = prefix.shape[0] if prefix.size else 1
-        return np.broadcast_to(values, (n, m)).copy()
-    if prefix.shape[1] != j - 1:
+    if prefix.shape[1] != values.ndim - 1:
         raise ConfigInvalid("prefix length does not match values rank")
-    pos = np.clip(prefix, 0.0, 1.0) * (m - 1)
-    i0 = np.minimum(pos.astype(np.int64), m - 2)
-    frac = pos - i0
+    rows = values.reshape(-1, m)
     out = np.zeros((prefix.shape[0], m))
-    for corner in range(1 << (j - 1)):
-        weight = np.ones(prefix.shape[0])
-        idx = []
-        for ax in range(j - 1):
-            bit = (corner >> ax) & 1
-            weight *= frac[:, ax] if bit else (1.0 - frac[:, ax])
-            idx.append(i0[:, ax] + bit)
-        out += weight[:, None] * values[tuple(idx)]
+    for off, weight in zip(*_corners(prefix, m)):
+        out += weight[:, None] * rows[off]
     return out
 
 

@@ -149,7 +149,14 @@ def theoretical_loss(f_mu, f_phi, disc: DiscriminatorFn | Callable,
     dv = np.asarray(disc(pts), dtype=np.float64)
     if np.any(dv <= 0.0) or np.any(dv >= 1.0) or not np.all(np.isfinite(dv)):
         raise DiscriminatorOutOfRange("discriminator left the open interval (0, 1)")
-    return float(0.5 * (np.sum(w * fv * np.log(dv)) + np.sum(w * gv * np.log1p(-dv))))
+    return float(loss_terms(0.5, w * fv, dv, w * gv, dv))
+
+
+def loss_terms(scale, wy, dy, wx, dx):
+    """scale * (sum wy log dy + sum over the last axis of wx log(1 - dx)),
+    the adversarial loss at discriminator values dy (real) and dx (fake);
+    a leading axis on wx or dx gives one loss per generator."""
+    return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
 
 
 LOG2 = math.log(2.0)

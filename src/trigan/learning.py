@@ -6,6 +6,9 @@ ordered pairs of those members as discriminators. Per (generator, pair)
 theoretical losses are computed once by quadrature and reused across all
 Monte Carlo trials; per-trial work is the empirical matrix only.
 
+Single losses and matrix entries are the same divergence.loss_terms call
+on the same numbers, so they agree bitwise.
+
 Trials are independent by construction: trial t draws its real and noise
 points from counter-RNG streams keyed (seed, stream(kind, t)), so any
 assignment of trials to workers produces identical numbers.
@@ -22,10 +25,11 @@ import numpy as np
 
 from . import bounds, rng
 from .density import GridDensity
-from .divergence import DiscriminatorFn, eval_grid, js_divergence
+from .divergence import eval_grid, js_divergence, loss_terms
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
 from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, build_eps_net,
-                         family_delta1, make_generator, member_params)
+                         family_delta1, make_discriminator, make_generator,
+                         member_params)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_density)
 
@@ -88,8 +92,7 @@ def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> fl
     for vals in (dy, dx):
         if np.any(vals <= 0.0) or np.any(vals >= 1.0) or not np.all(np.isfinite(vals)):
             raise DiscriminatorOutOfRange("discriminator left (0, 1) on the sample")
-    inv = 1.0 / (2.0 * sample.n)
-    return float(inv * np.sum(np.log(dy)) + inv * np.sum(np.log1p(-dx)))
+    return float(loss_terms(1.0 / (2.0 * sample.n), 1.0, dy, 1.0, dx))
 
 
 @dataclass(frozen=True)
@@ -127,53 +130,52 @@ def _target_values(target, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _densities_at(maps, points: np.ndarray) -> np.ndarray:
+    """(c, N) array: row a is the pushforward density of maps[a] at points."""
+    out = np.empty((len(maps), points.shape[0]))
+    for a, gen in enumerate(maps):
+        out[a] = pushforward_density(gen).evaluate(points)
+    return out
+
+
+def _pair_losses(pairs, scale, fy, wy, fx, wx) -> np.ndarray:
+    """Losses of every generator against every D_ab = f_a / (f_a + f_b):
+    fy[a] is f_a at the real-side points, fx[a] at the fake-side points
+    (with a leading generator axis where the generators' points differ)."""
+    out = np.empty((len(fy), len(pairs)))
+    for col, (a, b) in enumerate(pairs):
+        out[:, col] = loss_terms(scale, wy, fy[a] / (fy[a] + fy[b]),
+                                 wx, fx[a] / (fx[a] + fx[b]))
+    return out
+
+
 def pair_loss_matrix(config: HypothesisConfig, target, vectors, pairs,
                      resolution: int | None = None, rule: str = "simpson") -> np.ndarray:
-    """Theoretical losses, rows = generators, columns = discriminator pairs.
-
-    Same renormalization and summation order as divergence.theoretical_loss,
-    so single-entry cross checks agree bitwise.
-    """
+    """Theoretical losses, rows = generators, columns = discriminator pairs;
+    each density is renormalized by its own quadrature mass."""
     pts, w = eval_grid(config.dim, resolution, rule)
-    dens = [pushforward_density(make_generator(config, v)).evaluate(pts)
-            for v in vectors]
+    dens = _densities_at([make_generator(config, v) for v in vectors], pts)
     tgt = _target_values(target, pts)
-    fv = tgt / np.sum(w * tgt)
-    gvs = [g / np.sum(w * g) for g in dens]
-    out = np.empty((len(vectors), len(pairs)))
-    for col, (a, b) in enumerate(pairs):
-        dv = dens[a] / (dens[a] + dens[b])
-        log_d = np.log(dv)
-        log_1m = np.log1p(-dv)
-        term_y = np.sum(w * fv * log_d)
-        for g, gv in enumerate(gvs):
-            out[g, col] = 0.5 * (term_y + np.sum(w * gv * log_1m))
-    return out
+    w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
+    w_gen *= w
+    return _pair_losses(pairs, 0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
 
 
 def empirical_pair_matrix(config: HypothesisConfig, vectors, pairs,
                           sample: TrainingSample) -> np.ndarray:
     """Empirical losses for every (generator, pair) on one sample.
 
-    Density evaluations are shared: f_a at the real points once per member,
-    f_a at each member's fake points once per (member, generator).
+    Each member's density is evaluated once at the real points and once at
+    all members' fake points, concatenated.
     """
     maps = [make_generator(config, v) for v in vectors]
-    dens = [pushforward_density(m) for m in maps]
     c, n = len(maps), sample.n
-    fy = np.stack([dz.evaluate(sample.real_points) for dz in dens])
-    fakes = [m.apply(sample.noise_points) for m in maps]
-    fx = np.empty((c, c, n))
-    for a, dz in enumerate(dens):
-        for g, pts in enumerate(fakes):
-            fx[a, g] = dz.evaluate(pts)
-    inv = 1.0 / (2.0 * n)
-    out = np.empty((c, len(pairs)))
-    for col, (a, b) in enumerate(pairs):
-        term_y = np.sum(np.log(fy[a] / (fy[a] + fy[b])))
-        d_fake = fx[a] / (fx[a] + fx[b])
-        out[:, col] = inv * (term_y + np.sum(np.log1p(-d_fake), axis=1))
-    return out
+    fakes = np.empty((c * n, sample.noise_points.shape[1]))
+    for g, gen in enumerate(maps):
+        fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+    fx = _densities_at(maps, fakes).reshape(c, c, n)
+    fy = _densities_at(maps, sample.real_points)
+    return _pair_losses(pairs, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,6 @@ def _minimax_gradient(config, target, sample, max_iter, tol, strict) -> MinimaxR
     step = 0.2 * b if b > 0 else 0.0
 
     def loss(gv, av, bv):
-        from .hypothesis import make_discriminator
         disc = make_discriminator(config, av, bv)
         return empirical_loss(disc, make_generator(config, gv), sample)
 
@@ -315,8 +316,9 @@ def sampling_error_values(config: HypothesisConfig, target, net_pair: NetPair,
 
     Results are indexed by trial and independent of the worker count.
     """
-    if trials < 1:
-        raise ConfigInvalid("trials must be >= 1")
+    if not 1 <= trials <= 1 << 56:
+        # trial indices past 2**56 overflow the 64-bit RNG stream key
+        raise ConfigInvalid("trials must be in [1, 2**56]")
     vectors = net_pair.vectors
     if losses is None:
         losses = pair_loss_matrix(config, target, vectors, net_pair.pairs)

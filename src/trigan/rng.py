@@ -43,8 +43,8 @@ def stream_id(kind: int, trial: int = 0) -> int:
     """Stream identifier combining a module-level kind tag with a trial index."""
     if not 0 <= kind < 256:
         raise ValueError("kind must fit in one byte")
-    if trial < 0:
-        raise ValueError("trial must be nonnegative")
+    if not 0 <= trial < 1 << 56:
+        raise ValueError("trial must be in [0, 2**56) to fit the 64-bit stream key")
     return kind + (trial << 8)
 
 

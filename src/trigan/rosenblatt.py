@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import rng
-from .density import GridDensity, prefix_marginal_tables, write_text_atomic
+from .density import GridDensity, _corners, prefix_marginal_tables, write_text_atomic
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -74,28 +74,12 @@ class TableComponent:
         object.__setattr__(self, "cumulative",
                            np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1))
 
-    @property
-    def rank(self) -> int:
-        return self.table.ndim
-
     def _corner_rows(self, prefix: np.ndarray):
         """at(flat, k): entry k of each point's prefix-interpolated row of a
         flat (raveled) table, summed over the 2^(j-1) prefix corners."""
         m = self.knots.size
-        prefix = np.asarray(prefix, dtype=np.float64)
-        pos = np.clip(prefix, 0.0, 1.0) * (m - 1)
-        i0 = np.minimum(pos.astype(np.int64), m - 2)
-        frac = pos - i0
-        offsets, weights = [], []
-        for corner in range(1 << (self.rank - 1)):
-            weight = np.ones(prefix.shape[0])
-            row = np.zeros(prefix.shape[0], dtype=np.int64)
-            for ax in range(self.rank - 1):
-                bit = (corner >> ax) & 1
-                weight *= frac[:, ax] if bit else (1.0 - frac[:, ax])
-                row = row * m + i0[:, ax] + bit
-            offsets.append(row * m)
-            weights.append(weight)
+        rows, weights = _corners(np.asarray(prefix, dtype=np.float64), m)
+        offsets = [row * m for row in rows]
 
         def at(flat: np.ndarray, k) -> np.ndarray:
             out = weights[0] * flat[offsets[0] + k]

@@ -181,6 +181,18 @@ def test_sampling_error_threads_agree(tmp_path, monkeypatch, capsys):
     assert "mean 0.0" in line1
 
 
+@pytest.mark.parametrize("command,size", [("sampling-error", {"n": 32}),
+                                          ("rate", {"n_grid": [64]})])
+def test_trials_past_stream_key(tmp_path, monkeypatch, capsys, command, size):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "t.json",
+                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+                     "trials": 2**56 + 1, "seed": 9, "out": "o", **size})
+    assert main([command, "--config", cfg]) == 2
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "ConfigInvalid" and "2**56" in blob["message"]
+
+
 def test_rate_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, "r.json",

@@ -11,6 +11,7 @@ import trigan.learning as lr
 import trigan.rosenblatt as ros
 from trigan.density import make_density
 from trigan.errors import ConfigInvalid, NonConvergence
+from trigan.rng import KIND_NOISE, stream_id, uniforms
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +89,21 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 # pair matrices
 
 
-def test_pair_matrices_match_single_evaluations(cfg1, uniform1, net_pair):
+@pytest.mark.parametrize("n", [100, 128, 257])
+def test_pair_matrices_match_single_evaluations(cfg1, uniform1, net_pair, n):
+    # every entry, bitwise, also where 1/(2n) is not a power of two
     V = net_pair.vectors
     L = lr.pair_loss_matrix(cfg1, uniform1, V, net_pair.pairs)
-    s = lr.make_training_sample(uniform1, 128, seed=8)
+    s = lr.make_training_sample(uniform1, n, seed=8)
     E = lr.empirical_pair_matrix(cfg1, V, net_pair.pairs, s)
     assert L.shape == E.shape == (len(V), len(net_pair.pairs))
-    a, b = net_pair.pairs[6]
-    disc = hyp.make_discriminator(cfg1, V[a], V[b])
-    pf = ros.pushforward_density(hyp.make_generator(cfg1, V[2]))
-    assert L[2, 6] == dv.theoretical_loss(uniform1, pf, disc)
-    assert E[2, 6] == lr.empirical_loss(disc, hyp.make_generator(cfg1, V[2]), s)
+    gens = [hyp.make_generator(cfg1, v) for v in V]
+    for col, (a, b) in enumerate(net_pair.pairs):
+        disc = hyp.make_discriminator(cfg1, V[a], V[b])
+        for g, gen in enumerate(gens):
+            pf = ros.pushforward_density(gen)
+            assert L[g, col] == dv.theoretical_loss(uniform1, pf, disc)
+            assert E[g, col] == lr.empirical_loss(disc, gen, s)
 
 
 def test_diagonal_pairs_floor(cfg1, uniform1, net_pair):
@@ -231,6 +236,17 @@ def test_worker_count_bounded(monkeypatch):
     assert lr._worker_count(8, 3) == 3
     monkeypatch.setattr(lr.os, "cpu_count", lambda: None)
     assert lr._worker_count(8, 3) == 1
+
+
+def test_trials_fit_the_stream_key(cfg1, uniform1, net_pair):
+    # trial t keys its streams kind + (t << 8), which must stay below 2**64
+    last = stream_id(KIND_NOISE, 2**56 - 1)
+    assert last < 2**64 and uniforms(0, last, 0, 1, 1).shape == (1, 1)
+    with pytest.raises(ValueError):
+        stream_id(KIND_NOISE, 2**56)
+    # rejected before any task is built or any pool is started
+    with pytest.raises(ConfigInvalid, match=r"2\*\*56"):
+        lr.sampling_error_values(cfg1, uniform1, net_pair, 16, 2**56 + 1, seed=0)
 
 
 def test_sampling_error_thread_count_invariant(cfg1, uniform1, net_pair):

@@ -169,15 +169,24 @@ def _build_target(spec, resolution: int | None) -> density_mod.GridDensity:
         unknown = set(spec) - {"path"}
         if unknown:
             raise ConfigInvalid(f"unknown target keys {sorted(unknown)}")
+        if not isinstance(spec["path"], str):
+            raise ConfigInvalid("target path must be a string")
         return density_mod.load_density(spec["path"])
     unknown = set(spec) - {"family", "dim", "resolution", "params"}
     if unknown:
         raise ConfigInvalid(f"unknown target keys {sorted(unknown)}")
     if "family" not in spec:
         raise ConfigInvalid("target needs a 'family' or a 'path'")
-    return density_mod.make_density(spec["family"], dim=spec.get("dim"),
-                                    resolution=spec.get("resolution", resolution),
-                                    params=spec.get("params"))
+    dim = _positive_int(spec["dim"], "target dim") if "dim" in spec else None
+    if "resolution" in spec:
+        resolution = _positive_int(spec["resolution"], "target resolution", minimum=2)
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigInvalid("target params must be an object")
+    for key, val in params.items():
+        hyp_mod._finite_number(val, f"target param {key!r}")
+    return density_mod.make_density(spec["family"], dim=dim, resolution=resolution,
+                                    params=params)
 
 
 def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:

@@ -2,15 +2,15 @@
 
 A density is represented by its values at the nodes of a uniform grid with
 ``resolution`` points per axis (endpoints included) and is interpreted as the
-multilinear interpolant of those values. Quadrature, marginals, conditional
-CDFs and mollification all operate on that interpolant:
+multilinear interpolant of those values. Quadrature, marginals, the
+prefix-marginal tables and mollification all operate on that interpolant:
 
 * composite trapezoid quadrature integrates the interpolant exactly, which
   keeps storage and integration mutually consistent; Simpson is selectable
   for smooth integrands,
-* conditional CDFs are exact cumulative integrals of the piecewise-linear
-  conditional density, hence piecewise quadratic, strictly increasing, and
-  invertible in closed form cell by cell,
+* the prefix-marginal tables integrate out trailing axes with trapezoid
+  weights; the triangular maps of the rosenblatt module turn them into
+  piecewise-quadratic conditional CDFs,
 * mollification is a per-axis circular (mod 1) convolution with a wrapped
   Gaussian, truncated at eight standard deviations.
 
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity, ZeroMarginal
+from .errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
 
 QUAD_RULES = ("trapezoid", "simpson")
 
@@ -82,63 +82,6 @@ class GridDensity:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolant at an (N, dim) array of points."""
         return _interp_multilinear(self.values, points)
-
-
-@dataclass(frozen=True)
-class ConditionalCDF:
-    """CDF of one coordinate given a prefix context.
-
-    cdf_values are the exact cumulative trapezoid integrals of the conditional
-    density at the knots, rescaled so the first is 0 and the last is 1. The
-    CDF between knots is the quadratic antiderivative of the piecewise-linear
-    conditional density, so value/inverse/derivative are mutually consistent.
-    """
-
-    axis: int
-    context: tuple
-    knots: np.ndarray
-    cdf_values: np.ndarray
-    pdf_values: np.ndarray   # conditional density at the knots, integral 1
-
-    def __post_init__(self):
-        if self.cdf_values[0] != 0.0 or self.cdf_values[-1] != 1.0:
-            raise ConfigInvalid("cdf endpoints must be pinned to 0 and 1")
-        if np.any(np.diff(self.cdf_values) <= 0.0):
-            raise NonPositiveDensity("conditional CDF must be strictly increasing")
-
-    def _cells(self, t: np.ndarray) -> np.ndarray:
-        m = self.knots.size
-        return np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, m - 2)
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        h = self.knots[1] - self.knots[0]
-        k = self._cells(t)
-        s = t - self.knots[k]
-        p0, p1 = self.pdf_values[k], self.pdf_values[k + 1]
-        out = self.cdf_values[k] + p0 * s + (p1 - p0) * s * s / (2.0 * h)
-        out = np.clip(out, 0.0, 1.0)
-        return np.where(t >= self.knots[-1], 1.0, np.where(t <= self.knots[0], 0.0, out))
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        h = self.knots[1] - self.knots[0]
-        k = self._cells(t)
-        s = (t - self.knots[k]) / h
-        return self.pdf_values[k] * (1.0 - s) + self.pdf_values[k + 1] * s
-
-    def inverse(self, u: np.ndarray) -> np.ndarray:
-        """Exact cell-wise inverse; follows the inf convention for u at cell edges."""
-        u = np.asarray(u, dtype=np.float64)
-        h = self.knots[1] - self.knots[0]
-        m = self.knots.size
-        k = np.clip(np.searchsorted(self.cdf_values, u, side="right") - 1, 0, m - 2)
-        r = np.maximum(u - self.cdf_values[k], 0.0)
-        p0, p1 = self.pdf_values[k], self.pdf_values[k + 1]
-        # solve p0*s + (p1-p0)/(2h) s^2 = r for s in [0, h]; stable quadratic form
-        disc = np.maximum(p0 * p0 + 2.0 * (p1 - p0) * r / h, 0.0)
-        s = 2.0 * r / (p0 + np.sqrt(disc))
-        return np.clip(self.knots[k] + s, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +150,14 @@ def _corners(points: np.ndarray, m: int):
     return offsets, weights
 
 
+def grid_points(dim: int, m: int, trim: int = 0) -> np.ndarray:
+    """(N, dim) nodes of the uniform grid with m points per axis, row-major
+    (last axis fastest), without the first and last trim nodes of each axis."""
+    axis = np.linspace(0.0, 1.0, m)[trim:m - trim]
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
 def _interp_multilinear(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     d = values.ndim
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -216,23 +167,6 @@ def _interp_multilinear(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     out = np.zeros(pts.shape[0])
     for off, weight in zip(*_corners(pts, values.shape[0])):
         out += weight * flat[off]
-    return out
-
-
-def _interp_prefix(values: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """Interpolate over all axes but the last; returns shape (N, m).
-
-    values has shape (m,)*j; prefix has shape (N, j-1). The result row i is
-    the slice values[prefix_i, :] of the multilinear interpolant.
-    """
-    m = values.shape[0]
-    prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64))
-    if prefix.shape[1] != values.ndim - 1:
-        raise ConfigInvalid("prefix length does not match values rank")
-    rows = values.reshape(-1, m)
-    out = np.zeros((prefix.shape[0], m))
-    for off, weight in zip(*_corners(prefix, m)):
-        out += weight[:, None] * rows[off]
     return out
 
 
@@ -303,30 +237,6 @@ def prefix_marginal_tables(density: GridDensity) -> list[np.ndarray]:
     return tables[::-1]
 
 
-def conditional_cdf(density: GridDensity, axis: int, context: Sequence[float]) -> ConditionalCDF:
-    """CDF of coordinate `axis` (1-based) given the prefix context."""
-    if not 1 <= axis <= density.dim:
-        raise ConfigInvalid(f"axis must be in 1..{density.dim}")
-    context = tuple(float(c) for c in context)
-    if len(context) != axis - 1:
-        raise ConfigInvalid(f"context must have length {axis - 1}")
-    if any(c < 0.0 or c > 1.0 for c in context):
-        raise ConfigInvalid("context components must lie in [0, 1]")
-    vj = prefix_marginal_tables(density)[axis - 1]  # rank == axis
-    g = _interp_prefix(vj, np.array([context]) if context else np.empty((1, 0)))[0]
-    if np.any(g <= 0.0):
-        raise ZeroMarginal("conditional density hit zero; positivity violated")
-    h = density.knots[1] - density.knots[0]
-    raw = np.concatenate(([0.0], np.cumsum(h * (g[:-1] + g[1:]) / 2.0)))
-    z = raw[-1]
-    if z <= 0.0:
-        raise ZeroMarginal("conditional density has zero mass")
-    cdf = raw / z
-    cdf[0], cdf[-1] = 0.0, 1.0
-    return ConditionalCDF(axis=axis, context=context, knots=density.knots,
-                          cdf_values=cdf, pdf_values=g / z)
-
-
 def mollify(density: GridDensity, sigma: float) -> GridDensity:
     """Per-axis circular convolution with a wrapped Gaussian of scale sigma.
 
@@ -363,9 +273,9 @@ def mollify(density: GridDensity, sigma: float) -> GridDensity:
 # named analytic families
 
 
-def _mesh(dim: int, m: int) -> list[np.ndarray]:
-    axes = [np.linspace(0.0, 1.0, m)] * dim
-    return np.meshgrid(*axes, indexing="ij")
+def _mesh(dim: int, m: int) -> np.ndarray:
+    """Per-axis coordinate arrays of the grid, each of shape (m,) * dim."""
+    return grid_points(dim, m).T.reshape((dim,) + (m,) * dim)
 
 
 def make_density(name: str, dim: int | None = None, resolution: int | None = None,
@@ -376,9 +286,11 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     (coordinatewise tilted), "coupled" ((1 + a*y1*y2)/(1 + a/4), 2D),
     "bimodal-mollified" (two-bump profile per axis, wrapped-Gaussian smoothed).
     """
+    if dim is not None and dim < 1:
+        raise ConfigInvalid(f"dim must be >= 1, got {dim}")
     params = dict(params or {})
     if name == "uniform":
-        d = dim or 1
+        d = 1 if dim is None else dim
         m = resolution or default_resolution(d)
         _reject_unknown(params, set(), name)
         return GridDensity(d, m, np.ones((m,) * d), quad_rule)
@@ -390,7 +302,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
         y = np.linspace(0.0, 1.0, m)
         return normalize(GridDensity(1, m, (2.0 / 3.0) * (1.0 + y), quad_rule))
     if name == "product":
-        d = dim or 2
+        d = 2 if dim is None else dim
         if d < 2:
             raise ConfigInvalid("product family needs dim >= 2")
         m = resolution or default_resolution(d)
@@ -412,7 +324,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
         vals = (1.0 + a * y1 * y2) / (1.0 + a / 4.0)
         return normalize(GridDensity(2, m, vals, quad_rule))
     if name == "bimodal-mollified":
-        d = dim or 1
+        d = 1 if dim is None else dim
         m = resolution or default_resolution(d)
         sigma = float(params.pop("sigma", 0.05))
         floor = float(params.pop("floor", 0.1))

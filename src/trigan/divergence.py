@@ -1,13 +1,14 @@
 """Divergences, the adversarial loss, and the loss-maximizing discriminator.
 
 All integrals run over one shared evaluation grid (129 points per axis for
-d <= 2, 33 for d = 3; Simpson weights) that is decoupled from density
-storage. Every density is renormalized by ITS OWN quadrature mass on that
-grid before any formula is applied. That convention makes the algebraic
-relations between the quantities computed here (the JS-loss identity, the
-nonnegativity of KL, the dominance of the ratio discriminator) hold
-pointwise on the grid, i.e. to floating-point accuracy rather than
-quadrature accuracy.
+d <= 2, 33 above; Simpson weights) that is decoupled from density storage
+and that no caller can change, so every loss and divergence of one
+dimension is computed on the same nodes. Every density is renormalized by
+ITS OWN quadrature mass on that grid before any formula is applied. That
+convention makes the algebraic relations between the quantities computed
+here (the JS-loss identity, the nonnegativity of KL, the dominance of the
+ratio discriminator) hold pointwise on the grid, i.e. to floating-point
+accuracy rather than quadrature accuracy.
 
 Deterministic reductions only: weighted sums go through np.sum (pairwise
 tree order, independent of worker counts).
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import GridDensity, axis_weights
+from .density import GridDensity, axis_weights, grid_points
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 from .rosenblatt import PushforwardDensity
 
@@ -39,27 +40,18 @@ class DiscriminatorFn:
         return self.evaluator(points)
 
 
-def default_eval_resolution(dim: int) -> int:
-    return 129 if dim <= 2 else 33
-
-
-@lru_cache(maxsize=32)
-def _eval_grid_cached(dim: int, resolution: int, rule: str):
-    axes = [np.linspace(0.0, 1.0, resolution)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    w1 = axis_weights(resolution, rule)
+@lru_cache(maxsize=8)
+def eval_grid(dim: int):
+    """The shared evaluation nodes and their tensor Simpson weights."""
+    resolution = 129 if dim <= 2 else 33
+    pts = grid_points(dim, resolution)
+    w1 = axis_weights(resolution, "simpson")
     w = np.ones(1)
     for _ in range(dim):
         w = np.multiply.outer(w, w1).ravel()
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w
-
-
-def eval_grid(dim: int, resolution: int | None = None, rule: str = "simpson"):
-    """Shared evaluation nodes and tensor quadrature weights."""
-    return _eval_grid_cached(dim, resolution or default_eval_resolution(dim), rule)
 
 
 def _dim_of(obj) -> int:
@@ -75,36 +67,35 @@ def _values_on(obj, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _renormalized_pair(f, g, resolution: int | None, rule: str):
+def _renormalized_pair(f, g):
     d = _dim_of(f)
     if _dim_of(g) != d:
         raise ConfigInvalid("density dimensions differ")
-    pts, w = eval_grid(d, resolution, rule)
+    pts, w = eval_grid(d)
     fv = _values_on(f, pts)
     gv = _values_on(g, pts)
     return pts, w, fv / np.sum(w * fv), gv / np.sum(w * gv)
 
 
-def kl_divergence(f, g, resolution: int | None = None, rule: str = "simpson") -> float:
+def kl_divergence(f, g) -> float:
     """Quadrature of f log(f/g), both renormalized on the shared grid.
 
     With nonnegative weights the renormalized weighted sum is a discrete KL,
     so the result is nonnegative up to rounding of the masses.
     """
-    _, w, fv, gv = _renormalized_pair(f, g, resolution, rule)
+    _, w, fv, gv = _renormalized_pair(f, g)
     return float(np.sum(w * fv * np.log(fv / gv)))
 
 
-def js_divergence(f, g, resolution: int | None = None, rule: str = "simpson") -> float:
+def js_divergence(f, g) -> float:
     """Symmetrized divergence to the midpoint; lies in [0, log 2]."""
-    _, w, fv, gv = _renormalized_pair(f, g, resolution, rule)
+    _, w, fv, gv = _renormalized_pair(f, g)
     mid = 0.5 * (fv + gv)
     return float(0.5 * (np.sum(w * fv * np.log(fv / mid))
                         + np.sum(w * gv * np.log(gv / mid))))
 
 
-def optimal_discriminator(f_mu, f_phi, resolution: int | None = None,
-                          rule: str = "simpson") -> DiscriminatorFn:
+def optimal_discriminator(f_mu, f_phi) -> DiscriminatorFn:
     """The pointwise loss maximizer f_mu / (f_mu + f_phi), mass-renormalized.
 
     Recorded bounds come from certified density ranges when both inputs
@@ -112,7 +103,7 @@ def optimal_discriminator(f_mu, f_phi, resolution: int | None = None,
     range for certified generators), else from the observed grid range with
     a small widening.
     """
-    pts, w, _, _ = _renormalized_pair(f_mu, f_phi, resolution, rule)
+    pts, w, _, _ = _renormalized_pair(f_mu, f_phi)
     mass_f = float(np.sum(w * _values_on(f_mu, pts)))
     mass_g = float(np.sum(w * _values_on(f_phi, pts)))
 
@@ -142,10 +133,9 @@ def _density_range(obj):
     return None
 
 
-def theoretical_loss(f_mu, f_phi, disc: DiscriminatorFn | Callable,
-                     resolution: int | None = None, rule: str = "simpson") -> float:
+def theoretical_loss(f_mu, f_phi, disc: DiscriminatorFn | Callable) -> float:
     """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid."""
-    pts, w, fv, gv = _renormalized_pair(f_mu, f_phi, resolution, rule)
+    pts, w, fv, gv = _renormalized_pair(f_mu, f_phi)
     dv = np.asarray(disc(pts), dtype=np.float64)
     if np.any(dv <= 0.0) or np.any(dv >= 1.0) or not np.all(np.isfinite(dv)):
         raise DiscriminatorOutOfRange("discriminator left the open interval (0, 1)")

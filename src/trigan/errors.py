@@ -17,10 +17,6 @@ class BoxOutOfDomain(TriganError):
     """An integration box exceeds the unit cube."""
 
 
-class ZeroMarginal(TriganError):
-    """A prefix marginal vanished; unreachable for strictly positive densities."""
-
-
 class InsufficientResolution(TriganError):
     """Grid too coarse for the requested finite-difference order."""
 

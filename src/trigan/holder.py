@@ -3,8 +3,10 @@
 The estimate is a LOWER bound on the true norm: derivatives come from
 finite differences (second order, one-sided at the boundary) and the
 Holder quotient is maximized over a finite pair sample. Membership checks
-built on it are therefore necessary conditions only; certified upper
-bounds for parametric families live in the hypothesis module.
+built on it are therefore necessary conditions only. No module bounds the
+Holder norm from above: the hypothesis module certifies only the Jacobian
+range in closed form and checks the norm with this estimate (ROADMAP
+item 4).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .density import grid_points
 from .errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
 
 # all-pairs quotients stay below ~17M distance evaluations; 1D/2D default
@@ -85,7 +88,7 @@ def estimate_holder_norm(values: np.ndarray | Callable, k: int, alpha: float,
 
     semi = 0.0
     for view, trim in top_draws:
-        nodes = _node_coordinates(d, m, trim)
+        nodes = grid_points(d, m, trim)
         semi = max(semi, _pair_quotient(view.ravel(), nodes, alpha))
     return HolderEstimate(k=k, alpha=float(alpha), ck_norm=ck,
                           holder_seminorm=semi, total=ck + semi)
@@ -102,10 +105,7 @@ def inverse_lipschitz_bound(c1_norm: float, jac_inf: float, d: int) -> float:
 
 def grid_values_of_map(fn: Callable, dim: int, resolution: int) -> np.ndarray:
     """Sample a map [0,1]^dim -> R^{d2} on the uniform grid; components last."""
-    axes = [np.linspace(0.0, 1.0, resolution)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    out = np.asarray(fn(pts), dtype=np.float64)
+    out = np.asarray(fn(grid_points(dim, resolution)), dtype=np.float64)
     if out.ndim == 1:
         return out.reshape((resolution,) * dim)
     return out.reshape((resolution,) * dim + (out.shape[1],))
@@ -123,12 +123,6 @@ def _boundary_trim(order: int, m: int) -> int:
         return 0
     # keep at least two nodes per axis so pair quotients stay defined
     return min(order, (m - 2) // 2)
-
-
-def _node_coordinates(d: int, m: int, trim: int = 0) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, m)[trim:m - trim]] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def _pair_quotient(flat: np.ndarray, nodes: np.ndarray, alpha: float) -> float:

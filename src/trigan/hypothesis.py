@@ -13,9 +13,11 @@ for every parameter choice, and the all-zero parameter vector is the
 identity map. The diagonal partial is p * sum_i w_i B_{i-1,p-1}, a convex
 combination of the p w_i scaled by p, which gives closed-form bounds on the
 Jacobian from the parameter ranges alone. The parameter box is back-solved
-from the norm bound K so every vector inside it yields a certified member:
-analytic Jacobian range inside [1/K, K] with a safety margin, plus a
-numerical Holder-norm check at the box corners.
+from the norm bound K. Inside it the Jacobian range is certified in closed
+form to lie in [1/K, K] with a safety margin. The Holder norm is not: it is
+only estimated numerically (a lower bound) at no more than six sign
+patterns of box corners, which is a necessary condition and bounds no
+member inside the box (ROADMAP item 4).
 
 Discriminators are the paired-generator ratios f_a / (f_a + f_b); their
 range constants depend only on (d, K).
@@ -33,7 +35,7 @@ from math import comb, factorial
 import numpy as np
 
 from . import rng
-from .density import write_text_atomic
+from .density import grid_points, write_text_atomic
 from .divergence import DiscriminatorFn
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .holder import estimate_holder_norm
@@ -356,14 +358,12 @@ class Certification:
     certified: bool
 
 
-def certify_member(config: HypothesisConfig, params,
-                   resolution: int | None = None) -> Certification:
+def certify_member(config: HypothesisConfig, params) -> Certification:
     """Analytic Jacobian bound plus a numerical Holder-norm estimate vs K."""
     gp = params if isinstance(params, GeneratorParams) else member_params(config, params)
     gen = make_generator(config, gp.coefficients)
-    m = resolution or _holder_check_resolution(config)
-    est = estimate_holder_norm(gen.apply, config.k, config.alpha,
-                               dim=config.dim, resolution=m)
+    est = estimate_holder_norm(gen.apply, config.k, config.alpha, dim=config.dim,
+                               resolution=_holder_check_resolution(config))
     ok = gp.jac_lower >= 1.0 / config.K and est.total <= config.K
     return Certification(jac_lower=gp.jac_lower, holder_total=est.total, certified=ok)
 
@@ -400,7 +400,6 @@ def make_discriminator(config: HypothesisConfig, params_a, params_b) -> Discrimi
 class EpsNet:
     epsilon: float
     members: tuple
-    metric: str = "sup_norm"
 
     @property
     def cardinality(self) -> int:
@@ -443,28 +442,21 @@ def random_box_params(config: HypothesisConfig, count: int, seed: int,
 
 
 @lru_cache(maxsize=16)
-def _probe_points(dim: int, resolution: int):
-    axes = [np.linspace(0.0, 1.0, resolution)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
+def _probe_points(dim: int):
+    pts = grid_points(dim, {1: 2049, 2: 65}.get(dim, 17))
     pts.flags.writeable = False
     return pts
 
 
-def _probe_resolution(dim: int) -> int:
-    return {1: 2049, 2: 65}.get(dim, 17)
-
-
-def map_sup_distance(config: HypothesisConfig, params_a, params_b,
-                     resolution: int | None = None) -> float:
+def map_sup_distance(config: HypothesisConfig, params_a, params_b) -> float:
     """sup-norm distance of two members, maximized over a probe grid."""
-    pts = _probe_points(config.dim, resolution or _probe_resolution(config.dim))
+    pts = _probe_points(config.dim)
     a = make_generator(config, params_a).apply(pts)
     b = make_generator(config, params_b).apply(pts)
     return float(np.abs(a - b).max())
 
 
-def family_delta1(config: HypothesisConfig, resolution: int | None = None) -> float:
+def family_delta1(config: HypothesisConfig) -> float:
     """Family diameter under the n=1 subgaussian metric.
 
     Generator spread is maximized over box corner pairs on a probe grid;
@@ -475,7 +467,7 @@ def family_delta1(config: HypothesisConfig, resolution: int | None = None) -> fl
     corners = [b * s for s in _corner_signs(config.n_params)]
     d_phi = 0.0
     for pa, pb in itertools.combinations(corners, 2):
-        d_phi = max(d_phi, map_sup_distance(config, pa, pb, resolution))
+        d_phi = max(d_phi, map_sup_distance(config, pa, pb))
     b1, b2 = discriminator_constants(config.dim, config.K)
     d, big_k = config.dim, config.K
     lead = 1.0 + factorial(d) * big_k ** (d + 1)
@@ -506,10 +498,26 @@ def config_from_dict(payload: dict) -> HypothesisConfig:
     missing = required - set(payload)
     if missing:
         raise ConfigInvalid(f"missing config fields {sorted(missing)}")
-    return make_config(dim=int(payload["dim"]), k=int(payload["k"]),
-                       alpha=float(payload["alpha"]), K=float(payload["K"]),
-                       family=str(payload["family"]), degree=int(payload["degree"]),
-                       coupling_degree=int(payload["coupling_degree"]))
+    for key in ("dim", "k", "degree", "coupling_degree"):
+        if isinstance(payload[key], bool) or not isinstance(payload[key], int):
+            raise ConfigInvalid(f"{key} must be an integer")
+    return make_config(dim=payload["dim"], k=payload["k"],
+                       alpha=_finite_number(payload["alpha"], "alpha"),
+                       K=_finite_number(payload["K"], "K"),
+                       family=str(payload["family"]), degree=payload["degree"],
+                       coupling_degree=payload["coupling_degree"])
+
+
+def _finite_number(raw, key: str) -> float:
+    """raw as a float; ConfigInvalid unless it is a finite number (not a bool)."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            val = float(raw)
+        except OverflowError:
+            val = math.inf
+        if math.isfinite(val):
+            return val
+    raise ConfigInvalid(f"{key} must be a finite number")
 
 
 def save_config(config: HypothesisConfig, path: str) -> None:

@@ -149,11 +149,10 @@ def _pair_losses(pairs, scale, fy, wy, fx, wx) -> np.ndarray:
     return out
 
 
-def pair_loss_matrix(config: HypothesisConfig, target, vectors, pairs,
-                     resolution: int | None = None, rule: str = "simpson") -> np.ndarray:
+def pair_loss_matrix(config: HypothesisConfig, target, vectors, pairs) -> np.ndarray:
     """Theoretical losses, rows = generators, columns = discriminator pairs;
     each density is renormalized by its own quadrature mass."""
-    pts, w = eval_grid(config.dim, resolution, rule)
+    pts, w = eval_grid(config.dim)
     dens = _densities_at([make_generator(config, v) for v in vectors], pts)
     tgt = _target_values(target, pts)
     w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)

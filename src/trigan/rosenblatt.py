@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -148,7 +148,6 @@ class TriangularMap:
     components: tuple
     direction: str
     components_direct: bool = True
-    order: tuple = ()
     norm_bound_K: float | None = None
     meta: tuple = ()   # family serialization payload, e.g. ("bernstein", json_str)
 
@@ -157,8 +156,6 @@ class TriangularMap:
             raise ConfigInvalid("direction must be 'forward' or 'inverse'")
         if len(self.components) != self.dim:
             raise ConfigInvalid("need one component per axis")
-        if not self.order:
-            object.__setattr__(self, "order", tuple(range(self.dim)))
 
     def inverse(self) -> "TriangularMap":
         flipped = "inverse" if self.direction == "forward" else "forward"
@@ -235,41 +232,19 @@ class PushforwardDensity:
         d = self.base_map.dim
         return (1.0 / (factorial(d) * k_bound**d), k_bound)
 
-    def mass(self, resolution: int | None = None, rule: str | None = None) -> float:
-        """Quadrature integral over the cube; defaults match the map kind."""
-        from .divergence import eval_grid  # local import avoids a cycle
-        d = self.base_map.dim
-        if rule is None:
-            table_backed = isinstance(self.base_map.components[0], TableComponent)
-            rule = "trapezoid" if table_backed else "simpson"
-        pts, w = eval_grid(d, resolution, rule)
-        return float(np.sum(w * self.evaluate(pts)))
-
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def build_rosenblatt(density: GridDensity, order: Sequence[int] | None = None) -> TriangularMap:
+def build_rosenblatt(density: GridDensity) -> TriangularMap:
     """Forward triangular map of the density: component j is the CDF of
-    coordinate j given the previous ones.
-
-    order permutes the coordinate hierarchy: the map is built for the density
-    with axes transposed by `order` and records the permutation as metadata.
-    The default is the lexicographic (identity) order.
-    """
-    if order is None:
-        order = tuple(range(density.dim))
-    order = tuple(int(o) for o in order)
-    if sorted(order) != list(range(density.dim)):
-        raise ConfigInvalid(f"order must be a permutation of 0..{density.dim - 1}")
-    values = np.transpose(density.values, order)
-    permuted = GridDensity(density.dim, density.resolution, values, density.quad_rule)
-    tables = prefix_marginal_tables(permuted)
+    coordinate j given the previous ones."""
     knots = density.knots
-    comps = tuple(TableComponent(table=t, knots=knots) for t in tables)
+    comps = tuple(TableComponent(table=t, knots=knots)
+                  for t in prefix_marginal_tables(density))
     return TriangularMap(dim=density.dim, components=comps,
-                         direction="forward", components_direct=True, order=order)
+                         direction="forward", components_direct=True)
 
 
 def invert(tri_map: TriangularMap, x: np.ndarray) -> np.ndarray:
@@ -371,7 +346,6 @@ def map_to_dict(tri_map: TriangularMap) -> dict:
             "dim": tri_map.dim,
             "direction": tri_map.direction,
             "components_direct": tri_map.components_direct,
-            "order": list(tri_map.order),
             "resolution": int(first.knots.size),
             "tables": [c.table.ravel().tolist() for c in tri_map.components],
         }
@@ -386,12 +360,15 @@ def map_to_dict(tri_map: TriangularMap) -> dict:
 def map_from_dict(payload: dict) -> TriangularMap:
     kind = payload.get("kind")
     if kind == "rosenblatt_table":
-        required = {"kind", "dim", "direction", "components_direct", "order",
-                    "resolution", "tables"}
-        unknown = set(payload) - required
+        known = {"kind", "dim", "direction", "components_direct", "order",
+                 "resolution", "tables"}
+        unknown = set(payload) - known
         if unknown:
             raise ConfigInvalid(f"unknown map fields {sorted(unknown)}")
         d = int(payload["dim"])
+        # files written before the coordinate order was removed carry it
+        if payload.get("order", list(range(d))) != list(range(d)):
+            raise ConfigInvalid("only the identity coordinate order is supported")
         m = int(payload["resolution"])
         knots = np.linspace(0.0, 1.0, m)
         comps = []
@@ -400,8 +377,7 @@ def map_from_dict(payload: dict) -> TriangularMap:
             comps.append(TableComponent(table=arr, knots=knots))
         return TriangularMap(dim=d, components=tuple(comps),
                              direction=str(payload["direction"]),
-                             components_direct=bool(payload["components_direct"]),
-                             order=tuple(payload["order"]))
+                             components_direct=bool(payload["components_direct"]))
     if kind == "bernstein":
         from .hypothesis import map_from_bernstein_payload
         return map_from_bernstein_payload(payload)

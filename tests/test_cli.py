@@ -299,3 +299,32 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     blob = json.loads(capsys.readouterr().err)
     assert blob["error"] == "ConfigInvalid" and raw in blob["message"]
     assert not (tmp_path / "bd").exists()
+
+
+@pytest.mark.parametrize("command,patch", [
+    ("sample", {"target": {"family": "uniform", "dim": "2"}}),
+    ("sample", {"target": {"family": "uniform", "dim": 0}}),
+    ("sample", {"target": {"family": "product", "dim": 0}}),
+    ("sample", {"target": {"family": "bimodal-mollified", "dim": 0}}),
+    ("sample", {"target": {"family": "uniform", "dim": True}}),
+    ("sample", {"target": {"family": "uniform", "resolution": 2.5}}),
+    ("sample", {"target": {"family": "coupled", "params": [1]}}),
+    ("sample", {"target": {"family": "coupled", "params": {"a": "z"}}}),
+    ("sample", {"target": {"family": "coupled", "params": {"a": True}}}),
+    ("sample", {"target": {"family": "coupled", "params": {"a": 10**400}}}),
+    ("sample", {"target": {"path": 0}}),
+    ("bounds", {"hypothesis": {**HYP, "dim": "x"}}),
+    ("bounds", {"hypothesis": {**HYP, "dim": 1.7}}),
+    ("bounds", {"hypothesis": {**HYP, "coupling_degree": True}}),
+    ("bounds", {"hypothesis": {**HYP, "K": "2"}}),
+    ("bounds", {"hypothesis": {**HYP, "alpha": True}}),
+    ("bounds", {"hypothesis": {**HYP, "K": 10**400}}),
+])
+def test_nested_spec_rejected(tmp_path, capsys, command, patch):
+    base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \
+        else {"hypothesis": HYP, "n": 10}
+    cfg = write_cfg(tmp_path, "c.json", {**base, **patch})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "o").exists()

@@ -7,6 +7,7 @@ import pytest
 
 from trigan import density as dn
 from trigan.errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
+from trigan.rosenblatt import build_rosenblatt
 
 
 def test_default_resolution():
@@ -99,20 +100,23 @@ def test_marginal_of_product_is_tilted(product2, tilted):
 
 
 def test_conditional_cdf_monotone_and_endpoints(coupled):
-    cdf = dn.conditional_cdf(coupled, axis=2, context=[0.5])
+    # the second map component is the CDF of y2 given y1
+    cdf = build_rosenblatt(coupled).components[1]
     t = np.linspace(0.0, 1.0, 65)
-    v = cdf.value(t)
+    v = cdf.value(np.full((t.size, 1), 0.5), t)
     assert v[0] == 0.0 and abs(v[-1] - 1.0) < 1e-12
     assert np.all(np.diff(v) > 0.0)
     # frozen oracle: F(y2 <= 0.5 | y1 = 0.5) = (0.5 + 0.2*0.25)/(1 + 0.2)
-    assert cdf.value(np.array([0.5]))[0] == pytest.approx(0.45833333333333337, rel=1e-9)
+    at_half = cdf.value(np.array([[0.5]]), np.array([0.5]))[0]
+    assert at_half == pytest.approx(0.45833333333333337, rel=1e-9)
 
 
 def test_conditional_cdf_inverse_roundtrip(coupled):
-    cdf = dn.conditional_cdf(coupled, axis=2, context=[0.3])
+    cdf = build_rosenblatt(coupled).components[1]
     u = np.linspace(0.01, 0.99, 41)
-    t = cdf.inverse(u)
-    assert np.abs(cdf.value(t) - u).max() < 1e-12
+    prefix = np.full((u.size, 1), 0.3)
+    t = cdf.inverse_exact(prefix, u)
+    assert np.abs(cdf.value(prefix, t) - u).max() < 1e-12
 
 
 def test_mollify_preserves_mass_and_positivity():

@@ -192,7 +192,6 @@ def test_net_cap(cfg1):
 def test_net_member_invariants(cfg1):
     net = hyp.build_eps_net(cfg1, 0.1)
     assert net.cardinality == len(net.members)
-    assert net.metric == "sup_norm"
     seen = {tuple(m.coefficients) for m in net.members}
     assert len(seen) == net.cardinality          # pairwise distinct vectors
     b = cfg1.box_half

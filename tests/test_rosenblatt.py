@@ -1,11 +1,15 @@
 """Triangular transport maps built from grid densities."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from row_cdf import conditional_cdf
 from trigan import density as dn
+from trigan import divergence as dv
 from trigan import rosenblatt as rb
 from trigan.errors import ConfigInvalid
 from trigan import hypothesis as hyp
@@ -59,7 +63,11 @@ def test_pushforward_reproduces_density(coupled, rng):
     push = rb.pushforward_density(gen)
     pts = rng.random((100, 2))
     assert np.abs(push.evaluate(pts) - coupled.evaluate(pts)).max() < 1e-8
-    assert push.mass() == pytest.approx(1.0, abs=1e-10)
+    # trapezoid quadrature integrates the multilinear interpolant exactly
+    pts, _ = dv.eval_grid(2)
+    w1 = dn.axis_weights(129, "trapezoid")
+    mass = float(np.sum(np.multiply.outer(w1, w1).ravel() * push.evaluate(pts)))
+    assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inverse_flips_roles(tilted):
@@ -107,20 +115,24 @@ def test_chunked_apply_matches_split(coupled, rng):
         assert np.array_equal(whole, split)
 
 
-def test_table_component_matches_row_cdf(tilted, coupled, rough3):
+def _check_against_row_cdf(dens, gen):
     # reference: conditional_cdf interpolates a whole row, then sums it;
     # the rank-1 component (empty prefix) runs through the same kernel
-    gen = np.random.default_rng(47)
     t = np.concatenate([[0.0, 1.0], gen.random(62)])
+    comp = rb.build_rosenblatt(dens).components[-1]
+    for context in gen.random((5 if dens.dim > 1 else 1, dens.dim - 1)):
+        ref = conditional_cdf(dens, dens.dim, context)
+        prefix = np.tile(context, (t.size, 1))
+        assert np.abs(comp.value(prefix, t) - ref.value(t)).max() < 1e-13
+        assert np.abs(comp.partial(prefix, t) - ref.derivative(t)).max() < 1e-12
+        assert np.abs(comp.inverse_exact(prefix, t) - ref.inverse(t)).max() < 1e-13
+
+
+def test_table_component_matches_row_cdf(tilted, coupled, rough3):
+    gen = np.random.default_rng(47)
     bimodal = dn.make_density("bimodal-mollified", dim=1)
     for dens in (tilted, bimodal, coupled, rough3):
-        comp = rb.build_rosenblatt(dens).components[-1]
-        for context in gen.random((5 if dens.dim > 1 else 1, dens.dim - 1)):
-            ref = dn.conditional_cdf(dens, dens.dim, context)
-            prefix = np.tile(context, (t.size, 1))
-            assert np.abs(comp.value(prefix, t) - ref.value(t)).max() < 1e-13
-            assert np.abs(comp.partial(prefix, t) - ref.derivative(t)).max() < 1e-12
-            assert np.abs(comp.inverse_exact(prefix, t) - ref.inverse(t)).max() < 1e-13
+        _check_against_row_cdf(dens, gen)
 
 
 def test_solve_monotone_returns_closed_form(coupled, cfg2):
@@ -157,13 +169,9 @@ def test_roundtrip_and_telescoping_property(dens, seed):
     assert np.array_equal(rb.pushforward_density(psi.inverse()).evaluate(pts), jac)
 
 
-def test_order_permutation(coupled, rng):
-    psi = rb.build_rosenblatt(coupled, order=(1, 0))
-    assert psi.order == (1, 0)
-    pts = rng.random((50, 2))
-    assert np.abs(psi.invert(psi.apply(pts)) - pts).max() < 1e-10
-    with pytest.raises(ConfigInvalid):
-        rb.build_rosenblatt(coupled, order=(0, 0))
+@given(dens=grid_densities(), seed=st.integers(0, 2**32 - 1))
+def test_table_component_matches_row_cdf_property(dens, seed):
+    _check_against_row_cdf(dens, np.random.default_rng(seed))
 
 
 def test_one_dim_point_convenience(tilted):
@@ -179,6 +187,17 @@ def test_table_map_serialization(tmp_path, coupled, rng):
     back = rb.load_map(path)
     pts = rng.random((64, 2))
     assert np.array_equal(back.apply(pts), psi.apply(pts))
+    assert "order" not in json.loads(open(path).read())
+
+
+def test_table_map_legacy_order(coupled, rng):
+    # older files carry the coordinate order; only the identity is a valid map
+    payload = rb.map_to_dict(rb.build_rosenblatt(coupled))
+    pts = rng.random((16, 2))
+    back = rb.map_from_dict({**payload, "order": [0, 1]})
+    assert np.array_equal(back.apply(pts), rb.map_from_dict(payload).apply(pts))
+    with pytest.raises(ConfigInvalid, match="order"):
+        rb.map_from_dict({**payload, "order": [1, 0]})
 
 
 def test_bernstein_map_serialization(tmp_path, cfg1, rng):

@@ -202,7 +202,10 @@ def k_schedule(n: float, beta: float) -> float:
         raise ConfigInvalid("schedule needs n > 1")
     if beta <= 0.0:
         raise ConfigInvalid("beta must be positive")
-    return math.log(n) ** beta
+    try:
+        return math.log(n) ** beta
+    except OverflowError:
+        raise ConfigInvalid(f"(log n)^beta overflows at n {n!r}, beta {beta!r}") from None
 
 
 # ---------------------------------------------------------------------------

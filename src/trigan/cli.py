@@ -295,6 +295,9 @@ def _cmd_bounds(rc: RunConfig) -> None:
         big_k = bounds_mod.k_schedule(rc.n, rc.beta)
         if big_k <= 1.0:
             raise ConfigInvalid("k_schedule gave K <= 1; raise n or beta")
+        if not hyp_mod.bound_constants_finite(config.dim, big_k):
+            raise ConfigInvalid(f"k_schedule gave K = {big_k!r}, which overflows "
+                                "the bound constants; lower beta")
     delta1 = rc.delta1 if rc.delta1 is not None else hyp_mod.family_delta1(config)
     report = bounds_mod.bound_report(config.dim, config.alpha, config.k, big_k,
                                      rc.n, delta=rc.delta, delta1=delta1,

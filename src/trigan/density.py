@@ -33,6 +33,15 @@ from .errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
 
 QUAD_RULES = ("trapezoid", "simpson")
 
+# default dimension of each named family
+_FAMILY_DIM = {"uniform": 1, "tilted": 1, "product": 2, "coupled": 2,
+               "bimodal-mollified": 1}
+# size limits of a named family's grid: every map layer works on 2^d
+# interpolation corners, and 2^22 nodes are 32 MB per array of floats
+_MAX_DIM = 8
+_MAX_GRID_NODES = 1 << 22
+
+
 # default points per axis for freshly built named families
 def default_resolution(dim: int) -> int:
     return 129 if dim <= 2 else 33
@@ -285,27 +294,30 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     Families: "uniform" (any dim), "tilted" ((2/3)(1+y), 1D), "product"
     (coordinatewise tilted), "coupled" ((1 + a*y1*y2)/(1 + a/4), 2D),
     "bimodal-mollified" (two-bump profile per axis, wrapped-Gaussian smoothed).
+    The grid has at most 8 axes and 2^22 nodes.
     """
-    if dim is not None and dim < 1:
-        raise ConfigInvalid(f"dim must be >= 1, got {dim}")
+    if name not in _FAMILY_DIM:
+        raise ConfigInvalid(f"unknown density family {name!r}")
+    d = _FAMILY_DIM[name] if dim is None else dim
+    if not 1 <= d <= _MAX_DIM:
+        raise ConfigInvalid(f"dim must lie in [1, {_MAX_DIM}], got {d}")
+    m = resolution or default_resolution(d)
+    if m ** d > _MAX_GRID_NODES:
+        raise ConfigInvalid(f"a grid of {m}^{d} nodes exceeds the cap of "
+                            f"{_MAX_GRID_NODES}")
     params = dict(params or {})
     if name == "uniform":
-        d = 1 if dim is None else dim
-        m = resolution or default_resolution(d)
         _reject_unknown(params, set(), name)
         return GridDensity(d, m, np.ones((m,) * d), quad_rule)
     if name == "tilted":
-        if dim not in (None, 1):
+        if d != 1:
             raise ConfigInvalid("tilted family is one-dimensional")
-        m = resolution or default_resolution(1)
         _reject_unknown(params, set(), name)
         y = np.linspace(0.0, 1.0, m)
         return normalize(GridDensity(1, m, (2.0 / 3.0) * (1.0 + y), quad_rule))
     if name == "product":
-        d = 2 if dim is None else dim
         if d < 2:
             raise ConfigInvalid("product family needs dim >= 2")
-        m = resolution or default_resolution(d)
         _reject_unknown(params, set(), name)
         grids = _mesh(d, m)
         vals = np.ones((m,) * d)
@@ -313,30 +325,26 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
             vals = vals * (2.0 / 3.0) * (1.0 + g)
         return normalize(GridDensity(d, m, vals, quad_rule))
     if name == "coupled":
-        if dim not in (None, 2):
+        if d != 2:
             raise ConfigInvalid("coupled family is two-dimensional")
         a = float(params.pop("a", 0.8))
         _reject_unknown(params, set(), name)
         if a <= -1.0:
             raise NonPositiveDensity("coupled family needs a > -1 for positivity")
-        m = resolution or default_resolution(2)
         y1, y2 = _mesh(2, m)
         vals = (1.0 + a * y1 * y2) / (1.0 + a / 4.0)
         return normalize(GridDensity(2, m, vals, quad_rule))
-    if name == "bimodal-mollified":
-        d = 1 if dim is None else dim
-        m = resolution or default_resolution(d)
-        sigma = float(params.pop("sigma", 0.05))
-        floor = float(params.pop("floor", 0.1))
-        _reject_unknown(params, set(), name)
-        profile = lambda t: (floor + np.exp(-0.5 * ((t - 0.3) / 0.08) ** 2)
-                             + 0.75 * np.exp(-0.5 * ((t - 0.72) / 0.09) ** 2))
-        grids = _mesh(d, m)
-        vals = np.ones((m,) * d)
-        for g in grids:
-            vals = vals * profile(g)
-        return mollify(normalize(GridDensity(d, m, vals, quad_rule)), sigma)
-    raise ConfigInvalid(f"unknown density family {name!r}")
+    # bimodal-mollified
+    sigma = float(params.pop("sigma", 0.05))
+    floor = float(params.pop("floor", 0.1))
+    _reject_unknown(params, set(), name)
+    profile = lambda t: (floor + np.exp(-0.5 * ((t - 0.3) / 0.08) ** 2)
+                         + 0.75 * np.exp(-0.5 * ((t - 0.72) / 0.09) ** 2))
+    grids = _mesh(d, m)
+    vals = np.ones((m,) * d)
+    for g in grids:
+        vals = vals * profile(g)
+    return mollify(normalize(GridDensity(d, m, vals, quad_rule)), sigma)
 
 
 def _reject_unknown(params: dict, allowed: set, name: str) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, factorial
 
@@ -44,6 +44,9 @@ from .rosenblatt import TriangularMap, pushforward_density
 _SAFETY = 0.95          # certification margin for the box back-solve
 _BOX_TOL = 1e-9
 _NET_CAP = 1_000_000
+# highest Bernstein degree: every evaluation builds p + 1 basis columns per
+# point, and a net has q^p members per component block
+_MAX_DEGREE = 16
 _KNOWN_FAMILIES = ("bernstein_triangular",)
 
 
@@ -99,22 +102,27 @@ class BernsteinComponent:
     degree: int
     theta: np.ndarray      # (p,) raw weight block
     coupling: np.ndarray   # (p, r) raw coupling block, r = prefix length used
+    # the mean-centred blocks 1/p + (theta - mean theta) and (c - mean_i c):
+    # the only parameters evaluation reads, so components with bitwise-equal
+    # ones are the same map bit for bit (see distinct_members)
+    base: np.ndarray = field(init=False, repr=False, compare=False)
+    centered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         th = np.array(self.theta, dtype=np.float64)
         cp = np.array(self.coupling, dtype=np.float64)
-        th.flags.writeable = False
-        cp.flags.writeable = False
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "coupling", cp)
+        base = 1.0 / self.degree + (th - th.mean())
+        centered = cp - cp.mean(axis=0)
+        for name, arr in (("theta", th), ("coupling", cp), ("base", base),
+                          ("centered", centered)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def weights(self, prefix: np.ndarray) -> np.ndarray:
-        p = self.degree
-        base = 1.0 / p + (self.theta - self.theta.mean())
-        if self.coupling.size:
-            centered = self.coupling - self.coupling.mean(axis=0)
-            return base[None, :] + (2.0 * prefix[:, : centered.shape[1]] - 1.0) @ centered.T
-        return np.broadcast_to(base, (prefix.shape[0], p))
+        if self.centered.size:
+            return self.base[None, :] + (
+                2.0 * prefix[:, : self.centered.shape[1]] - 1.0) @ self.centered.T
+        return np.broadcast_to(self.base, (prefix.shape[0], self.degree))
 
     def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -179,10 +187,13 @@ class HypothesisConfig:
             raise ConfigInvalid("alpha must lie in (0, 1]")
         if self.K <= 1.0:
             raise ConfigInvalid("K must exceed 1")
+        if not bound_constants_finite(self.dim, self.K):
+            raise ConfigInvalid(f"K = {self.K!r} overflows the bound constants "
+                                f"in dimension {self.dim}")
         if self.family not in _KNOWN_FAMILIES:
             raise ConfigInvalid(f"unknown family {self.family!r}")
-        if self.degree < 2:
-            raise ConfigInvalid("degree must be >= 2")
+        if not 2 <= self.degree <= _MAX_DEGREE:
+            raise ConfigInvalid(f"degree must lie in [2, {_MAX_DEGREE}]")
         if self.coupling_degree not in (0, 1):
             raise ConfigInvalid("coupling_degree must be 0 or 1")
 
@@ -368,6 +379,18 @@ def certify_member(config: HypothesisConfig, params) -> Certification:
     return Certification(jac_lower=gp.jac_lower, holder_total=est.total, certified=ok)
 
 
+def bound_constants_finite(dim: int, K: float) -> bool:
+    """Whether every power of K the bound constants raise is a finite float.
+
+    The largest is c3's squared generator factor, at most
+    16 d^4 (d!)^8 K^{8(d+1)}; the others (d! K^{d+1}, family_delta1's
+    d^2 (d!)^3 K^{3d+2}, Theorem 5.4's K^{8(d+1)}) lie below it for K > 1.
+    """
+    log_top = (math.log(16.0) + 4.0 * math.log(dim) + 8.0 * math.lgamma(dim + 1.0)
+               + 8.0 * (dim + 1) * math.log(K))
+    return log_top < math.log(np.finfo(np.float64).max)
+
+
 def discriminator_constants(dim: int, K: float) -> tuple[float, float]:
     """Range constants of paired-generator ratios: B1 = 1/(1 + d! K^{d+1})."""
     b1 = 1.0 / (1.0 + factorial(dim) * K ** (dim + 1))
@@ -427,6 +450,26 @@ def build_eps_net(config: HypothesisConfig, epsilon: float,
     members = tuple(member_params(config, np.array(combo))
                     for combo in itertools.product(axis, repeat=n))
     return EpsNet(epsilon=float(epsilon), members=members)
+
+
+def distinct_members(maps) -> tuple[np.ndarray, np.ndarray]:
+    """Group family members by the map they realize.
+
+    Returns the index of the first member of each distinct map and, per
+    member, the position of its map in that list. Members are one map
+    exactly when every component's mean-centred blocks are bitwise equal;
+    lattice nets hold many such members, since shifting a whole theta block
+    (or coupling column) by a constant leaves the map unchanged.
+    """
+    first, keep, group = {}, [], []
+    for i, gen in enumerate(maps):
+        key = tuple((comp.base.tobytes(), comp.centered.tobytes())
+                    for comp in gen.components)
+        if key not in first:
+            first[key] = len(keep)
+            keep.append(i)
+        group.append(first[key])
+    return np.asarray(keep, dtype=np.intp), np.asarray(group, dtype=np.intp)
 
 
 def random_box_params(config: HypothesisConfig, count: int, seed: int,

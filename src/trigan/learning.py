@@ -6,6 +6,11 @@ ordered pairs of those members as discriminators. Per (generator, pair)
 theoretical losses are computed once by quadrature and reused across all
 Monte Carlo trials; per-trial work is the empirical matrix only.
 
+Lattice nets hold many members that realize the same map (see
+distinct_members in the hypothesis module). Both pair matrices evaluate
+each distinct map once and are expanded to the nominal net by index
+arrays, so the net, its cardinality and every matrix keep all members.
+
 Single losses and matrix entries are the same divergence.loss_terms call
 on the same numbers, so they agree bitwise.
 
@@ -28,12 +33,14 @@ from .density import GridDensity
 from .divergence import eval_grid, js_divergence, loss_terms
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
 from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, build_eps_net,
-                         family_delta1, make_discriminator, make_generator,
-                         member_params)
+                         distinct_members, family_delta1, make_discriminator,
+                         make_generator, member_params)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_density)
 
-_PAIR_CAP = 1_000_000
+# entries of one (members, pairs) = (c, c^2) loss matrix, 8 MB of floats;
+# admits nets of up to 100 members
+_MATRIX_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +122,9 @@ def make_net_pair(config: HypothesisConfig, epsilon: float | None = None,
             raise ConfigInvalid("need a net or an epsilon to build one")
         net = build_eps_net(config, epsilon)
     c = net.cardinality
-    if c * c > _PAIR_CAP:
-        raise NetTooLarge(f"{c * c} ordered pairs exceed the cap")
+    if c ** 3 > _MATRIX_CAP:
+        raise NetTooLarge(f"a net of {c} members needs {c ** 3} loss-matrix entries, "
+                          f"cap is {_MATRIX_CAP}")
     # all ordered pairs, diagonal included: D_aa is the constant-1/2
     # discriminator, so the inner max is defined even for singleton nets
     pairs = tuple((a, b) for a in range(c) for b in range(c))
@@ -130,6 +138,13 @@ def _target_values(target, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
+    """The distinct maps among the members, and each member's index into them."""
+    maps = [make_generator(config, v) for v in vectors]
+    keep, group = distinct_members(maps)
+    return [maps[i] for i in keep], group
+
+
 def _densities_at(maps, points: np.ndarray) -> np.ndarray:
     """(c, N) array: row a is the pushforward density of maps[a] at points."""
     out = np.empty((len(maps), points.shape[0]))
@@ -138,43 +153,51 @@ def _densities_at(maps, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_losses(pairs, scale, fy, wy, fx, wx) -> np.ndarray:
-    """Losses of every generator against every D_ab = f_a / (f_a + f_b):
-    fy[a] is f_a at the real-side points, fx[a] at the fake-side points
-    (with a leading generator axis where the generators' points differ)."""
-    out = np.empty((len(fy), len(pairs)))
-    for col, (a, b) in enumerate(pairs):
+def _pair_losses(pairs, group, scale, fy, wy, fx, wx) -> np.ndarray:
+    """Losses of every member against every D_ab = f_a / (f_a + f_b).
+
+    The arrays cover the distinct maps only (group[m] is member m's map):
+    fy[h] is f_h at the real-side points, fx[h] at the fake-side points
+    (with a leading generator axis where the generators' points differ).
+    Each distinct (a, b) column is computed once for the distinct
+    generators, then expanded to the members.
+    """
+    cols, col_of = np.unique(group[np.asarray(pairs)], axis=0, return_inverse=True)
+    out = np.empty((len(fy), len(cols)))
+    for col, (a, b) in enumerate(cols):
         out[:, col] = loss_terms(scale, wy, fy[a] / (fy[a] + fy[b]),
                                  wx, fx[a] / (fx[a] + fx[b]))
-    return out
+    return out[np.ix_(group, col_of)]
 
 
 def pair_loss_matrix(config: HypothesisConfig, target, vectors, pairs) -> np.ndarray:
     """Theoretical losses, rows = generators, columns = discriminator pairs;
     each density is renormalized by its own quadrature mass."""
+    maps, group = _distinct_maps(config, vectors)
     pts, w = eval_grid(config.dim)
-    dens = _densities_at([make_generator(config, v) for v in vectors], pts)
+    dens = _densities_at(maps, pts)
     tgt = _target_values(target, pts)
     w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
     w_gen *= w
-    return _pair_losses(pairs, 0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
+    return _pair_losses(pairs, group, 0.5, dens, w * (tgt / np.sum(w * tgt)),
+                        dens, w_gen)
 
 
 def empirical_pair_matrix(config: HypothesisConfig, vectors, pairs,
                           sample: TrainingSample) -> np.ndarray:
     """Empirical losses for every (generator, pair) on one sample.
 
-    Each member's density is evaluated once at the real points and once at
-    all members' fake points, concatenated.
+    Each distinct map's density is evaluated once at the real points and
+    once at all distinct maps' fake points, concatenated.
     """
-    maps = [make_generator(config, v) for v in vectors]
+    maps, group = _distinct_maps(config, vectors)
     c, n = len(maps), sample.n
     fakes = np.empty((c * n, sample.noise_points.shape[1]))
     for g, gen in enumerate(maps):
         fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
     fx = _densities_at(maps, fakes).reshape(c, c, n)
     fy = _densities_at(maps, sample.real_points)
-    return _pair_losses(pairs, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
+    return _pair_losses(pairs, group, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaincc
 
 import trigan.bounds as bd
+import trigan.hypothesis as hyp
 from trigan.errors import ConfigInvalid, IntegralDivergent
 
 
@@ -219,6 +220,22 @@ def test_bound_report_regular():
         assert getattr(rep, f) > 0.0
     assert 0.0 <= rep.thm54_probability <= 1.0
     assert 0.0 <= rep.mcdiarmid_tail <= 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_largest_accepted_K_keeps_bounds_finite(d):
+    """Every reported constant stays finite up to the largest K a config takes."""
+    lo, hi = 2.0, 1e308
+    for _ in range(100):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if hyp.bound_constants_finite(d, mid) else (lo, mid)
+    assert hi < lo * (1.0 + 1e-12) and lo > 1e9
+    p = bd.RhoMetricParams(d=d, K=lo, n=1)
+    delta1 = p.disc_factor * (1.0 + p.gen_factor)    # family_delta1 at dPhi = 1
+    for n, delta, exact in ((2, 0.01, False), (2**62, 0.49, True)):
+        rep = bd.bound_report(d, 0.5, 3, lo, n, delta=delta, delta1=delta1,
+                              exact_integral=exact)
+        assert all(math.isfinite(v) for v in bd.report_to_dict(rep).values())
 
 
 def test_bound_report_irregular_nans():

@@ -248,6 +248,29 @@ def test_bounds_beta_too_small(tmp_path, monkeypatch, capsys):
     assert blob["error"] == "ConfigInvalid" and "K <= 1" in blob["message"]
 
 
+@pytest.mark.parametrize("beta", ["30", "1000"])
+def test_bounds_beta_overflow(tmp_path, monkeypatch, capsys, beta):
+    # (log 1024)^30 is finite but overflows K^16; (log 1024)^1000 overflows itself
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "b.json", {"hypothesis": HYP, "n": 1024})
+    assert main(["bounds", "--config", cfg, "--beta", beta, "--out", "bd"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "bd").exists()
+
+
+def test_fit_net_over_matrix_cap(tmp_path, capsys):
+    # epsilon 0.0115 gives 11^2 = 121 members, 121^3 > 10^6 loss-matrix entries
+    cfg = write_cfg(tmp_path, "f.json",
+                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+                     "n": 64, "seed": 1, "epsilon": 0.0115})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NetTooLarge"
+    assert "1771561" in json.loads(err[0])["message"]
+    assert not (tmp_path / "fit").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure surface
 
@@ -319,6 +342,10 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     ("bounds", {"hypothesis": {**HYP, "K": "2"}}),
     ("bounds", {"hypothesis": {**HYP, "alpha": True}}),
     ("bounds", {"hypothesis": {**HYP, "K": 10**400}}),
+    ("sample", {"target": {"family": "uniform", "dim": 100}}),
+    ("sample", {"target": {"family": "coupled", "resolution": 100000000}}),
+    ("bounds", {"hypothesis": {**HYP, "K": 1e308}}),
+    ("bounds", {"hypothesis": {**HYP, "degree": 100000}}),
 ])
 def test_nested_spec_rejected(tmp_path, capsys, command, patch):
     base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trigan.hypothesis as hyp
+import trigan.rosenblatt as ros
 from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 
 
@@ -24,6 +25,9 @@ from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
     {"dim": 1, "degree": 1},
     {"dim": 1, "coupling_degree": 2},
     {"dim": 1, "family": "spline_triangular"},
+    {"dim": 1, "degree": 17},
+    {"dim": 1, "K": 2e19},
+    {"dim": 3, "K": 3e9},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigInvalid):
@@ -199,6 +203,35 @@ def test_net_member_invariants(cfg1):
         assert np.all(np.abs(m.coefficients) <= b)
     assert hyp.certify_member(cfg1, net.members[0]).certified
     assert hyp.certify_member(cfg1, net.members[-1]).certified
+
+
+@pytest.mark.parametrize("dim,coupling,eps,members,maps", [
+    (1, 1, 0.03, 16, 7),
+    (1, 1, 0.05, 9, 5),
+    (2, 0, 0.07, 81, 25),
+    (2, 1, 0.1, 64, 27),
+])
+def test_distinct_members(dim, coupling, eps, members, maps):
+    """Lattice members that shift a whole centred block by a constant are
+    one map: they apply and push forward bitwise equally, the kept maps
+    all differ, and the first member of each group is kept."""
+    K = 2.0 if dim == 1 else 3.0
+    cfg = hyp.make_config(dim, K=K, coupling_degree=coupling)
+    net = hyp.build_eps_net(cfg, eps)
+    gens = [hyp.make_generator(cfg, m) for m in net.members]
+    keep, group = hyp.distinct_members(gens)
+    assert (net.cardinality, len(keep)) == (members, maps)
+    assert np.array_equal(keep, [np.flatnonzero(group == h)[0] for h in range(maps)])
+    pts = np.random.default_rng(31).random((257, dim))
+    kept_apply = [gens[i].apply(pts) for i in keep]
+    kept_dens = [ros.pushforward_density(gens[i]).evaluate(pts) for i in keep]
+    for m, gen in enumerate(gens):
+        assert np.array_equal(gen.apply(pts), kept_apply[group[m]])
+        assert np.array_equal(ros.pushforward_density(gen).evaluate(pts),
+                              kept_dens[group[m]])
+    for i in range(maps):
+        for j in range(i):
+            assert not np.array_equal(kept_apply[i], kept_apply[j])
 
 
 def test_net_covers_box(cfg1):

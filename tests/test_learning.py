@@ -89,9 +89,14 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 # pair matrices
 
 
-@pytest.mark.parametrize("n", [100, 128, 257])
-def test_pair_matrices_match_single_evaluations(cfg1, uniform1, net_pair, n):
+@pytest.mark.parametrize("eps,n", [
+    *(pytest.param(0.1, n, id=str(n)) for n in (100, 128, 257)),
+    # 16 members, 7 distinct maps: duplicates in every row and column
+    *(pytest.param(0.03, n, id=f"eps0.03-{n}") for n in (100, 128, 257)),
+])
+def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
     # every entry, bitwise, also where 1/(2n) is not a power of two
+    net_pair = lr.make_net_pair(cfg1, eps)
     V = net_pair.vectors
     L = lr.pair_loss_matrix(cfg1, uniform1, V, net_pair.pairs)
     s = lr.make_training_sample(uniform1, n, seed=8)
@@ -104,6 +109,13 @@ def test_pair_matrices_match_single_evaluations(cfg1, uniform1, net_pair, n):
             pf = ros.pushforward_density(gen)
             assert L[g, col] == dv.theoretical_loss(uniform1, pf, disc)
             assert E[g, col] == lr.empirical_loss(disc, gen, s)
+
+
+def test_net_pair_at_matrix_cap(cfg1):
+    # the (members, pairs) matrices of 100 members hold exactly 10^6 entries;
+    # test_fit_net_over_matrix_cap refuses the next lattice, 121 members
+    at_cap = lr.make_net_pair(cfg1, 0.0125)
+    assert at_cap.generators.cardinality == 100 and len(at_cap.pairs) == 10**4
 
 
 def test_diagonal_pairs_floor(cfg1, uniform1, net_pair):

@@ -26,17 +26,18 @@ from .hypothesis import discriminator_constants
 # covering numbers
 
 
+def _c1(d1: int, d2: int, smooth: float, c1_star: float) -> float:
+    """Covering prefactor C1 = c1_star d2^{1 + d1/(2 smooth)}, maps R^d1 -> R^d2."""
+    return c1_star * d2 ** (1.0 + d1 / (2.0 * smooth))
+
+
 def covering_bound(d1: int, d2: int, k: int, alpha: float, K: float,
                    epsilon: float, c1_star: float = 1.0) -> float:
-    """Upper bound on log N of a Holder ball: C1 (K/eps)^{d1/(alpha+k)}.
-
-    C1 = c1_star * d2^{1 + d1/(2(alpha+k))} for maps into d2 dimensions.
-    """
+    """Upper bound on log N of a Holder ball: C1 (K/eps)^{d1/(alpha+k)}."""
     if epsilon <= 0.0 or K <= 0.0:
         raise ConfigInvalid("epsilon and K must be positive")
     smooth = alpha + k
-    c1 = c1_star * d2 ** (1.0 + d1 / (2.0 * smooth))
-    return c1 * (K / epsilon) ** (d1 / smooth)
+    return _c1(d1, d2, smooth, c1_star) * (K / epsilon) ** (d1 / smooth)
 
 
 def _exponents(d: int, alpha: float, k: int) -> tuple[float, float]:
@@ -53,9 +54,7 @@ def c2_constant(d: int, alpha: float, k: int, c1_star: float = 1.0) -> float:
     """Combined entropy prefactor: the larger of the generator constant
     (maps into d dimensions, smoothness alpha+k) and the discriminator
     constant (scalar ratios, smoothness alpha+k-1)."""
-    gen = c1_star * d ** (1.0 + d / (2.0 * (alpha + k)))
-    disc = c1_star
-    return max(gen, disc)
+    return max(_c1(d, d, alpha + k, c1_star), c1_star)
 
 
 def c3_constant(d: int, alpha: float, k: int, K: float,
@@ -190,10 +189,18 @@ def thm54_threshold_and_prob(d: int, alpha: float, k: int, K: float, n: int,
     if n < 1:
         raise ConfigInvalid("n must be >= 1")
     gamma = gamma_constant(d, alpha, k, delta1, c1_star)
-    threshold = 2.0 * gamma * K ** (4 * (d + 1)) * n ** (delta - 0.5)
+    threshold = 2.0 * gamma * K ** (4 * (d + 1)) * _pow(n, delta - 0.5)
     log_sq = math.log1p(factorial(d) * K ** (d + 1)) ** 2
-    exponent = gamma * gamma * K ** (8 * (d + 1)) * n ** (2.0 * delta) / log_sq
+    exponent = gamma * gamma * K ** (8 * (d + 1)) * _pow(n, 2.0 * delta) / log_sq
     return threshold, math.exp(-exponent)
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent, inf where the float result overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def k_schedule(n: float, beta: float) -> float:
@@ -246,7 +253,7 @@ def bound_report(d: int, alpha: float, k: int, K: float, n: int,
     and regularity_ok is False; the algebraic constants are still reported.
     """
     b1, b2 = discriminator_constants(d, K)
-    c1 = c1_star * d ** (1.0 + d / (2.0 * (alpha + k)))
+    c1 = _c1(d, d, alpha + k, c1_star)
     c2 = c2_constant(d, alpha, k, c1_star)
     regular = k > 1.0 - alpha + d / 2.0
     if regular:
@@ -256,8 +263,8 @@ def bound_report(d: int, alpha: float, k: int, K: float, n: int,
         dudley = dudley_bound(d, alpha, k, K, n, delta1, exact_integral, c1_star)
         threshold, prob = thm54_threshold_and_prob(d, alpha, k, K, n, delta,
                                                    delta1, c1_star)
-        osc_t = gamma * K ** (4 * (d + 1)) * n ** (delta - 0.5)
-        tail = mcdiarmid_tail(b1, n, osc_t)
+        # McDiarmid at half the threshold: the oscillation gamma K^{4(d+1)} n^{delta-1/2}
+        tail = mcdiarmid_tail(b1, n, threshold / 2.0)
     else:
         c3 = gamma = big_c = dudley = float("nan")
         threshold = prob = tail = float("nan")

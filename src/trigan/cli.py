@@ -39,6 +39,10 @@ _ALLOWED = {
              "epsilon", "threads", "out", "exact_integral", "resolution"},
     "bounds": {"hypothesis", "n", "delta", "delta1", "beta", "exact_integral", "out"},
 }
+# sizes enter float formulas, so they stay exact as floats
+_MAX_N = 2**53
+# samples.csv holds at most 2^20 points, about 20 MB of text per axis
+_MAX_SAMPLE = 1 << 20
 _REQUIRED = {
     "sample": {"target", "n", "seed"},
     "density": {"target"},
@@ -92,6 +96,12 @@ def _positive_float(raw, key: str) -> float:
     return val
 
 
+def _path(raw, key: str) -> str:
+    if not isinstance(raw, str) or "\x00" in raw:
+        raise ConfigInvalid(f"{key} must be a path without NUL bytes")
+    return raw
+
+
 def _reject_constant(name: str):
     raise ConfigInvalid(f"config holds the non-finite number {name}")
 
@@ -128,6 +138,10 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigInvalid("n_grid must be a nonempty list")
         kw["n_grid"] = tuple(_positive_int(v, "n_grid entry") for v in grid)
+    if max((kw.get("n", 1), *kw.get("n_grid", ()))) > _MAX_N:
+        raise ConfigInvalid("sample sizes must be at most 2**53")
+    if command == "sample" and kw["n"] > _MAX_SAMPLE:
+        raise ConfigInvalid(f"sample writes at most {_MAX_SAMPLE} points")
     if "trials" in merged:
         kw["trials"] = _positive_int(merged["trials"], "trials")
     if "seed" in merged:
@@ -140,9 +154,7 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
         if key in merged:
             kw[key] = _positive_float(merged[key], key)
     if "out" in merged:
-        if not isinstance(merged["out"], str):
-            raise ConfigInvalid("out must be a directory path")
-        kw["out"] = merged["out"]
+        kw["out"] = _path(merged["out"], "out")
     if "threads" in merged:
         kw["threads"] = _positive_int(merged["threads"], "threads")
     if "exact_integral" in merged:
@@ -169,9 +181,7 @@ def _build_target(spec, resolution: int | None) -> density_mod.GridDensity:
         unknown = set(spec) - {"path"}
         if unknown:
             raise ConfigInvalid(f"unknown target keys {sorted(unknown)}")
-        if not isinstance(spec["path"], str):
-            raise ConfigInvalid("target path must be a string")
-        return density_mod.load_density(spec["path"])
+        return density_mod.load_density(_path(spec["path"], "target path"))
     unknown = set(spec) - {"family", "dim", "resolution", "params"}
     if unknown:
         raise ConfigInvalid(f"unknown target keys {sorted(unknown)}")
@@ -193,6 +203,15 @@ def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:
     if not isinstance(payload, dict):
         raise ConfigInvalid("hypothesis must be an object")
     return hyp_mod.config_from_dict(payload)
+
+
+def _build_model(rc: RunConfig) -> tuple:
+    """Target and hypothesis config; unequal dims are refused before the box solve."""
+    target = _build_target(rc.target, rc.resolution)
+    if isinstance(rc.hypothesis, dict) and rc.hypothesis.get("dim", target.dim) != target.dim:
+        raise ConfigInvalid(f"hypothesis dim {rc.hypothesis['dim']!r} differs from "
+                            f"target dim {target.dim}")
+    return target, _build_hypothesis(rc.hypothesis)
 
 
 def _out_path(rc: RunConfig, name: str) -> str:
@@ -230,8 +249,7 @@ def _cmd_density(rc: RunConfig) -> None:
 
 
 def _cmd_fit(rc: RunConfig) -> None:
-    target = _build_target(rc.target, rc.resolution)
-    config = _build_hypothesis(rc.hypothesis)
+    target, config = _build_model(rc)
     sample = learning.make_training_sample(target, rc.n, rc.seed)
     strategy = "net_exhaustive" if rc.strategy == "net" else "alternating_gradient"
     result = learning.minimax_fit(config, target, sample, strategy,
@@ -254,22 +272,19 @@ def _cmd_fit(rc: RunConfig) -> None:
 
 
 def _cmd_sampling_error(rc: RunConfig) -> None:
-    target = _build_target(rc.target, rc.resolution)
-    config = _build_hypothesis(rc.hypothesis)
-    net_pair = learning.make_net_pair(config, rc.epsilon)
-    summ = learning.estimate_sampling_error(config, target, net_pair, rc.n,
-                                            rc.trials, rc.seed, threads=rc.threads)
+    target, config = _build_model(rc)
+    net = hyp_mod.build_eps_net(config, rc.epsilon)
+    summ = learning.estimate_sampling_error(config, target, net, rc.n, rc.trials,
+                                            rc.seed, threads=rc.threads)
     print(f"sampling-error: n {summ.n}, trials {summ.trials}, mean {summ.mean!r}, "
           f"std {summ.std!r}, q05 {summ.q05!r}, q50 {summ.q50!r}, q95 {summ.q95!r}")
 
 
 def _cmd_rate(rc: RunConfig) -> None:
-    target = _build_target(rc.target, rc.resolution)
-    config = _build_hypothesis(rc.hypothesis)
-    net_pair = learning.make_net_pair(config, rc.epsilon)
+    target, config = _build_model(rc)
+    net = hyp_mod.build_eps_net(config, rc.epsilon)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
-                                      rc.seed, delta=rc.delta, threads=rc.threads,
-                                      net_pair=net_pair)
+                                      rc.seed, delta=rc.delta, threads=rc.threads, net=net)
     csv_path = _out_path(rc, "rate.csv")
     density_mod.write_text_atomic(learning.rate_report_csv(report), csv_path)
     svg_path = _out_path(rc, "rate.svg")

@@ -296,7 +296,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     "bimodal-mollified" (two-bump profile per axis, wrapped-Gaussian smoothed).
     The grid has at most 8 axes and 2^22 nodes.
     """
-    if name not in _FAMILY_DIM:
+    if not isinstance(name, str) or name not in _FAMILY_DIM:
         raise ConfigInvalid(f"unknown density family {name!r}")
     d = _FAMILY_DIM[name] if dim is None else dim
     if not 1 <= d <= _MAX_DIM:

@@ -35,7 +35,7 @@ from math import comb, factorial
 import numpy as np
 
 from . import rng
-from .density import grid_points, write_text_atomic
+from .density import _MAX_GRID_NODES, grid_points, write_text_atomic
 from .divergence import DiscriminatorFn
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .holder import estimate_holder_norm
@@ -47,6 +47,8 @@ _NET_CAP = 1_000_000
 # highest Bernstein degree: every evaluation builds p + 1 basis columns per
 # point, and a net has q^p members per component block
 _MAX_DEGREE = 16
+# highest smoothness order: k-th finite differences of the Holder check overflow near 100
+_MAX_K = 16
 _KNOWN_FAMILIES = ("bernstein_triangular",)
 
 
@@ -181,8 +183,13 @@ class HypothesisConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigInvalid("dim must be >= 1")
-        if self.k < 1 or int(self.k) != self.k:
-            raise ConfigInvalid("k must be an integer >= 1")
+        if not 1 <= self.k <= _MAX_K or int(self.k) != self.k:
+            raise ConfigInvalid(f"k must be an integer in [1, {_MAX_K}]")
+        m = _holder_check_resolution(self)
+        if m ** self.dim > _MAX_GRID_NODES:
+            # the Holder check of the box solve evaluates maps on this grid
+            raise ConfigInvalid(f"dim {self.dim}, k {self.k} need a {m}^{self.dim} "
+                                f"Holder-check grid, cap is {_MAX_GRID_NODES} nodes")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigInvalid("alpha must lie in (0, 1]")
         if self.K <= 1.0:
@@ -428,9 +435,12 @@ class EpsNet:
     def cardinality(self) -> int:
         return len(self.members)
 
+    @property
+    def vectors(self) -> tuple:
+        return tuple(m.coefficients for m in self.members)
 
-def build_eps_net(config: HypothesisConfig, epsilon: float,
-                  cap: int = _NET_CAP) -> EpsNet:
+
+def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
     """Uniform lattice of cell centers over the parameter box.
 
     Spacing comes from the family's per-parameter sup-norm Lipschitz
@@ -443,8 +453,8 @@ def build_eps_net(config: HypothesisConfig, epsilon: float,
     b = config.box_half
     lip = _param_lipschitz(config.degree)
     q = max(1, math.ceil(n * lip * b / epsilon - 1e-12))
-    if n * math.log(q) > math.log(cap) + 1e-9 or q**n > cap:
-        raise NetTooLarge(f"lattice has {q}^{n} members, cap is {cap}")
+    if n * math.log(q) > math.log(_NET_CAP) + 1e-9 or q**n > _NET_CAP:
+        raise NetTooLarge(f"lattice has {q}^{n} members, cap is {_NET_CAP}")
     half_cell = b / q
     axis = -b + half_cell * (2.0 * np.arange(q) + 1.0)
     members = tuple(member_params(config, np.array(combo))
@@ -572,12 +582,8 @@ def load_config(path: str) -> HypothesisConfig:
         return config_from_dict(json.load(fh))
 
 
-def net_to_lists(net: EpsNet) -> list:
-    return [m.coefficients.tolist() for m in net.members]
-
-
 def save_net(net: EpsNet, path: str) -> None:
-    write_text_atomic(json.dumps(net_to_lists(net)) + "\n", path)
+    write_text_atomic(json.dumps([v.tolist() for v in net.vectors]) + "\n", path)
 
 
 def map_from_bernstein_payload(payload: dict) -> TriangularMap:

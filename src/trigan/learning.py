@@ -1,15 +1,17 @@
 """Empirical loss, minimax learning, and sampling-error experiments.
 
 The population suprema over generator and discriminator spaces are taken
-over explicit finite nets here: a lattice net of generator members and the
-ordered pairs of those members as discriminators. Per (generator, pair)
-theoretical losses are computed once by quadrature and reused across all
-Monte Carlo trials; per-trial work is the empirical matrix only.
+over explicit finite nets here: a lattice net of generator members, and as
+discriminators the ratios D_ab = f_a / (f_a + f_b) of every ordered pair
+of members. Both loss matrices are (c, c, c) cubes L[g, a, b], the loss
+of member g against D_ab. The theoretical cube is computed once by
+quadrature and reused across all Monte Carlo trials; per-trial work is the
+empirical cube only.
 
 Lattice nets hold many members that realize the same map (see
-distinct_members in the hypothesis module). Both pair matrices evaluate
-each distinct map once and are expanded to the nominal net by index
-arrays, so the net, its cardinality and every matrix keep all members.
+distinct_members in the hypothesis module). Both cubes are filled over the
+distinct maps once and expanded to the nominal net by index arrays, so the
+net, its cardinality and every cube keep all members.
 
 Single losses and matrix entries are the same divergence.loss_terms call
 on the same numbers, so they agree bitwise.
@@ -38,8 +40,8 @@ from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, build_eps_ne
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_density)
 
-# entries of one (members, pairs) = (c, c^2) loss matrix, 8 MB of floats;
-# admits nets of up to 100 members
+# entries of one (c, c, c) loss cube, 8 MB of floats; admits nets of up
+# to 100 members
 _MATRIX_CAP = 1_000_000
 
 
@@ -102,44 +104,12 @@ def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> fl
     return float(loss_terms(1.0 / (2.0 * sample.n), 1.0, dy, 1.0, dx))
 
 
-@dataclass(frozen=True)
-class NetPair:
-    """Generator net plus the ordered member pairs acting as discriminators."""
-
-    config: HypothesisConfig
-    generators: EpsNet
-    pairs: tuple
-
-    @property
-    def vectors(self) -> tuple:
-        return tuple(m.coefficients for m in self.generators.members)
-
-
-def make_net_pair(config: HypothesisConfig, epsilon: float | None = None,
-                  net: EpsNet | None = None) -> NetPair:
-    if net is None:
-        if epsilon is None:
-            raise ConfigInvalid("need a net or an epsilon to build one")
-        net = build_eps_net(config, epsilon)
-    c = net.cardinality
+def _distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
+    """The distinct maps among the members, and each member's index into them."""
+    c = len(vectors)
     if c ** 3 > _MATRIX_CAP:
         raise NetTooLarge(f"a net of {c} members needs {c ** 3} loss-matrix entries, "
                           f"cap is {_MATRIX_CAP}")
-    # all ordered pairs, diagonal included: D_aa is the constant-1/2
-    # discriminator, so the inner max is defined even for singleton nets
-    pairs = tuple((a, b) for a in range(c) for b in range(c))
-    return NetPair(config=config, generators=net, pairs=pairs)
-
-
-def _target_values(target, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(target.evaluate(pts), dtype=np.float64)
-    if np.any(vals <= 0.0):
-        raise ConfigInvalid("target density must be positive on the grid")
-    return vals
-
-
-def _distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
-    """The distinct maps among the members, and each member's index into them."""
     maps = [make_generator(config, v) for v in vectors]
     keep, group = distinct_members(maps)
     return [maps[i] for i in keep], group
@@ -153,39 +123,41 @@ def _densities_at(maps, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_losses(pairs, group, scale, fy, wy, fx, wx) -> np.ndarray:
-    """Losses of every member against every D_ab = f_a / (f_a + f_b).
+def _pair_losses(group, scale, fy, wy, fx, wx) -> np.ndarray:
+    """Cube L[g, a, b]: the loss of member g against D_ab = f_a / (f_a + f_b).
 
     The arrays cover the distinct maps only (group[m] is member m's map):
     fy[h] is f_h at the real-side points, fx[h] at the fake-side points
     (with a leading generator axis where the generators' points differ).
-    Each distinct (a, b) column is computed once for the distinct
-    generators, then expanded to the members.
+    Each distinct (a, b) is computed once for all distinct generators,
+    then expanded to the members. D_aa is the constant-1/2 discriminator,
+    so the inner max is defined even for singleton nets.
     """
-    cols, col_of = np.unique(group[np.asarray(pairs)], axis=0, return_inverse=True)
-    out = np.empty((len(fy), len(cols)))
-    for col, (a, b) in enumerate(cols):
-        out[:, col] = loss_terms(scale, wy, fy[a] / (fy[a] + fy[b]),
-                                 wx, fx[a] / (fx[a] + fx[b]))
-    return out[np.ix_(group, col_of)]
+    h = len(fy)
+    out = np.empty((h, h, h))
+    for a, b in np.ndindex(h, h):
+        out[:, a, b] = loss_terms(scale, wy, fy[a] / (fy[a] + fy[b]),
+                                  wx, fx[a] / (fx[a] + fx[b]))
+    return out[np.ix_(group, group, group)]
 
 
-def pair_loss_matrix(config: HypothesisConfig, target, vectors, pairs) -> np.ndarray:
-    """Theoretical losses, rows = generators, columns = discriminator pairs;
+def pair_loss_matrix(config: HypothesisConfig, target, vectors) -> np.ndarray:
+    """Theoretical loss cube L[g, a, b] of the members against every D_ab;
     each density is renormalized by its own quadrature mass."""
     maps, group = _distinct_maps(config, vectors)
     pts, w = eval_grid(config.dim)
     dens = _densities_at(maps, pts)
-    tgt = _target_values(target, pts)
+    tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
+    if np.any(tgt <= 0.0):
+        raise ConfigInvalid("target density must be positive on the grid")
     w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
     w_gen *= w
-    return _pair_losses(pairs, group, 0.5, dens, w * (tgt / np.sum(w * tgt)),
-                        dens, w_gen)
+    return _pair_losses(group, 0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
 
 
-def empirical_pair_matrix(config: HypothesisConfig, vectors, pairs,
+def empirical_pair_matrix(config: HypothesisConfig, vectors,
                           sample: TrainingSample) -> np.ndarray:
-    """Empirical losses for every (generator, pair) on one sample.
+    """Empirical loss cube L[g, a, b] of the members on one sample.
 
     Each distinct map's density is evaluated once at the real points and
     once at all distinct maps' fake points, concatenated.
@@ -197,7 +169,7 @@ def empirical_pair_matrix(config: HypothesisConfig, vectors, pairs,
         fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
     fx = _densities_at(maps, fakes).reshape(c, c, n)
     fy = _densities_at(maps, sample.real_points)
-    return _pair_losses(pairs, group, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
+    return _pair_losses(group, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +192,29 @@ class MinimaxResult:
 
 def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample,
                 strategy: str = "net_exhaustive", *, epsilon: float = 0.25,
-                net_pair: NetPair | None = None, max_iter: int = 200,
+                net: EpsNet | None = None, max_iter: int = 200,
                 tol: float = 1e-6,
                 raise_on_nonconvergence: bool = False) -> MinimaxResult:
     if strategy == "net_exhaustive":
-        return _minimax_net(config, target, sample, net_pair, epsilon)
+        return _minimax_net(config, target, sample, net, epsilon)
     if strategy == "alternating_gradient":
         return _minimax_gradient(config, target, sample, max_iter, tol,
                                  raise_on_nonconvergence)
     raise ConfigInvalid(f"unknown strategy {strategy!r}")
 
 
-def _minimax_net(config, target, sample, net_pair, epsilon) -> MinimaxResult:
-    pair_net = net_pair or make_net_pair(config, epsilon)
-    vectors = pair_net.vectors
-    emp = empirical_pair_matrix(config, vectors, pair_net.pairs, sample)
-    inner = emp.max(axis=1)
+def _minimax_net(config, target, sample, net, epsilon) -> MinimaxResult:
+    net = net or build_eps_net(config, epsilon)
+    vectors = net.vectors
+    emp = empirical_pair_matrix(config, vectors, sample)
+    inner = emp.max(axis=(1, 2))
     best = int(np.argmin(inner))
-    top = pair_net.pairs[int(np.argmax(emp[best]))]
+    top = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
     gen = make_generator(config, vectors[best])
     js = js_divergence(target, pushforward_density(gen))
     trace = tuple(f"member {g}: inner max {float(inner[g])!r}"
                   for g in range(len(vectors)))
-    return MinimaxResult(best_generator=pair_net.generators.members[best],
+    return MinimaxResult(best_generator=net.members[best],
                          inner_values={g: float(inner[g]) for g in range(len(vectors))},
                          achieved_value=float(inner[best]), js_to_target=float(js),
                          trace=trace, converged=True, strategy="net_exhaustive",
@@ -321,8 +293,8 @@ class SamplingErrorSummary:
 
 
 def _sampling_trial(args) -> float:
-    config, sampler, vectors, pairs, n, seed, trial, losses = args
-    emp = empirical_pair_matrix(config, vectors, pairs, _draw_sample(sampler, n, seed, trial))
+    config, sampler, vectors, n, seed, trial, losses = args
+    emp = empirical_pair_matrix(config, vectors, _draw_sample(sampler, n, seed, trial))
     return float(np.abs(emp - losses).max())
 
 
@@ -331,21 +303,21 @@ def _worker_count(threads: int, trials: int) -> int:
     return min(threads, trials, os.cpu_count() or 1)
 
 
-def sampling_error_values(config: HypothesisConfig, target, net_pair: NetPair,
+def sampling_error_values(config: HypothesisConfig, target, net: EpsNet,
                           n: int, trials: int, seed: int, threads: int = 1,
                           losses: np.ndarray | None = None) -> np.ndarray:
-    """Per-trial sup |empirical - theoretical| over the net pair.
+    """Per-trial sup |empirical - theoretical| over the net and its pairs.
 
     Results are indexed by trial and independent of the worker count.
     """
     if not 1 <= trials <= 1 << 56:
         # trial indices past 2**56 overflow the 64-bit RNG stream key
         raise ConfigInvalid("trials must be in [1, 2**56]")
-    vectors = net_pair.vectors
+    vectors = net.vectors
     if losses is None:
-        losses = pair_loss_matrix(config, target, vectors, net_pair.pairs)
+        losses = pair_loss_matrix(config, target, vectors)
     sampler = target_sampler(target)
-    tasks = [(config, sampler, vectors, net_pair.pairs, n, seed, t, losses)
+    tasks = [(config, sampler, vectors, n, seed, t, losses)
              for t in range(trials)]
     workers = _worker_count(threads, trials)
     if workers <= 1:
@@ -365,10 +337,10 @@ def _summarize(n: int, values: np.ndarray) -> SamplingErrorSummary:
                                 values=tuple(float(v) for v in values))
 
 
-def estimate_sampling_error(config: HypothesisConfig, target, net_pair: NetPair,
+def estimate_sampling_error(config: HypothesisConfig, target, net: EpsNet,
                             n: int, trials: int, seed: int,
                             threads: int = 1) -> SamplingErrorSummary:
-    vals = sampling_error_values(config, target, net_pair, n, trials, seed, threads)
+    vals = sampling_error_values(config, target, net, n, trials, seed, threads)
     return _summarize(n, vals)
 
 
@@ -408,15 +380,14 @@ class RateReport:
 def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
                     seed: int, *, delta: float = 0.1, threads: int = 1,
                     epsilon: float = 0.25,
-                    net_pair: NetPair | None = None) -> RateReport:
+                    net: EpsNet | None = None) -> RateReport:
     """Mean sampling error across n, with the theoretical envelope and the
     concentration threshold for the configured delta."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
-    pair_net = net_pair or make_net_pair(config, epsilon)
-    vectors = pair_net.vectors
-    losses = pair_loss_matrix(config, target, vectors, pair_net.pairs)
+    net = net or build_eps_net(config, epsilon)
+    losses = pair_loss_matrix(config, target, net.vectors)
 
     warnings = []
     if config.regular:
@@ -429,7 +400,7 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
 
     rows = []
     for n in n_grid:
-        vals = sampling_error_values(config, target, pair_net, n, trials, seed,
+        vals = sampling_error_values(config, target, net, n, trials, seed,
                                      threads, losses=losses)
         summ = _summarize(n, vals)
         if config.regular:
@@ -462,9 +433,9 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
             warnings.append("single n: slope undefined")
     return RateReport(rows=tuple(rows), slope=slope, slope_defined=slope_defined,
                       full_C=full_c, delta=delta, delta1=delta1,
-                      regular=config.regular, net_size=pair_net.generators.cardinality,
-                      net_epsilon=pair_net.generators.epsilon,
-                      pair_count=len(pair_net.pairs), warnings=tuple(warnings))
+                      regular=config.regular, net_size=net.cardinality,
+                      net_epsilon=net.epsilon, pair_count=net.cardinality ** 2,
+                      warnings=tuple(warnings))
 
 
 _RATE_COLUMNS = ("n", "trials", "mean", "std", "q05", "q50", "q95",

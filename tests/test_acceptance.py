@@ -153,9 +153,9 @@ def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
     vecs = hyp.random_box_params(cfg1, 15, seed=606)
     combos = [(0, (1, 2)), (3, (4, 5)), (6, (7, 8)), (9, (10, 11)),
               (12, (13, 14))]
-    theo = ln.pair_loss_matrix(cfg1, tilted, vecs, [p for _, p in combos])
+    theo = ln.pair_loss_matrix(cfg1, tilted, vecs)
     worst = 0.0
-    for col, (gi, pair) in enumerate(combos):
+    for gi, pair in combos:
         gen = hyp.make_generator(cfg1, vecs[gi])
         disc = hyp.make_discriminator(cfg1, vecs[pair[0]], vecs[pair[1]])
         vals = np.array([
@@ -163,7 +163,7 @@ def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
                               ln.make_training_sample(tilted, 1000,
                                                       seed=909, trial=t))
             for t in range(200)])
-        dev = abs(float(vals.mean()) - float(theo[gi, col]))
+        dev = abs(float(vals.mean()) - float(theo[gi, pair[0], pair[1]]))
         lim = 3.0 * float(vals.std(ddof=1)) / math.sqrt(200.0)
         worst = max(worst, dev / lim)
     ok = worst <= 1.0
@@ -174,30 +174,30 @@ def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
 def test_criterion_07_error_decomposition(tilted, cfg1):
     """0 <= inner(g_hat) - inner(g_star) <= 2 eps_hat per trial; the 1e-13
     cushion absorbs float roundoff in the two matrix reductions."""
-    pair = ln.make_net_pair(cfg1, 0.05)
-    theo = ln.pair_loss_matrix(cfg1, tilted, pair.vectors, pair.pairs)
-    inner_theo = theo.max(axis=1)
+    net = hyp.build_eps_net(cfg1, 0.05)
+    theo = ln.pair_loss_matrix(cfg1, tilted, net.vectors)
+    inner_theo = theo.max(axis=(1, 2))
     star = float(inner_theo.min())
     ok, worst = True, -math.inf
     for t in range(100):
         sample = ln.make_training_sample(tilted, 128, seed=777, trial=t)
-        emp = ln.empirical_pair_matrix(cfg1, pair.vectors, pair.pairs, sample)
-        ghat = int(np.argmin(emp.max(axis=1)))
+        emp = ln.empirical_pair_matrix(cfg1, net.vectors, sample)
+        ghat = int(np.argmin(emp.max(axis=(1, 2))))
         gap = float(inner_theo[ghat]) - star
         eps_hat = float(np.abs(emp - theo).max())
         ok &= -1e-13 <= gap <= 2.0 * eps_hat + 1e-13
         worst = max(worst, gap - 2.0 * eps_hat)
-    ok &= len(pair.generators.members) <= 1000
+    ok &= len(net.members) <= 1000
     _verdict(7, "error-decomposition", ok,
              f"100 trials, net 9, worst gap-over-bound {worst:.2e}")
 
 
 def test_criterion_08_rate_reproduction(uniform1, cfg1):
     t0 = time.perf_counter()
-    pair = ln.make_net_pair(cfg1, 0.03)
+    net = hyp.build_eps_net(cfg1, 0.03)
     report = ln.rate_experiment(cfg1, uniform1,
                                 [2**6, 2**8, 2**10, 2**12, 2**14], 50,
-                                seed=20260818, net_pair=pair)
+                                seed=20260818, net=net)
     secs = time.perf_counter() - t0
     means = [row.mean for row in report.rows]
     ok = (report.slope_defined and -0.6 <= report.slope <= -0.4
@@ -210,8 +210,8 @@ def test_criterion_08_rate_reproduction(uniform1, cfg1):
 
 
 def test_criterion_09_concentration_dominance(uniform1, cfg1):
-    pair = ln.make_net_pair(cfg1, 0.1)
-    vals = ln.sampling_error_values(cfg1, uniform1, pair, 1024, 500, seed=4242)
+    net = hyp.build_eps_net(cfg1, 0.1)
+    vals = ln.sampling_error_values(cfg1, uniform1, net, 1024, 500, seed=4242)
     threshold, prob = bd.thm54_threshold_and_prob(
         cfg1.dim, cfg1.alpha, cfg1.k, cfg1.K, 1024, 0.25,
         hyp.family_delta1(cfg1))

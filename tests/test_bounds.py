@@ -166,6 +166,14 @@ def test_thm54_threshold_shape():
         bd.thm54_threshold_and_prob(1, 0.5, 3, 2.0, 16, 0.0)
 
 
+def test_thm54_overflow_is_infinite():
+    # n^(delta - 1/2) and n^(2 delta) overflow a float: threshold inf, tail 0
+    threshold, prob = bd.thm54_threshold_and_prob(1, 0.5, 3, 2.0, 1024, 1e10)
+    assert threshold == math.inf and prob == 0.0
+    rep = bd.bound_report(1, 0.5, 3, 2.0, 1024, delta=1e10)
+    assert rep.thm54_threshold == math.inf and rep.mcdiarmid_tail == 0.0
+
+
 def test_thm54_probabilities_summable():
     """Partial sum to 1e6 plus an analytic integral-test tail is finite.
 

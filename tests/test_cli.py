@@ -1,9 +1,16 @@
 """End-to-end runs of the console entry point against temp directories."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trigan.bounds as bd
 import trigan.hypothesis as hyp
@@ -346,6 +353,14 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     ("sample", {"target": {"family": "coupled", "resolution": 100000000}}),
     ("bounds", {"hypothesis": {**HYP, "K": 1e308}}),
     ("bounds", {"hypothesis": {**HYP, "degree": 100000}}),
+    # 9^7 and 9^8 Holder-check nodes exceed the 2^22 grid cap; 9^6 does not
+    ("bounds", {"hypothesis": {**HYP, "dim": 7}}),
+    ("bounds", {"hypothesis": {**HYP, "dim": 8}}),
+    ("bounds", {"hypothesis": {**HYP, "k": 300}}),
+    ("bounds", {"n": 2**53 + 1}),
+    ("sample", {"n": 2**20 + 1}),
+    ("sample", {"target": {"path": "a\x00b"}}),
+    ("sample", {"target": {"family": []}}),
 ])
 def test_nested_spec_rejected(tmp_path, capsys, command, patch):
     base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \
@@ -355,3 +370,107 @@ def test_nested_spec_rejected(tmp_path, capsys, command, patch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("fit", {"n": 16}),
+    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16, 32], "trials": 2}),
+])
+def test_hypothesis_dim_must_match_target(tmp_path, capsys, monkeypatch, command, extra):
+    # refused before make_config solves the box of the 2D family
+    def no_solve(*args, **kwargs):
+        raise AssertionError("box solved")
+    monkeypatch.setattr(hyp, "make_config", no_solve)
+    cfg = write_cfg(tmp_path, "m.json",
+                    {"target": {"family": "uniform", "dim": 1},
+                     "hypothesis": {**HYP, "dim": 2}, "seed": 1, **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    blob = json.loads(err[0])
+    assert blob["error"] == "ConfigInvalid" and "target dim 1" in blob["message"]
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under arbitrary config JSON
+
+_FUZZ_BASES = {
+    "bounds": {"hypothesis": HYP, "n": 1024, "delta": 0.1},
+    "density": {"target": {"family": "coupled", "dim": 2, "resolution": 17,
+                           "params": {"a": 0.8}}},
+    "sample": {"target": {"family": "tilted", "resolution": 33}, "n": 64, "seed": 3},
+}
+_FUZZ_KEYS = sorted({"target", "hypothesis", "n", "n_grid", "trials", "seed", "delta",
+                     "delta1", "beta", "epsilon", "out", "threads", "resolution",
+                     "exact_integral", "strategy", "family", "dim", "params", "path",
+                     "k", "alpha", "K", "degree", "coupling_degree", "a"})
+# no "/" in strings: every path the CLI writes stays under the example's directory
+_TEXT = st.text(alphabet=st.characters(blacklist_characters="/"), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+    | st.sampled_from([2**63, 2**64, 10**400, -10**400, float("nan")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+
+def _nested_dicts(cfg):
+    """Every dict in the config, the config itself first."""
+    out, todo = [], [cfg]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(v for v in node.values() if isinstance(v, dict))
+    return out
+
+
+@st.composite
+def _mutated_configs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    cfg = copy.deepcopy(_FUZZ_BASES[command])
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(_nested_dicts(cfg)))
+        op = draw(st.sampled_from(["set", "drop", "add"]))
+        if op in ("set", "drop") and node:
+            key = draw(st.sampled_from(sorted(node)))
+        else:
+            key = draw(st.sampled_from(_FUZZ_KEYS) | _TEXT)
+        if op == "drop" and key in node:
+            del node[key]
+        else:
+            node[key] = draw(_JSON_VALUES)
+    return command, cfg
+
+
+def _box_solve_costs_seconds(cfg) -> bool:
+    hyp_cfg = cfg.get("hypothesis")
+    return (isinstance(hyp_cfg, dict) and type(hyp_cfg.get("dim")) is int
+            and 2 <= hyp_cfg["dim"] <= 6)
+
+
+@settings(max_examples=200)
+@given(_mutated_configs())
+def test_cli_contract_fuzz(case):
+    """Exit 0 or 2, never a traceback; on 2, stderr is one JSON object."""
+    command, cfg = case
+    assume(not _box_solve_costs_seconds(cfg))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # runs two levels down, so an "out" of ".." stays inside tmp
+        work = os.path.join(tmp, "a", "b")
+        os.makedirs(work)
+        with open(os.path.join(tmp, "cfg.json"), "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        err, out = io.StringIO(), io.StringIO()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = main([command, "--config", os.path.join(tmp, "cfg.json")])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+        blob = json.loads(err.getvalue())
+        assert isinstance(blob, dict) and set(blob) == {"error", "message"}

@@ -28,6 +28,10 @@ from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
     {"dim": 1, "degree": 17},
     {"dim": 1, "K": 2e19},
     {"dim": 3, "K": 3e9},
+    {"dim": 1, "k": 17},
+    # Holder-check grids of 9^7 and 18^6 nodes exceed the 2^22 cap
+    {"dim": 7},
+    {"dim": 6, "k": 16},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigInvalid):
@@ -189,8 +193,9 @@ def test_net_halving_growth(cfg1):
 
 
 def test_net_cap(cfg1):
-    with pytest.raises(NetTooLarge):
-        hyp.build_eps_net(cfg1, 0.03, cap=10)
+    # about 1250^2 lattice members: refused before any member is built
+    with pytest.raises(NetTooLarge, match="cap is 1000000"):
+        hyp.build_eps_net(cfg1, 1e-4)
 
 
 def test_net_member_invariants(cfg1):

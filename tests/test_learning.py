@@ -15,14 +15,14 @@ from trigan.rng import KIND_NOISE, stream_id, uniforms
 
 
 @pytest.fixture(scope="module")
-def net_pair(cfg1):
-    return lr.make_net_pair(cfg1, 0.1)
+def net(cfg1):
+    return hyp.build_eps_net(cfg1, 0.1)
 
 
 @pytest.fixture(scope="module")
-def realizable_target(cfg1, net_pair):
+def realizable_target(cfg1, net):
     # pushforward of a fixed net member: phi_mu lies inside the family
-    vec = net_pair.generators.members[1].coefficients
+    vec = net.members[1].coefficients
     return ros.pushforward_density(hyp.make_generator(cfg1, vec))
 
 
@@ -96,35 +96,36 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 ])
 def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
     # every entry, bitwise, also where 1/(2n) is not a power of two
-    net_pair = lr.make_net_pair(cfg1, eps)
-    V = net_pair.vectors
-    L = lr.pair_loss_matrix(cfg1, uniform1, V, net_pair.pairs)
+    V = hyp.build_eps_net(cfg1, eps).vectors
+    L = lr.pair_loss_matrix(cfg1, uniform1, V)
     s = lr.make_training_sample(uniform1, n, seed=8)
-    E = lr.empirical_pair_matrix(cfg1, V, net_pair.pairs, s)
-    assert L.shape == E.shape == (len(V), len(net_pair.pairs))
+    E = lr.empirical_pair_matrix(cfg1, V, s)
+    c = len(V)
+    assert L.shape == E.shape == (c, c, c)
     gens = [hyp.make_generator(cfg1, v) for v in V]
-    for col, (a, b) in enumerate(net_pair.pairs):
-        disc = hyp.make_discriminator(cfg1, V[a], V[b])
-        for g, gen in enumerate(gens):
-            pf = ros.pushforward_density(gen)
-            assert L[g, col] == dv.theoretical_loss(uniform1, pf, disc)
-            assert E[g, col] == lr.empirical_loss(disc, gen, s)
+    for a in range(c):
+        for b in range(c):
+            disc = hyp.make_discriminator(cfg1, V[a], V[b])
+            for g, gen in enumerate(gens):
+                pf = ros.pushforward_density(gen)
+                assert L[g, a, b] == dv.theoretical_loss(uniform1, pf, disc)
+                assert E[g, a, b] == lr.empirical_loss(disc, gen, s)
 
 
-def test_net_pair_at_matrix_cap(cfg1):
-    # the (members, pairs) matrices of 100 members hold exactly 10^6 entries;
+def test_net_pair_at_matrix_cap(cfg1, uniform1):
+    # the (c, c, c) cubes of 100 members hold exactly 10^6 entries;
     # test_fit_net_over_matrix_cap refuses the next lattice, 121 members
-    at_cap = lr.make_net_pair(cfg1, 0.0125)
-    assert at_cap.generators.cardinality == 100 and len(at_cap.pairs) == 10**4
+    at_cap = hyp.build_eps_net(cfg1, 0.0125)
+    assert at_cap.cardinality == 100
+    assert lr.pair_loss_matrix(cfg1, uniform1, at_cap.vectors).size == 10**6
 
 
-def test_diagonal_pairs_floor(cfg1, uniform1, net_pair):
-    # D_aa is constant 1/2: its empirical column is exactly -log 2
+def test_diagonal_pairs_floor(cfg1, uniform1, net):
+    # D_aa is constant 1/2: its empirical entries are exactly -log 2
     s = lr.make_training_sample(uniform1, 64, seed=5)
-    E = lr.empirical_pair_matrix(cfg1, net_pair.vectors, net_pair.pairs, s)
-    diag_cols = [i for i, (a, b) in enumerate(net_pair.pairs) if a == b]
-    assert len(diag_cols) == net_pair.generators.cardinality
-    assert np.all(E[:, diag_cols] == -math.log(2.0))
+    E = lr.empirical_pair_matrix(cfg1, net.vectors, s)
+    diag = np.arange(net.cardinality)
+    assert np.all(E[:, diag, diag] == -math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +166,25 @@ def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     assert len(res.trace) == len(res.inner_values)
 
 
-def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net_pair):
+def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net):
     s = lr.make_training_sample(uniform1, 200, seed=4)
-    base = lr.minimax_fit(cfg1, uniform1, s, net_pair=net_pair)
-    net = net_pair.generators
-    flipped = lr.NetPair(
-        config=cfg1,
-        generators=hyp.EpsNet(epsilon=net.epsilon,
-                              members=tuple(reversed(net.members))),
-        pairs=net_pair.pairs)
-    again = lr.minimax_fit(cfg1, uniform1, s, net_pair=flipped)
+    base = lr.minimax_fit(cfg1, uniform1, s, net=net)
+    flipped = hyp.EpsNet(epsilon=net.epsilon, members=tuple(reversed(net.members)))
+    again = lr.minimax_fit(cfg1, uniform1, s, net=flipped)
     assert again.achieved_value == base.achieved_value
 
 
-def test_minimax_error_decomposition_chain(cfg1, realizable_target, net_pair):
+def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
     """0 <= L(phi_hat) - L(phi*) <= 2 sup |L_hat - L| over the same nets."""
-    V = net_pair.vectors
-    losses = lr.pair_loss_matrix(cfg1, realizable_target, V, net_pair.pairs)
-    inner_theo = losses.max(axis=1)
+    V = net.vectors
+    losses = lr.pair_loss_matrix(cfg1, realizable_target, V)
+    inner_theo = losses.max(axis=(1, 2))
     star = inner_theo.min()
     for seed in (9, 10, 11):
         s = lr.make_training_sample(realizable_target, 2**8, seed=seed)
-        emp = lr.empirical_pair_matrix(cfg1, V, net_pair.pairs, s)
+        emp = lr.empirical_pair_matrix(cfg1, V, s)
         eps_hat = float(np.abs(emp - losses).max())
-        best = int(np.argmin(emp.max(axis=1)))
+        best = int(np.argmin(emp.max(axis=(1, 2))))
         gap = inner_theo[best] - star
         assert 0.0 <= gap <= 2.0 * eps_hat + 1e-13
 
@@ -225,16 +221,16 @@ def test_minimax_unknown_strategy(cfg1, uniform1):
 # sampling error
 
 
-def test_sampling_error_single_trial_bitwise(cfg1, uniform1, net_pair):
-    a = lr.estimate_sampling_error(cfg1, uniform1, net_pair, 200, 1, seed=5)
-    b = lr.estimate_sampling_error(cfg1, uniform1, net_pair, 200, 1, seed=5)
+def test_sampling_error_single_trial_bitwise(cfg1, uniform1, net):
+    a = lr.estimate_sampling_error(cfg1, uniform1, net, 200, 1, seed=5)
+    b = lr.estimate_sampling_error(cfg1, uniform1, net, 200, 1, seed=5)
     assert a == b
     assert a.trials == 1 and a.std == 0.0 and a.mean == a.values[0]
 
 
-def test_sampling_error_decreases_over_decade(cfg1, uniform1, net_pair):
-    lo = lr.estimate_sampling_error(cfg1, uniform1, net_pair, 100, 12, seed=5)
-    hi = lr.estimate_sampling_error(cfg1, uniform1, net_pair, 10**4, 12, seed=5)
+def test_sampling_error_decreases_over_decade(cfg1, uniform1, net):
+    lo = lr.estimate_sampling_error(cfg1, uniform1, net, 100, 12, seed=5)
+    hi = lr.estimate_sampling_error(cfg1, uniform1, net, 10**4, 12, seed=5)
     assert hi.mean < lo.mean
     assert lo.q05 <= lo.q50 <= lo.q95
     assert all(v >= 0.0 for v in lo.values)
@@ -250,7 +246,7 @@ def test_worker_count_bounded(monkeypatch):
     assert lr._worker_count(8, 3) == 1
 
 
-def test_trials_fit_the_stream_key(cfg1, uniform1, net_pair):
+def test_trials_fit_the_stream_key(cfg1, uniform1, net):
     # trial t keys its streams kind + (t << 8), which must stay below 2**64
     last = stream_id(KIND_NOISE, 2**56 - 1)
     assert last < 2**64 and uniforms(0, last, 0, 1, 1).shape == (1, 1)
@@ -258,12 +254,12 @@ def test_trials_fit_the_stream_key(cfg1, uniform1, net_pair):
         stream_id(KIND_NOISE, 2**56)
     # rejected before any task is built or any pool is started
     with pytest.raises(ConfigInvalid, match=r"2\*\*56"):
-        lr.sampling_error_values(cfg1, uniform1, net_pair, 16, 2**56 + 1, seed=0)
+        lr.sampling_error_values(cfg1, uniform1, net, 16, 2**56 + 1, seed=0)
 
 
-def test_sampling_error_thread_count_invariant(cfg1, uniform1, net_pair):
-    one = lr.sampling_error_values(cfg1, uniform1, net_pair, 100, 12, seed=5)
-    two = lr.sampling_error_values(cfg1, uniform1, net_pair, 100, 12, seed=5,
+def test_sampling_error_thread_count_invariant(cfg1, uniform1, net):
+    one = lr.sampling_error_values(cfg1, uniform1, net, 100, 12, seed=5)
+    two = lr.sampling_error_values(cfg1, uniform1, net, 100, 12, seed=5,
                                    threads=2)
     assert np.array_equal(one, two)
 
@@ -272,11 +268,11 @@ def test_sampling_error_thread_count_invariant(cfg1, uniform1, net_pair):
 # rate experiment
 
 
-def test_rate_singleton_grid(cfg1, uniform1, net_pair):
+def test_rate_singleton_grid(cfg1, uniform1, net):
     rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3, epsilon=0.1)
     assert not rep.slope_defined and math.isnan(rep.slope)
     assert "single n: slope undefined" in rep.warnings
-    summ = lr.estimate_sampling_error(cfg1, uniform1, net_pair, 256, 6, seed=3)
+    summ = lr.estimate_sampling_error(cfg1, uniform1, net, 256, 6, seed=3)
     r = rep.rows[0]
     assert (r.mean, r.std, r.q05, r.q50, r.q95) == \
         (summ.mean, summ.std, summ.q05, summ.q50, summ.q95)

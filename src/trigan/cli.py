@@ -252,8 +252,8 @@ def _cmd_fit(rc: RunConfig) -> None:
     target, config = _build_model(rc)
     sample = learning.make_training_sample(target, rc.n, rc.seed)
     strategy = "net_exhaustive" if rc.strategy == "net" else "alternating_gradient"
-    result = learning.minimax_fit(config, target, sample, strategy,
-                                  epsilon=rc.epsilon)
+    net = hyp_mod.build_eps_net(config, rc.epsilon) if rc.strategy == "net" else None
+    result = learning.minimax_fit(config, target, sample, strategy, net=net)
     payload = {
         "strategy": result.strategy,
         "converged": result.converged,

@@ -35,7 +35,7 @@ from math import comb, factorial
 import numpy as np
 
 from . import rng
-from .density import _MAX_GRID_NODES, grid_points, write_text_atomic
+from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, write_text_atomic
 from .divergence import DiscriminatorFn
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .holder import estimate_holder_norm
@@ -47,8 +47,6 @@ _NET_CAP = 1_000_000
 # highest Bernstein degree: every evaluation builds p + 1 basis columns per
 # point, and a net has q^p members per component block
 _MAX_DEGREE = 16
-# highest smoothness order: k-th finite differences of the Holder check overflow near 100
-_MAX_K = 16
 _KNOWN_FAMILIES = ("bernstein_triangular",)
 
 
@@ -181,11 +179,13 @@ class HypothesisConfig:
     box_half: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigInvalid("dim must be >= 1")
-        if not 1 <= self.k <= _MAX_K or int(self.k) != self.k:
-            raise ConfigInvalid(f"k must be an integer in [1, {_MAX_K}]")
-        m = _holder_check_resolution(self)
+        if not 1 <= self.dim <= _MAX_DIM:
+            raise ConfigInvalid(f"dim must lie in [1, {_MAX_DIM}]")
+        k_max = _max_k(self.dim)
+        if not 1 <= self.k <= k_max or int(self.k) != self.k:
+            raise ConfigInvalid(f"k must be an integer in [1, {k_max}] in dimension "
+                                f"{self.dim}, where the Holder check resolves it")
+        m = _holder_check_resolution(self.dim, self.k)
         if m ** self.dim > _MAX_GRID_NODES:
             # the Holder check of the box solve evaluates maps on this grid
             raise ConfigInvalid(f"dim {self.dim}, k {self.k} need a {m}^{self.dim} "
@@ -246,9 +246,19 @@ def _analytic_box_ok(config: HypothesisConfig, b: float) -> bool:
     return lo >= 1.0 / (_SAFETY * config.K) and hi <= _SAFETY * config.K
 
 
-def _holder_check_resolution(config: HypothesisConfig) -> int:
-    base = {1: 257, 2: 33}.get(config.dim, 9)
-    return max(base, config.k + 2)
+def _holder_check_resolution(dim: int, k: int) -> int:
+    return max({1: 257, 2: 33}.get(dim, 9), k + 2)
+
+
+def _max_k(dim: int) -> int:
+    """Largest k the Holder check resolves: 6 for d = 1, 10 for d = 2, 13 above.
+
+    k differences of step 1 / (m - 1) grow rounding to (m - 1)^k eps; past 1 < K
+    the box solve shrinks the box on noise."""
+    k = 1
+    while (_holder_check_resolution(dim, k + 1) - 1.0) ** (k + 1) * np.finfo(float).eps < 1:
+        k += 1
+    return k
 
 
 def _corner_signs(n: int) -> list[np.ndarray]:
@@ -275,7 +285,7 @@ def _solve_box_half(config: HypothesisConfig) -> float:
         else:
             hi_b = mid
     b = lo_b
-    m = _holder_check_resolution(config)
+    m = _holder_check_resolution(config.dim, config.k)
     for _ in range(60):
         if b <= 0.0:
             break
@@ -380,8 +390,9 @@ def certify_member(config: HypothesisConfig, params) -> Certification:
     """Analytic Jacobian bound plus a numerical Holder-norm estimate vs K."""
     gp = params if isinstance(params, GeneratorParams) else member_params(config, params)
     gen = make_generator(config, gp.coefficients)
+    m = _holder_check_resolution(config.dim, config.k)
     est = estimate_holder_norm(gen.apply, config.k, config.alpha, dim=config.dim,
-                               resolution=_holder_check_resolution(config))
+                               resolution=m)
     ok = gp.jac_lower >= 1.0 / config.K and est.total <= config.K
     return Certification(jac_lower=gp.jac_lower, holder_total=est.total, certified=ok)
 

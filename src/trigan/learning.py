@@ -34,9 +34,9 @@ from . import bounds, rng
 from .density import GridDensity
 from .divergence import eval_grid, js_divergence, loss_terms
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
-from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, build_eps_net,
-                         distinct_members, family_delta1, make_discriminator,
-                         make_generator, member_params)
+from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_members,
+                         family_delta1, make_discriminator, make_generator,
+                         member_params)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_density)
 
@@ -191,20 +191,20 @@ class MinimaxResult:
 
 
 def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample,
-                strategy: str = "net_exhaustive", *, epsilon: float = 0.25,
-                net: EpsNet | None = None, max_iter: int = 200,
-                tol: float = 1e-6,
+                strategy: str = "net_exhaustive", *, net: EpsNet | None = None,
+                max_iter: int = 200, tol: float = 1e-6,
                 raise_on_nonconvergence: bool = False) -> MinimaxResult:
     if strategy == "net_exhaustive":
-        return _minimax_net(config, target, sample, net, epsilon)
+        if net is None:
+            raise ConfigInvalid("strategy net_exhaustive needs a net")
+        return _minimax_net(config, target, sample, net)
     if strategy == "alternating_gradient":
         return _minimax_gradient(config, target, sample, max_iter, tol,
                                  raise_on_nonconvergence)
     raise ConfigInvalid(f"unknown strategy {strategy!r}")
 
 
-def _minimax_net(config, target, sample, net, epsilon) -> MinimaxResult:
-    net = net or build_eps_net(config, epsilon)
+def _minimax_net(config, target, sample, net) -> MinimaxResult:
     vectors = net.vectors
     emp = empirical_pair_matrix(config, vectors, sample)
     inner = emp.max(axis=(1, 2))
@@ -378,15 +378,13 @@ class RateReport:
 
 
 def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
-                    seed: int, *, delta: float = 0.1, threads: int = 1,
-                    epsilon: float = 0.25,
-                    net: EpsNet | None = None) -> RateReport:
+                    seed: int, *, net: EpsNet, delta: float = 0.1,
+                    threads: int = 1) -> RateReport:
     """Mean sampling error across n, with the theoretical envelope and the
     concentration threshold for the configured delta."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
-    net = net or build_eps_net(config, epsilon)
     losses = pair_loss_matrix(config, target, net.vectors)
 
     warnings = []

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Protocol
 
 import numpy as np
 
@@ -35,14 +34,6 @@ from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 _CHUNK = 16384
 _JAC_FLOOR = 1e-12
 _RESIDUAL_TOL = 1e-10
-
-
-class MapComponent(Protocol):
-    """Monotone-in-t scalar component of a triangular map."""
-
-    def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray: ...
-
-    def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

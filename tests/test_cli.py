@@ -361,6 +361,9 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     ("sample", {"n": 2**20 + 1}),
     ("sample", {"target": {"path": "a\x00b"}}),
     ("sample", {"target": {"family": []}}),
+    ("bounds", {"hypothesis": {**HYP, "dim": 2**63}}),
+    ("bounds", {"hypothesis": {**HYP, "dim": 10**400}}),
+    ("bounds", {"hypothesis": {**HYP, "k": 7}}),
 ])
 def test_nested_spec_rejected(tmp_path, capsys, command, patch):
     base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \

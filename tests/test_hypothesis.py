@@ -28,14 +28,28 @@ from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
     {"dim": 1, "degree": 17},
     {"dim": 1, "K": 2e19},
     {"dim": 3, "K": 3e9},
-    {"dim": 1, "k": 17},
-    # Holder-check grids of 9^7 and 18^6 nodes exceed the 2^22 cap
+    # past these orders the Holder check's k-th differences measure rounding
+    {"dim": 1, "k": 7},
+    {"dim": 2, "k": 11},
+    {"dim": 3, "k": 14},
+    # Holder-check grids of 9^7 and 13^6 nodes exceed the 2^22 cap
     {"dim": 7},
-    {"dim": 6, "k": 16},
+    {"dim": 6, "k": 11},
+    # refused before any power of dim is formed
+    {"dim": 2**63},
+    {"dim": 10**400},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigInvalid):
         hyp.make_config(**kwargs)
+
+
+def test_highest_admitted_k_keeps_the_box(cfg1, cfg2):
+    """At the top admitted order the Holder check still sees the map, so the
+    box is the one of k 3; one order higher it shrank to 4e-4 on noise."""
+    assert [hyp._max_k(d) for d in (1, 2, 3, 8)] == [6, 10, 13, 13]
+    assert hyp.make_config(1, k=6, K=2.0).box_half == cfg1.box_half
+    assert hyp.make_config(2, k=10, K=3.0).box_half == cfg2.box_half
 
 
 def test_regular_flag():

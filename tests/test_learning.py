@@ -134,7 +134,7 @@ def test_diagonal_pairs_floor(cfg1, uniform1, net):
 
 def test_minimax_uniform_picks_identity_member(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**10, seed=1)
-    res = lr.minimax_fit(cfg1, uniform1, s, epsilon=0.1)
+    res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
     coeff = res.best_generator.coefficients
     assert coeff[0] == coeff[1]              # centered: an identity copy
     assert res.js_to_target < 1e-8
@@ -144,20 +144,20 @@ def test_minimax_uniform_picks_identity_member(cfg1, uniform1):
 def test_minimax_singleton_net_any_n(cfg1, uniform1):
     for seed, n in ((1, 16), (2, 3), (7, 101)):
         s = lr.make_training_sample(uniform1, n, seed=seed)
-        res = lr.minimax_fit(cfg1, uniform1, s, epsilon=0.25)
+        res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.25))
         assert np.all(res.best_generator.coefficients == 0.0)
         assert res.js_to_target == 0.0
 
 
 def test_minimax_realizable_target(cfg1, realizable_target):
     s = lr.make_training_sample(realizable_target, 10**4, seed=6)
-    res = lr.minimax_fit(cfg1, realizable_target, s, epsilon=0.1)
+    res = lr.minimax_fit(cfg1, realizable_target, s, net=hyp.build_eps_net(cfg1, 0.1))
     assert res.js_to_target < 0.01
 
 
 def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**9, seed=13)
-    res = lr.minimax_fit(cfg1, uniform1, s, epsilon=0.1)
+    res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
     disc = hyp.make_discriminator(cfg1, *res.inner_pair)
     gen = hyp.make_generator(cfg1, res.best_generator)
     assert abs(lr.empirical_loss(disc, gen, s) - res.achieved_value) < 1e-12
@@ -217,6 +217,12 @@ def test_minimax_unknown_strategy(cfg1, uniform1):
         lr.minimax_fit(cfg1, uniform1, s, strategy="newton")
 
 
+def test_minimax_net_strategy_needs_net(cfg1, uniform1):
+    s = lr.make_training_sample(uniform1, 8, seed=1)
+    with pytest.raises(ConfigInvalid):
+        lr.minimax_fit(cfg1, uniform1, s)
+
+
 # ---------------------------------------------------------------------------
 # sampling error
 
@@ -269,7 +275,8 @@ def test_sampling_error_thread_count_invariant(cfg1, uniform1, net):
 
 
 def test_rate_singleton_grid(cfg1, uniform1, net):
-    rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3, epsilon=0.1)
+    rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3,
+                             net=hyp.build_eps_net(cfg1, 0.1))
     assert not rep.slope_defined and math.isnan(rep.slope)
     assert "single n: slope undefined" in rep.warnings
     summ = lr.estimate_sampling_error(cfg1, uniform1, net, 256, 6, seed=3)
@@ -283,7 +290,8 @@ def test_rate_irregular_config_warns():
     icfg = hyp.make_config(2, k=1, K=3.0)
     assert not icfg.regular
     u2 = make_density("uniform", 2, 65)
-    rep = lr.rate_experiment(icfg, u2, [64, 128], 2, seed=3, epsilon=0.3)
+    rep = lr.rate_experiment(icfg, u2, [64, 128], 2, seed=3,
+                             net=hyp.build_eps_net(icfg, 0.3))
     assert any("regularity" in w for w in rep.warnings)
     assert math.isnan(rep.full_C)
     assert math.isnan(rep.rows[0].thm54_threshold)
@@ -291,7 +299,8 @@ def test_rate_irregular_config_warns():
 
 
 def test_rate_csv_shape(cfg1, uniform1):
-    rep = lr.rate_experiment(cfg1, uniform1, [128, 256], 3, seed=3, epsilon=0.25)
+    rep = lr.rate_experiment(cfg1, uniform1, [128, 256], 3, seed=3,
+                             net=hyp.build_eps_net(cfg1, 0.25))
     # the singleton net hits the loss exactly, so the log fit is suppressed
     assert not rep.slope_defined
     assert any("zero mean" in w for w in rep.warnings)
@@ -305,8 +314,8 @@ def test_rate_csv_shape(cfg1, uniform1):
     assert float(cells[2]) == rep.rows[0].mean     # repr round-trips
 
 
-def test_rate_rejects_bad_grid(cfg1, uniform1):
+def test_rate_rejects_bad_grid(cfg1, uniform1, net):
     with pytest.raises(ConfigInvalid):
-        lr.rate_experiment(cfg1, uniform1, [], 3, seed=1)
+        lr.rate_experiment(cfg1, uniform1, [], 3, seed=1, net=net)
     with pytest.raises(ConfigInvalid):
-        lr.rate_experiment(cfg1, uniform1, [0, 64], 3, seed=1)
+        lr.rate_experiment(cfg1, uniform1, [0, 64], 3, seed=1, net=net)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import ConfigInvalid, IntegralDivergent
-from .hypothesis import discriminator_constants
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,12 @@ def c3_constant(d: int, alpha: float, k: int, K: float,
 
 # ---------------------------------------------------------------------------
 # subgaussian metric
+
+
+def discriminator_constants(dim: int, K: float) -> tuple[float, float]:
+    """Range constants of paired-generator ratios: B1 = 1/(1 + d! K^{d+1})."""
+    b1 = 1.0 / (1.0 + factorial(dim) * K ** (dim + 1))
+    return b1, 1.0 - b1
 
 
 @dataclass(frozen=True)

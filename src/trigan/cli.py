@@ -205,13 +205,17 @@ def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:
     return hyp_mod.config_from_dict(payload)
 
 
-def _build_model(rc: RunConfig) -> tuple:
-    """Target and hypothesis config; unequal dims are refused before the box solve."""
+def _build_model(rc: RunConfig, with_net: bool = True) -> tuple:
+    """Target, hypothesis config and net; bad dims and trial sizes fail first."""
     target = _build_target(rc.target, rc.resolution)
     if isinstance(rc.hypothesis, dict) and rc.hypothesis.get("dim", target.dim) != target.dim:
         raise ConfigInvalid(f"hypothesis dim {rc.hypothesis['dim']!r} differs from "
                             f"target dim {target.dim}")
-    return target, _build_hypothesis(rc.hypothesis)
+    config = _build_hypothesis(rc.hypothesis)
+    net = hyp_mod.build_eps_net(config, rc.epsilon) if with_net else None
+    learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim,
+                              net.cardinality if net else 1)
+    return target, config, net
 
 
 def _out_path(rc: RunConfig, name: str) -> str:
@@ -249,10 +253,9 @@ def _cmd_density(rc: RunConfig) -> None:
 
 
 def _cmd_fit(rc: RunConfig) -> None:
-    target, config = _build_model(rc)
-    sample = learning.make_training_sample(target, rc.n, rc.seed)
+    target, config, net = _build_model(rc, with_net=rc.strategy == "net")
     strategy = "net_exhaustive" if rc.strategy == "net" else "alternating_gradient"
-    net = hyp_mod.build_eps_net(config, rc.epsilon) if rc.strategy == "net" else None
+    sample = learning.make_training_sample(target, rc.n, rc.seed)
     result = learning.minimax_fit(config, target, sample, strategy, net=net)
     payload = {
         "strategy": result.strategy,
@@ -272,8 +275,7 @@ def _cmd_fit(rc: RunConfig) -> None:
 
 
 def _cmd_sampling_error(rc: RunConfig) -> None:
-    target, config = _build_model(rc)
-    net = hyp_mod.build_eps_net(config, rc.epsilon)
+    target, config, net = _build_model(rc)
     summ = learning.estimate_sampling_error(config, target, net, rc.n, rc.trials,
                                             rc.seed, threads=rc.threads)
     print(f"sampling-error: n {summ.n}, trials {summ.trials}, mean {summ.mean!r}, "
@@ -281,8 +283,7 @@ def _cmd_sampling_error(rc: RunConfig) -> None:
 
 
 def _cmd_rate(rc: RunConfig) -> None:
-    target, config = _build_model(rc)
-    net = hyp_mod.build_eps_net(config, rc.epsilon)
+    target, config, net = _build_model(rc)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
                                       rc.seed, delta=rc.delta, threads=rc.threads, net=net)
     csv_path = _out_path(rc, "rate.csv")

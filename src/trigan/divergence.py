@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import GridDensity, axis_weights, grid_points
+from .density import _MAX_GRID_NODES, GridDensity, axis_weights, grid_points
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 from .rosenblatt import PushforwardDensity
 
@@ -44,6 +44,9 @@ class DiscriminatorFn:
 def eval_grid(dim: int):
     """The shared evaluation nodes and their tensor Simpson weights."""
     resolution = 129 if dim <= 2 else 33
+    if resolution ** dim > _MAX_GRID_NODES:
+        raise ConfigInvalid(f"dim {dim} needs a {resolution}^{dim} evaluation grid, "
+                            f"cap is {_MAX_GRID_NODES} nodes")
     pts = grid_points(dim, resolution)
     w1 = axis_weights(resolution, "simpson")
     w = np.ones(1)

@@ -1,12 +1,10 @@
 """Numerical Holder-norm estimation for grid-sampled maps.
 
-The estimate is a LOWER bound on the true norm: derivatives come from
-finite differences (second order, one-sided at the boundary) and the
-Holder quotient is maximized over a finite pair sample. Membership checks
-built on it are therefore necessary conditions only. No module bounds the
-Holder norm from above: the hypothesis module certifies only the Jacobian
-range in closed form and checks the norm with this estimate (ROADMAP
-item 4).
+The estimate approaches the true norm from below, up to finite-difference
+error: derivatives come from finite differences (second order, one-sided
+at the boundary) and the Holder quotient is maximized over a finite pair
+sample. It is the test oracle of hypothesis.holder_bound, the closed-form
+upper bound that certifies the generator family.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import numpy as np
 from .density import grid_points
 from .errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
 
-# all-pairs quotients stay below ~17M distance evaluations; 1D/2D default
-# grids (257, 33^2) fall under this, 4D corner checks switch to strides
+# all-pairs quotients stay below ~17M distance evaluations; 1D/2D oracle
+# grids (257, 33^2) fall under this, larger grids switch to strides
 _ALL_PAIRS_NODE_CAP = 4096
 _STRATIFIED_STRIDES = (1, 2, 3, 5, 7, 11, 13, 21, 34, 55, 89, 144,
                        233, 377, 610, 987, 1597, 2584, 4181, 6765)

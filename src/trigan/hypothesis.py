@@ -12,12 +12,12 @@ Mean-centering forces sum_i w_i = 1, so components fix the endpoints 0 and 1
 for every parameter choice, and the all-zero parameter vector is the
 identity map. The diagonal partial is p * sum_i w_i B_{i-1,p-1}, a convex
 combination of the p w_i scaled by p, which gives closed-form bounds on the
-Jacobian from the parameter ranges alone. The parameter box is back-solved
-from the norm bound K. Inside it the Jacobian range is certified in closed
-form to lie in [1/K, K] with a safety margin. The Holder norm is not: it is
-only estimated numerically (a lower bound) at no more than six sign
-patterns of box corners, which is a necessary condition and bounds no
-member inside the box (ROADMAP item 4).
+Jacobian from the parameter ranges alone; every other derivative is a
+Bernstein polynomial bounded by its coefficients (holder_bound). The
+parameter box is back-solved from the norm bound K: inside it the Jacobian
+range lies in [1/K, K] and the C^{k,alpha} norm is at most K, both certified
+in closed form with a safety margin. holder.estimate_holder_norm is the
+tests' oracle for the norm bound.
 
 Discriminators are the paired-generator ratios f_a / (f_a + f_b); their
 range constants depend only on (d, K).
@@ -30,15 +30,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 
 import numpy as np
 
 from . import rng
+from .bounds import RhoMetricParams, discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, write_text_atomic
 from .divergence import DiscriminatorFn
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
-from .holder import estimate_holder_norm
 from .rosenblatt import TriangularMap, pushforward_density
 
 _SAFETY = 0.95          # certification margin for the box back-solve
@@ -47,6 +47,8 @@ _NET_CAP = 1_000_000
 # highest Bernstein degree: every evaluation builds p + 1 basis columns per
 # point, and a net has q^p members per component block
 _MAX_DEGREE = 16
+# k enters float formulas (the bound exponents), so it stays exact as a float
+_MAX_K = 2**53
 _KNOWN_FAMILIES = ("bernstein_triangular",)
 
 
@@ -179,17 +181,13 @@ class HypothesisConfig:
     box_half: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.dim <= _MAX_DIM:
-            raise ConfigInvalid(f"dim must lie in [1, {_MAX_DIM}]")
-        k_max = _max_k(self.dim)
-        if not 1 <= self.k <= k_max or int(self.k) != self.k:
-            raise ConfigInvalid(f"k must be an integer in [1, {k_max}] in dimension "
-                                f"{self.dim}, where the Holder check resolves it")
-        m = _holder_check_resolution(self.dim, self.k)
-        if m ** self.dim > _MAX_GRID_NODES:
-            # the Holder check of the box solve evaluates maps on this grid
-            raise ConfigInvalid(f"dim {self.dim}, k {self.k} need a {m}^{self.dim} "
-                                f"Holder-check grid, cap is {_MAX_GRID_NODES} nodes")
+        # family_delta1 evaluates maps on the probe grid; dim is bounded first
+        if (not 1 <= self.dim <= _MAX_DIM
+                or _probe_resolution(self.dim) ** self.dim > _MAX_GRID_NODES):
+            raise ConfigInvalid(f"dim {self.dim} is outside [1, {_MAX_DIM}] or its probe "
+                                f"grid exceeds {_MAX_GRID_NODES} nodes")
+        if not 1 <= self.k <= _MAX_K or int(self.k) != self.k:
+            raise ConfigInvalid(f"k must be an integer in [1, {_MAX_K}]")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigInvalid("alpha must lie in (0, 1]")
         if self.K <= 1.0:
@@ -229,16 +227,12 @@ class HypothesisConfig:
         return tuple((-b, b) for _ in range(self.n_params))
 
 
-def _prefix_gain(config: HypothesisConfig, j: int) -> int:
-    return 1 + (j - 1) * config.coupling_degree
-
-
 def _analytic_box_ok(config: HypothesisConfig, b: float) -> bool:
     """All-corner Jacobian range inside [1/(sK), sK] for half-width b."""
     p = config.degree
     lo = hi = 1.0
     for j in range(1, config.dim + 1):
-        spread = 2.0 * b * (p - 1) * _prefix_gain(config, j)
+        spread = 2.0 * b * (p - 1) * (1 + (j - 1) * config.coupling_degree)
         if spread >= 1.0:
             return False
         lo *= 1.0 - spread
@@ -246,63 +240,59 @@ def _analytic_box_ok(config: HypothesisConfig, b: float) -> bool:
     return lo >= 1.0 / (_SAFETY * config.K) and hi <= _SAFETY * config.K
 
 
-def _holder_check_resolution(dim: int, k: int) -> int:
-    return max({1: 257, 2: 33}.get(dim, 9), k + 2)
+def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float:
+    """Upper bound on the C^{k,alpha} norm, as holder.estimate_holder_norm
+    measures it, of every member within radius (sup norm) of vector.
 
-
-def _max_k(dim: int) -> int:
-    """Largest k the Holder check resolves: 6 for d = 1, 10 for d = 2, 13 above.
-
-    k differences of step 1 / (m - 1) grow rounding to (m - 1)^k eps; past 1 < K
-    the box solve shrinks the box on noise."""
-    k = 1
-    while (_holder_check_resolution(dim, k + 1) - 1.0) ** (k + 1) * np.finfo(float).eps < 1:
-        k += 1
-    return k
-
-
-def _corner_signs(n: int) -> list[np.ndarray]:
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    half = np.where(np.arange(n) < n // 2, 1.0, -1.0)
-    raw = [np.ones(n), -np.ones(n), alt, -alt, half, -half]
-    uniq, seen = [], set()
-    for s in raw:
-        key = tuple(s)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    return uniq
+    The m-th y_j-derivative of component j is p!/(p-m)! times a degree-(p-m)
+    Bernstein polynomial whose coefficients are the (m-1)-th differences of
+    w (cumulative sums for m = 0), so its sup is at most their largest
+    modulus (Farouki, CAGD 2012). A y_l-derivative, l < j, has the same form
+    with 2 c~_l in place of w; orders above p in y_j, or above 1 in the
+    prefix, vanish. As |x_i - y_i| <= min(1, |x - y|), the order-k quotient
+    is at most the sum over coordinates of the order-(k+1) sups.
+    """
+    p, k = config.degree, config.k
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    centring = np.eye(p) - 1.0 / p          # raw block -> mean-centred block
+    ck = semi = 0.0
+    for theta_sl, coup_sl in config.blocks():
+        theta, coup = v[theta_sl], v[coup_sl].reshape(p, -1)
+        quotient = 0.0
+        for m in range(min(k + 1, p) + 1):
+            rows = np.tril(np.ones((p, p))) if m == 0 else np.diff(np.eye(p), m - 1, axis=0)
+            op = rows @ centring
+            reach = radius * np.abs(op).sum(axis=1)
+            # sups of the coefficients' base part and of each coupling column
+            w_sup = np.abs(rows.sum(axis=1) / p + op @ theta) + reach
+            c_sup = np.abs(op @ coup) + reach[:, None]
+            along = perm(p, m) * float((w_sup + c_sup.sum(axis=1)).max())
+            across = 2.0 * perm(p, m) * c_sup.max(axis=0)
+            # along has order m; across adds one y_l-derivative per column l
+            for order, sups in ((m, [along]), (m + 1, list(across))):
+                if order <= k:
+                    ck = max([ck, *sups])
+                elif order == k + 1:
+                    quotient += sum(sups)
+        semi = max(semi, quotient)
+    return float(ck + semi)
 
 
 def _solve_box_half(config: HypothesisConfig) -> float:
-    if 1.0 / (_SAFETY * config.K) > 1.0:
-        return 0.0
+    """Largest half-width, to 60 bisection steps, whose whole box has its
+    Jacobian range and Holder bound certified against the safety-scaled K."""
+    origin = np.zeros(config.n_params)
     lo_b, hi_b = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
-        if _analytic_box_ok(config, mid):
+        if (_analytic_box_ok(config, mid)
+                and holder_bound(config, origin, mid) <= _SAFETY * config.K):
             lo_b = mid
         else:
             hi_b = mid
-    b = lo_b
-    m = _holder_check_resolution(config.dim, config.k)
-    for _ in range(60):
-        if b <= 0.0:
-            break
-        trial = replace(config, box_half=b)
-        worst = 0.0
-        for signs in _corner_signs(trial.n_params):
-            gen = make_generator(trial, b * signs)
-            est = estimate_holder_norm(gen.apply, config.k, config.alpha,
-                                       dim=config.dim, resolution=m)
-            worst = max(worst, est.total)
-        if worst <= _SAFETY * config.K:
-            break
-        b *= 0.9
-    return b
+    return lo_b
 
 
-@lru_cache(maxsize=64)
 def make_config(dim: int, k: int = 3, alpha: float = 0.5, K: float = 3.0,
                 family: str = "bernstein_triangular", degree: int = 2,
                 coupling_degree: int = 1) -> HypothesisConfig:
@@ -337,12 +327,9 @@ def member_params(config: HypothesisConfig, vector) -> GeneratorParams:
     p = config.degree
     lo = hi = 1.0
     for theta_sl, coup_sl in config.blocks():
-        theta = v[theta_sl]
+        theta, cc = v[theta_sl], v[coup_sl].reshape(p, -1)
         dev = theta - theta.mean()
-        reach = np.zeros(p)
-        if coup_sl.stop > coup_sl.start:
-            cc = v[coup_sl].reshape(p, -1)
-            reach = np.abs(cc - cc.mean(axis=0)).sum(axis=1)
+        reach = np.abs(cc - cc.mean(axis=0)).sum(axis=1)
         lo *= p * float((1.0 / p + dev - reach).min())
         hi *= p * float((1.0 / p + dev + reach).max())
     return GeneratorParams(coefficients=v, jac_lower=lo, c1_upper=hi)
@@ -366,15 +353,11 @@ def make_generator(config: HypothesisConfig, params) -> TriangularMap:
         raise ParamsOutOfBox("a parameter leaves the certified box")
     p = config.degree
     cls = _QuadBernstein if p == 2 else BernsteinComponent
-    comps = []
-    for j, (theta_sl, coup_sl) in enumerate(config.blocks(), start=1):
-        theta = v[theta_sl]
-        width = (coup_sl.stop - coup_sl.start) // p if coup_sl.stop > coup_sl.start else 0
-        coup = v[coup_sl].reshape(p, width) if width else np.zeros((p, 0))
-        comps.append(cls(degree=p, theta=theta, coupling=coup))
+    comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
+                  for theta_sl, coup_sl in config.blocks())
     payload = json.dumps({"kind": "bernstein", "config": config_to_dict(config),
                           "params": v.tolist()}, sort_keys=True)
-    return TriangularMap(dim=config.dim, components=tuple(comps),
+    return TriangularMap(dim=config.dim, components=comps,
                          direction="inverse", components_direct=True,
                          norm_bound_K=config.K, meta=("bernstein", payload))
 
@@ -387,14 +370,11 @@ class Certification:
 
 
 def certify_member(config: HypothesisConfig, params) -> Certification:
-    """Analytic Jacobian bound plus a numerical Holder-norm estimate vs K."""
+    """Closed-form Jacobian and Holder-norm bounds of one member against K."""
     gp = params if isinstance(params, GeneratorParams) else member_params(config, params)
-    gen = make_generator(config, gp.coefficients)
-    m = _holder_check_resolution(config.dim, config.k)
-    est = estimate_holder_norm(gen.apply, config.k, config.alpha, dim=config.dim,
-                               resolution=m)
-    ok = gp.jac_lower >= 1.0 / config.K and est.total <= config.K
-    return Certification(jac_lower=gp.jac_lower, holder_total=est.total, certified=ok)
+    holder = holder_bound(config, gp.coefficients)
+    ok = gp.jac_lower >= 1.0 / config.K and holder <= config.K
+    return Certification(jac_lower=gp.jac_lower, holder_total=holder, certified=ok)
 
 
 def bound_constants_finite(dim: int, K: float) -> bool:
@@ -407,12 +387,6 @@ def bound_constants_finite(dim: int, K: float) -> bool:
     log_top = (math.log(16.0) + 4.0 * math.log(dim) + 8.0 * math.lgamma(dim + 1.0)
                + 8.0 * (dim + 1) * math.log(K))
     return log_top < math.log(np.finfo(np.float64).max)
-
-
-def discriminator_constants(dim: int, K: float) -> tuple[float, float]:
-    """Range constants of paired-generator ratios: B1 = 1/(1 + d! K^{d+1})."""
-    b1 = 1.0 / (1.0 + factorial(dim) * K ** (dim + 1))
-    return b1, 1.0 - b1
 
 
 def make_discriminator(config: HypothesisConfig, params_a, params_b) -> DiscriminatorFn:
@@ -505,9 +479,13 @@ def random_box_params(config: HypothesisConfig, count: int, seed: int,
 # sup distances and the family diameter
 
 
+def _probe_resolution(dim: int) -> int:
+    return {1: 2049, 2: 65}.get(dim, 17)
+
+
 @lru_cache(maxsize=16)
 def _probe_points(dim: int):
-    pts = grid_points(dim, {1: 2049, 2: 65}.get(dim, 17))
+    pts = grid_points(dim, _probe_resolution(dim))
     pts.flags.writeable = False
     return pts
 
@@ -520,22 +498,24 @@ def map_sup_distance(config: HypothesisConfig, params_a, params_b) -> float:
     return float(np.abs(a - b).max())
 
 
-def family_delta1(config: HypothesisConfig) -> float:
-    """Family diameter under the n=1 subgaussian metric.
+def _corner_signs(n: int) -> list[np.ndarray]:
+    """The distinct patterns among +-1, +-alternating and +-half-and-half."""
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    half = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    signs = {tuple(s): s for r in (np.ones(n), alt, half) for s in (r, -r)}
+    return list(signs.values())
 
-    Generator spread is maximized over box corner pairs on a probe grid;
-    the discriminator spread uses the certified range width B2 - B1. The
-    combination is (1 + d! K^{d+1}) [dD + d^2 (d!)^3 K^{3d+2} dPhi].
-    """
+
+def family_delta1(config: HypothesisConfig) -> float:
+    """Family diameter: bounds.rho_metric at n = 1 of the certified range width
+    B2 - B1 and the generator spread over box corner pairs on a probe grid."""
     b = config.box_half
     corners = [b * s for s in _corner_signs(config.n_params)]
     d_phi = 0.0
     for pa, pb in itertools.combinations(corners, 2):
         d_phi = max(d_phi, map_sup_distance(config, pa, pb))
     b1, b2 = discriminator_constants(config.dim, config.K)
-    d, big_k = config.dim, config.K
-    lead = 1.0 + factorial(d) * big_k ** (d + 1)
-    return lead * ((b2 - b1) + d**2 * factorial(d) ** 3 * big_k ** (3 * d + 2) * d_phi)
+    return rho_metric(RhoMetricParams(config.dim, config.K, 1), b2 - b1, d_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
 # entries of one (c, c, c) loss cube, 8 MB of floats; admits nets of up
 # to 100 members
 _MATRIX_CAP = 1_000_000
+# floats of one trial: (n, d) real and noise points and the (c, c, n)
+# densities of a c-member net at the fake points; 512 MB
+_TRIAL_CAP = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,14 @@ def target_sampler(target) -> TriangularMap:
     if isinstance(target, GridDensity):
         return build_rosenblatt(target).inverse()
     raise ConfigInvalid(f"cannot sample from {type(target).__name__}")
+
+
+def check_trial_size(n: int, dim: int, members: int) -> None:
+    """Refuse a sample size whose trial would hold more than _TRIAL_CAP floats."""
+    size = n * (2 * dim + members * members)
+    if size > _TRIAL_CAP:
+        raise ConfigInvalid(f"n = {n} with {members} net members needs {size} floats "
+                            f"per trial, cap is {_TRIAL_CAP}")
 
 
 def make_training_sample(target, n: int, seed: int, trial: int = 0) -> TrainingSample:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import trigan.bounds as bd
 import trigan.hypothesis as hyp
+from trigan import rng
 from trigan.cli import RunConfig, build_run_config, main
 from trigan.density import load_density
 from trigan.errors import ConfigInvalid
@@ -266,6 +267,26 @@ def test_bounds_beta_overflow(tmp_path, monkeypatch, capsys, beta):
     assert not (tmp_path / "bd").exists()
 
 
+@pytest.mark.parametrize("command,size", [
+    ("fit", {"n": 10**8}),
+    ("sampling-error", {"n": 10**8, "trials": 1}),
+    ("rate", {"n_grid": [64, 10**8], "trials": 1}),
+])
+def test_trial_size_cap(tmp_path, monkeypatch, capsys, command, size):
+    """n 10^8 with the 9-member README net needs 10^8 (2 + 81) floats per
+    trial: refused before any point is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    cfg = write_cfg(tmp_path, "n.json", {"target": {"family": "tilted"}, "hypothesis": HYP,
+                                         "seed": 1, "epsilon": 0.05, **size})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert "8300000000 floats" in json.loads(err[0])["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_net_over_matrix_cap(tmp_path, capsys):
     # epsilon 0.0115 gives 11^2 = 121 members, 121^3 > 10^6 loss-matrix entries
     cfg = write_cfg(tmp_path, "f.json",
@@ -353,17 +374,21 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     ("sample", {"target": {"family": "coupled", "resolution": 100000000}}),
     ("bounds", {"hypothesis": {**HYP, "K": 1e308}}),
     ("bounds", {"hypothesis": {**HYP, "degree": 100000}}),
-    # 9^7 and 9^8 Holder-check nodes exceed the 2^22 grid cap; 9^6 does not
+    # 17^7 and 17^8 probe-grid nodes exceed the 2^22 grid cap
     ("bounds", {"hypothesis": {**HYP, "dim": 7}}),
     ("bounds", {"hypothesis": {**HYP, "dim": 8}}),
-    ("bounds", {"hypothesis": {**HYP, "k": 300}}),
+    ("bounds", {"hypothesis": {**HYP, "k": 10**400}}),
     ("bounds", {"n": 2**53 + 1}),
     ("sample", {"n": 2**20 + 1}),
     ("sample", {"target": {"path": "a\x00b"}}),
     ("sample", {"target": {"family": []}}),
     ("bounds", {"hypothesis": {**HYP, "dim": 2**63}}),
     ("bounds", {"hypothesis": {**HYP, "dim": 10**400}}),
-    ("bounds", {"hypothesis": {**HYP, "k": 7}}),
+    ("bounds", {"hypothesis": {**HYP, "k": 2**53 + 1}}),
+    # refused for a 17^6 probe grid, and the 5-D fit for its 33^5 evaluation grid
+    ("bounds", {"hypothesis": {**HYP, "dim": 6}}),
+    ("fit", {"target": {"family": "uniform", "dim": 5, "resolution": 9},
+             "hypothesis": {**HYP, "dim": 5}, "n": 16, "seed": 1}),
 ])
 def test_nested_spec_rejected(tmp_path, capsys, command, patch):
     base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \
@@ -446,10 +471,11 @@ def _mutated_configs(draw):
     return command, cfg
 
 
-def _box_solve_costs_seconds(cfg) -> bool:
+def _probe_grid_costs_seconds(cfg) -> bool:
+    # family_delta1 maps 17^4 and 17^5 probe points per box corner pair
     hyp_cfg = cfg.get("hypothesis")
     return (isinstance(hyp_cfg, dict) and type(hyp_cfg.get("dim")) is int
-            and 2 <= hyp_cfg["dim"] <= 6)
+            and 4 <= hyp_cfg["dim"] <= 5)
 
 
 @settings(max_examples=200)
@@ -457,7 +483,7 @@ def _box_solve_costs_seconds(cfg) -> bool:
 def test_cli_contract_fuzz(case):
     """Exit 0 or 2, never a traceback; on 2, stderr is one JSON object."""
     command, cfg = case
-    assume(not _box_solve_costs_seconds(cfg))
+    assume(not _probe_grid_costs_seconds(cfg))
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # runs two levels down, so an "out" of ".." stays inside tmp

@@ -1,13 +1,19 @@
 """Generator family: configs, certified boxes, members, discriminators, nets."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigan.hypothesis as hyp
 import trigan.rosenblatt as ros
 from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
+from trigan.holder import estimate_holder_norm
+
+EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -28,13 +34,13 @@ from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
     {"dim": 1, "degree": 17},
     {"dim": 1, "K": 2e19},
     {"dim": 3, "K": 3e9},
-    # past these orders the Holder check's k-th differences measure rounding
-    {"dim": 1, "k": 7},
-    {"dim": 2, "k": 11},
-    {"dim": 3, "k": 14},
-    # Holder-check grids of 9^7 and 13^6 nodes exceed the 2^22 cap
+    # past 2**53, k would not stay exact in the bound arithmetic
+    {"dim": 1, "k": 2**53 + 1},
+    {"dim": 2, "k": 10**400},
+    {"dim": 3, "k": 2**60},
+    # family_delta1's probe grids of 17^7 and 17^6 nodes exceed the 2^22 cap
     {"dim": 7},
-    {"dim": 6, "k": 11},
+    {"dim": 6},
     # refused before any power of dim is formed
     {"dim": 2**63},
     {"dim": 10**400},
@@ -45,9 +51,8 @@ def test_config_rejections(kwargs):
 
 
 def test_highest_admitted_k_keeps_the_box(cfg1, cfg2):
-    """At the top admitted order the Holder check still sees the map, so the
-    box is the one of k 3; one order higher it shrank to 4e-4 on noise."""
-    assert [hyp._max_k(d) for d in (1, 2, 3, 8)] == [6, 10, 13, 13]
+    """Degree-2 members have no derivatives past order 2, so any k >= 3 gives
+    the box of k 3 (the old finite-difference check shrank it on rounding)."""
     assert hyp.make_config(1, k=6, K=2.0).box_half == cfg1.box_half
     assert hyp.make_config(2, k=10, K=3.0).box_half == cfg2.box_half
 
@@ -69,6 +74,77 @@ def test_box_half_frozen_values(cfg1, cfg2):
     uncoupled = hyp.make_config(2, K=3.0, coupling_degree=0)
     assert uncoupled.box_half == pytest.approx(0.20382556112045383, rel=1e-12)
     assert uncoupled.n_params == 4 and cfg2.n_params == 6
+
+
+@pytest.mark.parametrize("kwargs,half", [
+    # hand-derived: the Holder bound binds before the Jacobian range, and it
+    # is affine in b; e.g. 1D, k 1: (1 + 2b) + 4b <= 0.95 K
+    ({"dim": 1, "k": 1, "K": 2.0}, (1.9 - 1.0) / 6),
+    # 2D coupled, k 1: (1 + 4b) + (8b + 4b) <= 0.95 K, the 4b from y1 in psi_2
+    ({"dim": 2, "k": 1, "K": 3.0}, (2.85 - 1.0) / 16),
+    # degree 3, k 3: the third derivative 24b
+    ({"dim": 1, "K": 2.0, "degree": 3}, 1.9 / 24),
+    # degree 4, k 2: (1 + 6b) + 96b
+    ({"dim": 1, "k": 2, "K": 3.0, "degree": 4}, (2.85 - 1.0) / 102),
+    # degree 4, k 3: 96b + 192b
+    ({"dim": 1, "K": 6.0, "degree": 4}, 5.7 / 288),
+    # 2D coupled degree 3, k 3: 48b + (0 + 48b)
+    ({"dim": 2, "K": 3.0, "degree": 3}, 2.85 / 96),
+])
+def test_closed_form_box(kwargs, half):
+    cfg = hyp.make_config(**kwargs)
+    assert cfg.box_half == pytest.approx(half, rel=1e-12)
+    box = hyp.holder_bound(cfg, np.zeros(cfg.n_params), cfg.box_half)
+    assert box == pytest.approx(0.95 * cfg.K, rel=1e-12)
+    for vec in hyp.random_box_params(cfg, 8, seed=2):
+        assert hyp.holder_bound(cfg, vec) <= box
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(1, 2), degree=st.integers(2, 4), k=st.integers(1, 3),
+       coupling=st.integers(0, 1),
+       unit=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_holder_bound_dominates_estimate(dim, degree, k, coupling, unit):
+    """The closed-form bound is at least the finite-difference estimate of
+    any box member, up to the estimate's own errors, stated here.
+
+    Rounding: values err by about eps; k nested differences (one-sided edge
+    stencils weigh 4) and the quotient's division by |x - y|^alpha >= h
+    amplify that by at most 8 h^-(k+1). Truncation, past degree 2 only:
+    central differences of a polynomial of degree <= 4 err by (m/6) h^2
+    D^(m+2) f at order m, edge stencils by h^2/3 D^3 f + h^3/4 D^4 f, and
+    the quotient turns h^2 into h^(2-alpha); all of it is at most
+    2 h^(2-alpha) times the bound on the derivatives up to order k + 3."""
+    cfg = hyp.make_config(dim, k=k, K=2.0 if dim == 1 else 3.0, degree=degree,
+                          coupling_degree=coupling)
+    vec = cfg.box_half * np.asarray(unit[:cfg.n_params])
+    res = 257 if dim == 1 else 33
+    h = 1.0 / (res - 1)
+    est = estimate_holder_norm(hyp.make_generator(cfg, vec).apply, k, cfg.alpha,
+                               dim=dim, resolution=res)
+    slack = 8.0 * EPS * h ** -(k + 1)
+    if degree > 2:
+        slack += 2.0 * h ** (2.0 - cfg.alpha) * hyp.holder_bound(replace(cfg, k=k + 2), vec)
+    assert est.total <= hyp.holder_bound(cfg, vec) + slack
+
+
+def test_holder_bound_attained_at_degree_two(cfg1, cfg2):
+    """At degree 2 and k 3 every derivative past order 2 vanishes, so the
+    bound is the first-derivative sup 1 + 2 d b of the last component, which
+    the estimate recovers at the alternating box corner."""
+    for cfg, res, value in ((cfg1, 257, 1.4736842105263157),
+                            (cfg2, 33, 1.5244209996289833)):
+        assert value == pytest.approx(1.0 + 2.0 * cfg.dim * cfg.box_half, rel=1e-15)
+        corner = cfg.box_half * np.where(np.arange(cfg.n_params) % 2 == 0, 1.0, -1.0)
+        bound = hyp.holder_bound(cfg, corner)
+        assert bound == pytest.approx(value, rel=1e-15)
+        box = hyp.holder_bound(cfg, np.zeros(cfg.n_params), cfg.box_half)
+        assert box == pytest.approx(value, rel=1e-15)
+        est = estimate_holder_norm(hyp.make_generator(cfg, corner).apply, cfg.k,
+                                   cfg.alpha, dim=cfg.dim, resolution=res)
+        assert est.ck_norm == pytest.approx(bound, rel=1e-14)
+        # the third derivatives' quotient reads rounding only
+        assert est.total == pytest.approx(bound, abs=8.0 * EPS * (res - 1.0) ** 4)
 
 
 def test_box_collapses_near_k_one():

@@ -40,6 +40,16 @@ def test_training_sample_deterministic(uniform1):
     assert not np.array_equal(a.real_points, a.noise_points)
 
 
+def test_trial_size_cap_boundary():
+    # 2^23 points in 2D with a 2-member net hold 2^23 (4 + 4) = 2^26 floats
+    lr.check_trial_size(2**23, 2, 2)
+    with pytest.raises(ConfigInvalid, match="cap is 67108864"):
+        lr.check_trial_size(2**23 + 1, 2, 2)
+    # the README rate run and the bench fit2d_net run sit well below it
+    lr.check_trial_size(16384, 1, 16)
+    lr.check_trial_size(256, 2, 81)
+
+
 def test_training_sample_read_only(tilted):
     s = lr.make_training_sample(tilted, 8, seed=1)
     assert s.real_points.shape == (8, 1)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import density as density_mod
+from . import divergence
 from . import hypothesis as hyp_mod
 from . import learning
 from . import rosenblatt
@@ -43,6 +44,8 @@ _ALLOWED = {
 _MAX_N = 2**53
 # samples.csv holds at most 2^20 points, about 20 MB of text per axis
 _MAX_SAMPLE = 1 << 20
+# rows per repr call in samples.csv; a block's tokens set the writer's memory peak
+_CSV_BLOCK = 1024
 _REQUIRED = {
     "sample": {"target", "n", "seed"},
     "density": {"target"},
@@ -206,12 +209,13 @@ def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:
 
 
 def _build_model(rc: RunConfig, with_net: bool = True) -> tuple:
-    """Target, hypothesis config and net; bad dims and trial sizes fail first."""
+    """Target, hypothesis config and net; bad dims, grids and trial sizes fail first."""
     target = _build_target(rc.target, rc.resolution)
     if isinstance(rc.hypothesis, dict) and rc.hypothesis.get("dim", target.dim) != target.dim:
         raise ConfigInvalid(f"hypothesis dim {rc.hypothesis['dim']!r} differs from "
                             f"target dim {target.dim}")
     config = _build_hypothesis(rc.hypothesis)
+    divergence.eval_resolution(config.dim)
     net = hyp_mod.build_eps_net(config, rc.epsilon) if with_net else None
     learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim,
                               net.cardinality if net else 1)
@@ -224,11 +228,13 @@ def _out_path(rc: RunConfig, name: str) -> str:
 
 
 def _samples_csv(points: np.ndarray) -> str:
+    # repr of a float list is float.__repr__ of each item: per-value repr bytes
     d = points.shape[1]
-    lines = [",".join(f"y{i + 1}" for i in range(d))]
-    for row in points:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    blocks = [",".join(f"y{i + 1}" for i in range(d))]
+    for lo in range(0, len(points), _CSV_BLOCK):
+        tokens = repr(points[lo:lo + _CSV_BLOCK].ravel().tolist())[1:-1].split(", ")
+        blocks.append("\n".join(map(",".join, zip(*[iter(tokens)] * d))))
+    return "\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

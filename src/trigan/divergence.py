@@ -40,13 +40,19 @@ class DiscriminatorFn:
         return self.evaluator(points)
 
 
-@lru_cache(maxsize=8)
-def eval_grid(dim: int):
-    """The shared evaluation nodes and their tensor Simpson weights."""
+def eval_resolution(dim: int) -> int:
+    """Nodes per axis of the shared evaluation grid; refuses grids past the cap."""
     resolution = 129 if dim <= 2 else 33
     if resolution ** dim > _MAX_GRID_NODES:
         raise ConfigInvalid(f"dim {dim} needs a {resolution}^{dim} evaluation grid, "
                             f"cap is {_MAX_GRID_NODES} nodes")
+    return resolution
+
+
+@lru_cache(maxsize=8)
+def eval_grid(dim: int):
+    """The shared evaluation nodes and their tensor Simpson weights."""
+    resolution = eval_resolution(dim)
     pts = grid_points(dim, resolution)
     w1 = axis_weights(resolution, "simpson")
     w = np.ones(1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,6 +333,7 @@ def sampling_error_values(config: HypothesisConfig, target, net: EpsNet,
     if workers <= 1:
         vals = [_sampling_trial(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             vals = list(pool.map(_sampling_trial, tasks, chunksize=8))
     return np.asarray(vals, dtype=np.float64)

@@ -2,20 +2,25 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import trigan
 import trigan.bounds as bd
 import trigan.hypothesis as hyp
 from trigan import rng
-from trigan.cli import RunConfig, build_run_config, main
+from trigan.cli import _CSV_BLOCK, RunConfig, _samples_csv, build_run_config, main
 from trigan.density import load_density
 from trigan.errors import ConfigInvalid
 
@@ -126,6 +131,66 @@ def test_sample_rerun_byte_identical(tmp_path, monkeypatch):
     assert main(["sample", "--config", cfg, "--out", "b", "--threads", "2"]) == 0
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
         (tmp_path / "b" / "samples.csv").read_bytes()
+
+
+def _samples_csv_oracle(points):
+    """The per-value formatter: one repr(float(v)) for each coordinate."""
+    d = points.shape[1]
+    lines = [",".join(f"y{i + 1}" for i in range(d))]
+    lines += [",".join(repr(float(v)) for v in row) for row in points]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3000]),
+       dim=st.integers(1, 4),
+       values=st.lists(st.sampled_from(_CSV_VALUES)
+                       | st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=64))
+@example(rows=3000, dim=4, values=_CSV_VALUES)
+@example(rows=_CSV_BLOCK + 1, dim=3, values=_CSV_VALUES)
+def test_samples_csv_matches_per_value_repr(rows, dim, values):
+    points = np.resize(np.asarray(values, dtype=np.float64), (rows, dim))
+    got, want = _samples_csv(points), _samples_csv_oracle(points)
+    # a plain bool keeps pytest from diffing megabyte strings on failure
+    same = got == want
+    assert same, next((g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w)
+
+
+# SHA-256 of samples.csv; its bytes stay fixed across versions
+@pytest.mark.parametrize("cfg,digest", [
+    ({"target": {"family": "coupled", "dim": 2, "resolution": 33, "params": {"a": 0.8}},
+      "n": 3000, "seed": 7},
+     "ed6d12ec2231d03b6accd5d85059799f8f0affff7b62e38bab6a89124de43663"),
+    ({"target": {"family": "tilted"}, "n": 2049, "seed": 11},
+     "b435ac2e7f76d413a62098349e53606ac84231ec5df6f3f24e3bb2dec32bfe20"),
+    ({"target": {"family": "product", "dim": 3}, "n": 1025, "seed": 5},
+     "fd25b43a99e1db405526356a4bdc418cbec52e98b06af289236a748220fa2411"),
+    # the bench's sample2d invocation
+    ({"target": {"family": "coupled", "params": {"a": 0.8}}, "resolution": 129,
+      "n": 65536, "seed": 7},
+     "7109abbe831f55ef2824c0e237427626c9edb65181ae252ba34b68739b2fcc3f"),
+], ids=["coupled2d", "tilted", "product3d", "sample2d"])
+def test_samples_csv_bytes_pinned(tmp_path, cfg, digest):
+    path = write_cfg(tmp_path, "s.json", cfg)
+    assert main(["sample", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    data = (tmp_path / "o" / "samples.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_cli_import_loads_no_process_pool():
+    # single-worker runs never pay for the pool's modules
+    src = os.path.dirname(os.path.dirname(trigan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, trigan.cli; print([m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_density_roundtrip(tmp_path, monkeypatch):
@@ -386,11 +451,15 @@ def test_non_finite_config_number(tmp_path, capsys, raw):
     ("bounds", {"hypothesis": {**HYP, "dim": 10**400}}),
     ("bounds", {"hypothesis": {**HYP, "k": 2**53 + 1}}),
     # refused for a 17^6 probe grid, and the 5-D fit for its 33^5 evaluation grid
+    # before any point is drawn
     ("bounds", {"hypothesis": {**HYP, "dim": 6}}),
     ("fit", {"target": {"family": "uniform", "dim": 5, "resolution": 9},
              "hypothesis": {**HYP, "dim": 5}, "n": 16, "seed": 1}),
 ])
-def test_nested_spec_rejected(tmp_path, capsys, command, patch):
+def test_nested_spec_rejected(tmp_path, monkeypatch, capsys, command, patch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(rng, "uniforms", no_draw)
     base = {"target": {"family": "uniform"}, "n": 4, "seed": 1} if command == "sample" \
         else {"hypothesis": HYP, "n": 10}
     cfg = write_cfg(tmp_path, "c.json", {**base, **patch})

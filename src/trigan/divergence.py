@@ -16,6 +16,7 @@ tree order, independent of worker counts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +39,28 @@ class DiscriminatorFn:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluator(points)
+
+
+@dataclass(frozen=True)
+class PairDiscriminator:
+    """Ratio discriminator f_a / (f_a + f_b) of two pushforward densities.
+
+    pushforwards holds f_a and f_b, or f_a alone when both members realize
+    the same map and the discriminator is the constant 1/2. Losses against
+    it are entries of pair_losses, the kernel of the loss cubes.
+    """
+
+    pushforwards: tuple
+    lower: float
+    upper: float
+
+    def densities(self, points: np.ndarray) -> np.ndarray:
+        """(h, N): row a is pushforwards[a] at the points, h = 1 or 2."""
+        return np.stack([f.evaluate(points) for f in self.pushforwards])
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        f = self.densities(points)
+        return f[0] / (f[0] + f[-1])
 
 
 def eval_resolution(dim: int) -> int:
@@ -142,9 +165,14 @@ def _density_range(obj):
     return None
 
 
-def theoretical_loss(f_mu, f_phi, disc: DiscriminatorFn | Callable) -> float:
-    """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid."""
+def theoretical_loss(f_mu, f_phi,
+                     disc: DiscriminatorFn | PairDiscriminator | Callable) -> float:
+    """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid;
+    a pair discriminator's loss is its pair_losses entry."""
     pts, w, fv, gv = _renormalized_pair(f_mu, f_phi)
+    if isinstance(disc, PairDiscriminator):
+        dens = disc.densities(pts)
+        return float(pair_losses(0.5, dens, w * fv, dens, (w * gv)[None])[0, 0, -1])
     dv = np.asarray(disc(pts), dtype=np.float64)
     if np.any(dv <= 0.0) or np.any(dv >= 1.0) or not np.all(np.isfinite(dv)):
         raise DiscriminatorOutOfRange("discriminator left the open interval (0, 1)")
@@ -154,8 +182,61 @@ def theoretical_loss(f_mu, f_phi, disc: DiscriminatorFn | Callable) -> float:
 def loss_terms(scale, wy, dy, wx, dx):
     """scale * (sum wy log dy + sum over the last axis of wx log(1 - dx)),
     the adversarial loss at discriminator values dy (real) and dx (fake);
-    a leading axis on wx or dx gives one loss per generator."""
+    a leading axis on wx or dx gives one loss per generator. It serves
+    every discriminator given by its values, and the constant-1/2 entries
+    of pair_losses; ratio discriminators otherwise go through pair_losses."""
     return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
+
+
+def pair_losses(scale, fy, wy, fx, wx) -> np.ndarray:
+    """Cube L[g, a, b]: the loss of generator g against D_ab = f_a / (f_a + f_b),
+    over h distinct maps.
+
+    fy (h, N) holds f_a at the real-side points, with weights wy (a scalar
+    or (N,)). fx[a] is f_a at the fake-side points: (G, M), each generator's
+    own points, with a scalar wx, or (M,), points shared by the G = len(wx)
+    generators, with wx of shape (G, M). As log D_ab = log f_a - log(f_a +
+    f_b) and log(1 - D_ab) = log f_b - log(f_a + f_b),
+
+        L[g, a, b] = scale ((S[a] - T[a, b]) + (U[g, b] - V[g, a, b])),
+
+    where S and U are the weighted sums of log f, and T and V those of
+    log(f_a + f_b), which are symmetric in (a, b) and summed once per pair
+    a < b. Each row is reduced by np.sum along the sample axis in buffers
+    reused across rows, so one pair's entry is the same number in any cube
+    that holds the pair. D_aa is the constant 1/2, and L[g, a, a] is
+    loss_terms at 1/2. Raises NonPositiveDensity unless every density is
+    positive and finite.
+    """
+    h = fy.shape[0]
+    ybuf, xbuf = np.empty(fy.shape[1:]), np.empty(fx.shape[1:])
+    # shared fake-side points: each log row is weighted by every generator's wx
+    wbuf = np.empty((len(wx), fx.shape[-1])) if fx.ndim == 2 else xbuf
+
+    def y_sum(logs):
+        logs *= wy
+        return np.sum(logs)
+
+    def x_sums(logs, out):
+        np.sum(np.multiply(logs, wx, out=wbuf), axis=-1, out=out)
+
+    s_sum, t_sum = np.empty(h), np.zeros((h, h))
+    u_sum, v_sum = np.empty((wbuf.shape[0], h)), np.zeros((wbuf.shape[0], h, h))
+    # log f is finite for every f exactly when S and U are finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(h):
+            s_sum[a] = y_sum(np.log(fy[a], out=ybuf))
+            x_sums(np.log(fx[a], out=xbuf), u_sum[:, a])
+    if not (np.all(np.isfinite(s_sum)) and np.all(np.isfinite(u_sum))):
+        raise NonPositiveDensity("a density is not positive and finite at a sample point")
+    for a, b in itertools.combinations(range(h), 2):
+        t_sum[a, b] = t_sum[b, a] = y_sum(np.log(np.add(fy[a], fy[b], out=ybuf), out=ybuf))
+        x_sums(np.log(np.add(fx[a], fx[b], out=xbuf), out=xbuf), v_sum[:, a, b])
+        v_sum[:, b, a] = v_sum[:, a, b]
+    out = scale * ((s_sum[:, None] - t_sum) + (u_sum[:, None, :] - v_sum))
+    half = loss_terms(scale, wy, np.full(fy.shape[-1], 0.5), wx, np.full(fx.shape[-1], 0.5))
+    out[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
+    return out
 
 
 LOG2 = math.log(2.0)

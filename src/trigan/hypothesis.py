@@ -37,7 +37,7 @@ import numpy as np
 from . import rng
 from .bounds import RhoMetricParams, discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, write_text_atomic
-from .divergence import DiscriminatorFn
+from .divergence import PairDiscriminator
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .rosenblatt import TriangularMap, pushforward_density
 
@@ -148,6 +148,12 @@ class _QuadBernstein(BernsteinComponent):
         # t + (w1 - w2) t (1 - t): endpoints and the neutral member are exact
         e = w[..., 0] - w[..., 1]
         return np.clip(t + e * t * (1.0 - t), 0.0, 1.0)
+
+    def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        w = self.weights(np.asarray(prefix, dtype=np.float64))
+        # 2 (w1 B_{0,1} + w2 B_{1,1}), with the generic sum's arithmetic
+        return w[..., 0] * (2.0 * (1.0 - t)) + w[..., 1] * (2.0 * t)
 
     def inverse_exact(self, prefix: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
@@ -389,22 +395,18 @@ def bound_constants_finite(dim: int, K: float) -> bool:
     return log_top < math.log(np.finfo(np.float64).max)
 
 
-def make_discriminator(config: HypothesisConfig, params_a, params_b) -> DiscriminatorFn:
+def make_discriminator(config: HypothesisConfig, params_a, params_b) -> PairDiscriminator:
     """Ratio discriminator f_a / (f_a + f_b) of two member pushforwards.
 
-    Identical parameters give the constant-1/2 discriminator bitwise, since
-    x/(x + x) rounds to exactly 0.5 for every positive float x.
+    Two members that realize the same map give the constant-1/2
+    discriminator bitwise, since x/(x + x) rounds to exactly 0.5 for every
+    positive float x; it keeps one pushforward.
     """
-    f_a = pushforward_density(make_generator(config, params_a))
-    f_b = pushforward_density(make_generator(config, params_b))
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        fa = f_a.evaluate(x)
-        fb = f_b.evaluate(x)
-        return fa / (fa + fb)
-
+    gens = [make_generator(config, params_a), make_generator(config, params_b)]
+    keep, _ = distinct_members(gens)
     b1, b2 = discriminator_constants(config.dim, config.K)
-    return DiscriminatorFn(evaluator=evaluator, lower=b1, upper=b2)
+    return PairDiscriminator(pushforwards=tuple(pushforward_density(gens[i]) for i in keep),
+                             lower=b1, upper=b2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,15 @@ empirical cube only.
 Lattice nets hold many members that realize the same map (see
 distinct_members in the hypothesis module). Both cubes are filled over the
 distinct maps once and expanded to the nominal net by index arrays, so the
-net, its cardinality and every cube keep all members.
+net, its cardinality and every cube keep all members. The rate experiment
+builds the distinct maps once and hands them to every trial.
 
-Single losses and matrix entries are the same divergence.loss_terms call
-on the same numbers, so they agree bitwise.
+The cubes are filled in the log domain (divergence.pair_losses): with
+log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
+log(f_a + f_b), the loss is a sum of per-map and per-pair sums of logs,
+each computed once. A single loss against a pair discriminator
+(hypothesis.make_discriminator) is the same kernel on a cube of its one or
+two maps, so it equals the cube entry bitwise.
 
 Trials are independent by construction: trial t draws its real and noise
 points from counter-RNG streams keyed (seed, stream(kind, t)), so any
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import bounds, rng
 from .density import GridDensity
-from .divergence import eval_grid, js_divergence, loss_terms
+from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
 from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_members,
                          family_delta1, make_discriminator, make_generator,
@@ -104,8 +109,12 @@ def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> Train
 
 
 def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> float:
-    """(1/2n) sum log D(Y_i) + (1/2n) sum log(1 - D(phi(Z_i)))."""
+    """(1/2n) sum log D(Y_i) + (1/2n) sum log(1 - D(phi(Z_i))); a pair
+    discriminator's loss is its pair_losses entry."""
     fake = generator.apply(sample.noise_points)
+    if isinstance(disc, PairDiscriminator):
+        fy, fx = disc.densities(sample.real_points), disc.densities(fake)[:, None]
+        return float(pair_losses(1.0 / (2.0 * sample.n), fy, 1.0, fx, 1.0)[0, 0, -1])
     dy = np.asarray(disc(sample.real_points), dtype=np.float64)
     dx = np.asarray(disc(fake), dtype=np.float64)
     for vals in (dy, dx):
@@ -133,28 +142,12 @@ def _densities_at(maps, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_losses(group, scale, fy, wy, fx, wx) -> np.ndarray:
-    """Cube L[g, a, b]: the loss of member g against D_ab = f_a / (f_a + f_b).
-
-    The arrays cover the distinct maps only (group[m] is member m's map):
-    fy[h] is f_h at the real-side points, fx[h] at the fake-side points
-    (with a leading generator axis where the generators' points differ).
-    Each distinct (a, b) is computed once for all distinct generators,
-    then expanded to the members. D_aa is the constant-1/2 discriminator,
-    so the inner max is defined even for singleton nets.
-    """
-    h = len(fy)
-    out = np.empty((h, h, h))
-    for a, b in np.ndindex(h, h):
-        out[:, a, b] = loss_terms(scale, wy, fy[a] / (fy[a] + fy[b]),
-                                  wx, fx[a] / (fx[a] + fx[b]))
-    return out[np.ix_(group, group, group)]
-
-
-def pair_loss_matrix(config: HypothesisConfig, target, vectors) -> np.ndarray:
+def pair_loss_matrix(config: HypothesisConfig, target, vectors, *,
+                     distinct: tuple | None = None) -> np.ndarray:
     """Theoretical loss cube L[g, a, b] of the members against every D_ab;
-    each density is renormalized by its own quadrature mass."""
-    maps, group = _distinct_maps(config, vectors)
+    each density is renormalized by its own quadrature mass. distinct, when
+    given, is _distinct_maps(config, vectors), built once by the caller."""
+    maps, group = distinct or _distinct_maps(config, vectors)
     pts, w = eval_grid(config.dim)
     dens = _densities_at(maps, pts)
     tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
@@ -162,24 +155,28 @@ def pair_loss_matrix(config: HypothesisConfig, target, vectors) -> np.ndarray:
         raise ConfigInvalid("target density must be positive on the grid")
     w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
     w_gen *= w
-    return _pair_losses(group, 0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
+    losses = pair_losses(0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
+    return losses[np.ix_(group, group, group)]
 
 
-def empirical_pair_matrix(config: HypothesisConfig, vectors,
-                          sample: TrainingSample) -> np.ndarray:
+def empirical_pair_matrix(config: HypothesisConfig, vectors, sample: TrainingSample, *,
+                          distinct: tuple | None = None) -> np.ndarray:
     """Empirical loss cube L[g, a, b] of the members on one sample.
 
     Each distinct map's density is evaluated once at the real points and
-    once at all distinct maps' fake points, concatenated.
+    once at all distinct maps' fake points, concatenated. distinct, when given,
+    is _distinct_maps(config, vectors), built once by the caller.
     """
-    maps, group = _distinct_maps(config, vectors)
+    maps, group = distinct or _distinct_maps(config, vectors)
     c, n = len(maps), sample.n
     fakes = np.empty((c * n, sample.noise_points.shape[1]))
     for g, gen in enumerate(maps):
         fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+    # fx[a, g] is f_a at generator g's fakes
     fx = _densities_at(maps, fakes).reshape(c, c, n)
     fy = _densities_at(maps, sample.real_points)
-    return _pair_losses(group, 1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
+    losses = pair_losses(1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
+    return losses[np.ix_(group, group, group)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +300,9 @@ class SamplingErrorSummary:
 
 
 def _sampling_trial(args) -> float:
-    config, sampler, vectors, n, seed, trial, losses = args
-    emp = empirical_pair_matrix(config, vectors, _draw_sample(sampler, n, seed, trial))
+    config, sampler, vectors, distinct, n, seed, trial, losses = args
+    emp = empirical_pair_matrix(config, vectors, _draw_sample(sampler, n, seed, trial),
+                                distinct=distinct)
     return float(np.abs(emp - losses).max())
 
 
@@ -315,19 +313,23 @@ def _worker_count(threads: int, trials: int) -> int:
 
 def sampling_error_values(config: HypothesisConfig, target, net: EpsNet,
                           n: int, trials: int, seed: int, threads: int = 1,
-                          losses: np.ndarray | None = None) -> np.ndarray:
+                          losses: np.ndarray | None = None,
+                          distinct: tuple | None = None) -> np.ndarray:
     """Per-trial sup |empirical - theoretical| over the net and its pairs.
 
     Results are indexed by trial and independent of the worker count.
+    losses and distinct, when given, are the net's theoretical cube and
+    _distinct_maps, built once by the caller.
     """
     if not 1 <= trials <= 1 << 56:
         # trial indices past 2**56 overflow the 64-bit RNG stream key
         raise ConfigInvalid("trials must be in [1, 2**56]")
     vectors = net.vectors
+    distinct = distinct or _distinct_maps(config, vectors)
     if losses is None:
-        losses = pair_loss_matrix(config, target, vectors)
+        losses = pair_loss_matrix(config, target, vectors, distinct=distinct)
     sampler = target_sampler(target)
-    tasks = [(config, sampler, vectors, n, seed, t, losses)
+    tasks = [(config, sampler, vectors, distinct, n, seed, t, losses)
              for t in range(trials)]
     workers = _worker_count(threads, trials)
     if workers <= 1:
@@ -396,7 +398,8 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
-    losses = pair_loss_matrix(config, target, net.vectors)
+    distinct = _distinct_maps(config, net.vectors)
+    losses = pair_loss_matrix(config, target, net.vectors, distinct=distinct)
 
     warnings = []
     if config.regular:
@@ -410,7 +413,7 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     rows = []
     for n in n_grid:
         vals = sampling_error_values(config, target, net, n, trials, seed,
-                                     threads, losses=losses)
+                                     threads, losses=losses, distinct=distinct)
         summ = _summarize(n, vals)
         if config.regular:
             bound = full_c / math.sqrt(n)

@@ -13,7 +13,7 @@ import pytest
 
 from trigan import divergence as dv
 from trigan import rosenblatt as rb
-from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange
+from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 
 # mpmath oracle, 30 digits, frozen
 KL_UNIFORM_TILTED = 0.019170746988273763
@@ -118,3 +118,41 @@ def test_eval_grid_weights_sum_to_one():
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-13)
     pts3, w3 = dv.eval_grid(3)
     assert pts3.shape == (33**3, 3)
+
+
+def _random_pair_inputs(gen, h, count, n, shared):
+    fy = gen.uniform(0.2, 3.0, (h, n))
+    if shared:
+        fx = gen.uniform(0.2, 3.0, (h, n))
+        return fy, gen.random(n), fx, gen.random((count, n))
+    return fy, 1.0, gen.uniform(0.2, 3.0, (h, count, n)), 1.0
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_pair_losses_match_ratio_formula(shared):
+    """The log-domain cube is loss_terms at D_ab = f_a / (f_a + f_b), to
+    rounding, and exactly loss_terms at 1/2 on the diagonal."""
+    gen = np.random.default_rng(71)
+    h, count, n = 4, 3, 257
+    fy, wy, fx, wx = _random_pair_inputs(gen, h, count, n, shared)
+    cube = dv.pair_losses(0.25, fy, wy, fx, wx)
+    assert cube.shape == (count, h, h)
+    for a in range(h):
+        for b in range(h):
+            direct = dv.loss_terms(0.25, wy, fy[a] / (fy[a] + fy[b]),
+                                   wx, fx[a] / (fx[a] + fx[b]))
+            if a == b:
+                assert np.array_equal(cube[:, a, b], np.broadcast_to(direct, (count,)))
+            else:
+                assert np.allclose(cube[:, a, b], direct, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("side", ["real", "fake"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_pair_losses_reject_bad_density(bad, side, shared):
+    gen = np.random.default_rng(72)
+    fy, wy, fx, wx = _random_pair_inputs(gen, 3, 2, 9, shared)
+    (fy if side == "real" else fx)[1, ..., 4] = bad
+    with pytest.raises(NonPositiveDensity):
+        dv.pair_losses(0.5, fy, wy, fx, wx)

@@ -228,6 +228,18 @@ def test_certification(cfg1, cfg2):
             assert hyp.certify_member(cfg, vec).certified
 
 
+@given(prefix_dim=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_quad_partial_matches_generic(prefix_dim, seed):
+    """The degree-2 closed-form partial is the generic Bernstein sum, bitwise."""
+    gen = np.random.default_rng(seed)
+    theta, coupling = gen.uniform(-1.0, 1.0, 2), gen.uniform(-1.0, 1.0, (2, prefix_dim))
+    prefix = gen.random((257, prefix_dim))
+    t = np.concatenate([[0.0, 1.0, 0.5], gen.random(254)])
+    quad = hyp._QuadBernstein(degree=2, theta=theta, coupling=coupling)
+    generic = hyp.BernsteinComponent(degree=2, theta=theta, coupling=coupling)
+    assert np.array_equal(quad.partial(prefix, t), generic.partial(prefix, t))
+
+
 # ---------------------------------------------------------------------------
 # discriminators
 

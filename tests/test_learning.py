@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trigan.divergence as dv
 import trigan.hypothesis as hyp
@@ -120,6 +122,75 @@ def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
                 pf = ros.pushforward_density(gen)
                 assert L[g, a, b] == dv.theoretical_loss(uniform1, pf, disc)
                 assert E[g, a, b] == lr.empirical_loss(disc, gen, s)
+
+
+@settings(max_examples=16)
+@given(dim=st.integers(1, 2), degree=st.integers(2, 3), coupling=st.integers(0, 1),
+       members=st.integers(1, 3), n=st.sampled_from([1, 3, 17, 101]),
+       seed=st.integers(0, 2**16))
+def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, members, n,
+                                   seed):
+    """Every cube entry equals its single theoretical_loss/empirical_loss,
+    bitwise, across families, small nets and odd n. A 2D degree-3 member
+    solves its grid by bisection (about 0.3 s a map), so there one drawn
+    theoretical entry is checked."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, degree=degree,
+                          coupling_degree=coupling)
+    target = tilted if dim == 1 else coupled
+    V = list(hyp.random_box_params(cfg, members, seed=seed))
+    # a copy of the first member with its first theta block recentred: the
+    # same map up to the rounding of the centring
+    theta = cfg.blocks()[0][0]
+    V.append(V[0].copy())
+    V[-1][theta] -= 0.5 * (V[0][theta].max() + V[0][theta].min())
+    L = lr.pair_loss_matrix(cfg, target, V)
+    s = lr.make_training_sample(target, n, seed=seed)
+    E = lr.empirical_pair_matrix(cfg, V, s)
+    c = len(V)
+    assert L.shape == E.shape == (c, c, c)
+    gens = [hyp.make_generator(cfg, v) for v in V]
+    for a in range(c):
+        for b in range(c):
+            disc = hyp.make_discriminator(cfg, V[a], V[b])
+            for g in range(c):
+                assert E[g, a, b] == lr.empirical_loss(disc, gens[g], s)
+    entries = (list(np.ndindex(c, c, c)) if dim == 1 or degree == 2
+               else [tuple(np.random.default_rng(seed).integers(c, size=3))])
+    for g, a, b in entries:
+        disc = hyp.make_discriminator(cfg, V[a], V[b])
+        pf = ros.pushforward_density(gens[g])
+        assert L[g, a, b] == dv.theoretical_loss(target, pf, disc)
+
+
+@settings(max_examples=20)
+@given(dim=st.integers(1, 2), coupling=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_same_map_pair_is_constant_half(uniform1, product2, dim, coupling, seed):
+    """Two different vectors that realize one map give exactly the
+    constant-1/2 discriminator, and exactly its losses."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
+    gen = np.random.default_rng(seed)
+    # dyadic entries, so centring a degree-2 block is exact before and after
+    # a shift of a whole theta block or coupling column
+    step = 2.0 ** -12
+    k = int(0.5 * cfg.box_half / step)
+    v = step * gen.integers(-k, k + 1, cfg.n_params)
+    w = v.copy()
+    for theta, coup in cfg.blocks():
+        w[theta] += step * gen.integers(-k, k + 1)
+        cols = w[coup].reshape(2, -1)
+        w[coup] = (cols + step * gen.integers(-k, k + 1, cols.shape[1])).ravel()
+    assume(not np.array_equal(v, w))
+    disc = hyp.make_discriminator(cfg, v, w)
+    assert len(disc.pushforwards) == 1
+    target = uniform1 if dim == 1 else product2
+    s = lr.make_training_sample(target, 33, seed=seed % 1000)
+    assert np.all(disc(s.real_points) == 0.5)
+    half = dv.DiscriminatorFn(evaluator=lambda p: np.full(len(p), 0.5), lower=0.5,
+                              upper=0.5)
+    g = hyp.make_generator(cfg, gen.permutation([v, w])[0])
+    pf = ros.pushforward_density(g)
+    assert lr.empirical_loss(disc, g, s) == lr.empirical_loss(half, g, s)
+    assert dv.theoretical_loss(target, pf, disc) == dv.theoretical_loss(target, pf, half)
 
 
 def test_net_pair_at_matrix_cap(cfg1, uniform1):

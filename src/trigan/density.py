@@ -6,8 +6,7 @@ multilinear interpolant of those values. Quadrature, marginals, the
 prefix-marginal tables and mollification all operate on that interpolant:
 
 * composite trapezoid quadrature integrates the interpolant exactly, which
-  keeps storage and integration mutually consistent; Simpson is selectable
-  for smooth integrands,
+  keeps storage and integration mutually consistent,
 * the prefix-marginal tables integrate out trailing axes with trapezoid
   weights; the triangular maps of the rosenblatt module turn them into
   piecewise-quadratic conditional CDFs,
@@ -30,8 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
-
-QUAD_RULES = ("trapezoid", "simpson")
 
 # default dimension of each named family
 _FAMILY_DIM = {"uniform": 1, "tilted": 1, "product": 2, "coupled": 2,
@@ -59,18 +56,13 @@ class GridDensity:
     dim: int
     resolution: int
     values: np.ndarray
-    quad_rule: str = "trapezoid"
     kappa: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigInvalid(f"dim must be >= 1, got {self.dim}")
-        if self.quad_rule not in QUAD_RULES:
-            raise ConfigInvalid(f"quad_rule must be one of {QUAD_RULES}")
         if self.resolution < 2:
             raise ConfigInvalid("resolution must be >= 2")
-        if self.quad_rule == "simpson" and self.resolution % 2 == 0:
-            raise ConfigInvalid("simpson rule needs an odd number of nodes per axis")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.resolution,) * self.dim:
             raise ConfigInvalid(
@@ -188,16 +180,15 @@ def normalize(density: GridDensity) -> GridDensity:
     if np.any(density.values <= 0.0):
         raise NonPositiveDensity("cannot normalize a density with nonpositive values")
     mass = integrate(density, [(0.0, 1.0)] * density.dim)
-    return GridDensity(density.dim, density.resolution,
-                       density.values / mass, density.quad_rule)
+    return GridDensity(density.dim, density.resolution, density.values / mass)
 
 
 def integrate(density: GridDensity, box: Sequence) -> float:
     """Integral of the density over an axis-aligned box.
 
-    Full axes use the density's quadrature rule; partial axes integrate the
-    piecewise-linear interpolant exactly, so trapezoid-rule densities get
-    exact sub-box integrals of their multilinear interpolant.
+    Full axes use trapezoid weights and partial axes integrate the
+    piecewise-linear interpolant exactly, so every sub-box integral of the
+    multilinear interpolant is exact.
     """
     box = np.asarray(box, dtype=np.float64)
     if box.shape != (density.dim, 2):
@@ -212,7 +203,7 @@ def integrate(density: GridDensity, box: Sequence) -> float:
     for j in range(density.dim - 1, -1, -1):
         a, b = box[j]
         if a == 0.0 and b == 1.0:
-            w = axis_weights(m, density.quad_rule)
+            w = axis_weights(m, "trapezoid")
         else:
             w = _axis_weights_box(m, a, b)
         acc = _contract_trailing(acc, w)
@@ -224,18 +215,17 @@ def marginal(density: GridDensity, keep_axes: int) -> GridDensity:
     if not 1 <= keep_axes <= density.dim:
         raise ConfigInvalid(f"keep_axes must be in 1..{density.dim}")
     acc = density.values
-    w = axis_weights(density.resolution, density.quad_rule)
+    w = axis_weights(density.resolution, "trapezoid")
     for _ in range(density.dim - keep_axes):
         acc = _contract_trailing(acc, w)
-    return GridDensity(keep_axes, density.resolution, acc, density.quad_rule)
+    return GridDensity(keep_axes, density.resolution, acc)
 
 
 def prefix_marginal_tables(density: GridDensity) -> list[np.ndarray]:
     """Trapezoid marginal value tables [V_1, ..., V_d], V_j of rank j.
 
     V_d is the stored values array and V_{j-1} is V_j with its last axis
-    integrated out by trapezoid weights. Trapezoid is used regardless of the
-    density's quadrature rule because it is the rule that commutes with the
+    integrated out by trapezoid weights, the rule that commutes with the
     multilinear storage model; the conditional-density machinery built on
     these tables then reproduces the stored interpolant exactly.
     """
@@ -275,7 +265,7 @@ def mollify(density: GridDensity, sigma: float) -> GridDensity:
             out += kernel[o] * np.roll(core, o, axis=ax)
         core = out
     full = np.pad(core, [(0, 1)] * density.dim, mode="wrap")
-    return normalize(GridDensity(density.dim, m, full, density.quad_rule))
+    return normalize(GridDensity(density.dim, m, full))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ def _mesh(dim: int, m: int) -> np.ndarray:
 
 
 def make_density(name: str, dim: int | None = None, resolution: int | None = None,
-                 quad_rule: str = "trapezoid", params: dict | None = None) -> GridDensity:
+                 params: dict | None = None) -> GridDensity:
     """Build one of the named analytic families, normalized.
 
     Families: "uniform" (any dim), "tilted" ((2/3)(1+y), 1D), "product"
@@ -308,13 +298,13 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     params = dict(params or {})
     if name == "uniform":
         _reject_unknown(params, set(), name)
-        return GridDensity(d, m, np.ones((m,) * d), quad_rule)
+        return GridDensity(d, m, np.ones((m,) * d))
     if name == "tilted":
         if d != 1:
             raise ConfigInvalid("tilted family is one-dimensional")
         _reject_unknown(params, set(), name)
         y = np.linspace(0.0, 1.0, m)
-        return normalize(GridDensity(1, m, (2.0 / 3.0) * (1.0 + y), quad_rule))
+        return normalize(GridDensity(1, m, (2.0 / 3.0) * (1.0 + y)))
     if name == "product":
         if d < 2:
             raise ConfigInvalid("product family needs dim >= 2")
@@ -323,7 +313,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
         vals = np.ones((m,) * d)
         for g in grids:
             vals = vals * (2.0 / 3.0) * (1.0 + g)
-        return normalize(GridDensity(d, m, vals, quad_rule))
+        return normalize(GridDensity(d, m, vals))
     if name == "coupled":
         if d != 2:
             raise ConfigInvalid("coupled family is two-dimensional")
@@ -333,7 +323,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
             raise NonPositiveDensity("coupled family needs a > -1 for positivity")
         y1, y2 = _mesh(2, m)
         vals = (1.0 + a * y1 * y2) / (1.0 + a / 4.0)
-        return normalize(GridDensity(2, m, vals, quad_rule))
+        return normalize(GridDensity(2, m, vals))
     # bimodal-mollified
     sigma = float(params.pop("sigma", 0.05))
     floor = float(params.pop("floor", 0.1))
@@ -344,7 +334,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     vals = np.ones((m,) * d)
     for g in grids:
         vals = vals * profile(g)
-    return mollify(normalize(GridDensity(d, m, vals, quad_rule)), sigma)
+    return mollify(normalize(GridDensity(d, m, vals)), sigma)
 
 
 def _reject_unknown(params: dict, allowed: set, name: str) -> None:
@@ -361,11 +351,14 @@ def density_to_dict(density: GridDensity) -> dict:
         "dim": density.dim,
         "resolution": density.resolution,
         "values": density.values.ravel().tolist(),
-        "quad_rule": density.quad_rule,
+        # integrals over the stored grid use trapezoid weights
+        "quad_rule": "trapezoid",
     }
 
 
-def density_from_dict(payload: dict) -> GridDensity:
+def density_from_dict(payload) -> GridDensity:
+    if not isinstance(payload, dict):
+        raise ConfigInvalid("a density must be a JSON object")
     required = {"dim", "resolution", "values", "quad_rule"}
     unknown = set(payload) - required
     if unknown:
@@ -373,11 +366,26 @@ def density_from_dict(payload: dict) -> GridDensity:
     missing = required - set(payload)
     if missing:
         raise ConfigInvalid(f"missing density fields {sorted(missing)}")
-    d, m = int(payload["dim"]), int(payload["resolution"])
-    vals = np.asarray(payload["values"], dtype=np.float64)
-    if vals.size != m**d:
-        raise ConfigInvalid(f"values length {vals.size} != resolution^dim {m**d}")
-    return GridDensity(d, m, vals.reshape((m,) * d), str(payload["quad_rule"]))
+    for key in ("dim", "resolution"):
+        if isinstance(payload[key], bool) or not isinstance(payload[key], int):
+            raise ConfigInvalid(f"density {key} must be an integer")
+    d, m = payload["dim"], payload["resolution"]
+    if not 1 <= d <= _MAX_DIM or m < 2:
+        raise ConfigInvalid(f"density dim must lie in [1, {_MAX_DIM}] and resolution "
+                            f"be >= 2, got {d} and {m}")
+    if payload["quad_rule"] != "trapezoid":
+        raise ConfigInvalid("density quad_rule must be 'trapezoid'")
+    vals = payload["values"]
+    if not isinstance(vals, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+        raise ConfigInvalid("density values must be a flat list of numbers")
+    if len(vals) != m**d:
+        raise ConfigInvalid(f"values length {len(vals)} != resolution^dim {m**d}")
+    try:
+        arr = np.asarray(vals, dtype=np.float64)
+    except OverflowError:
+        raise NonPositiveDensity("density values must be finite") from None
+    return GridDensity(d, m, arr.reshape((m,) * d))
 
 
 def save_density(density: GridDensity, path: str) -> None:

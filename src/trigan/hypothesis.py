@@ -16,8 +16,8 @@ Jacobian from the parameter ranges alone; every other derivative is a
 Bernstein polynomial bounded by its coefficients (holder_bound). The
 parameter box is back-solved from the norm bound K: inside it the Jacobian
 range lies in [1/K, K] and the C^{k,alpha} norm is at most K, both certified
-in closed form with a safety margin. holder.estimate_holder_norm is the
-tests' oracle for the norm bound.
+in closed form with a safety margin. The finite-difference estimate
+estimate_holder_norm in tests/holder.py is the tests' oracle for the bound.
 
 Discriminators are the paired-generator ratios f_a / (f_a + f_b); their
 range constants depend only on (d, K).
@@ -106,7 +106,7 @@ class BernsteinComponent:
     coupling: np.ndarray   # (p, r) raw coupling block, r = prefix length used
     # the mean-centred blocks 1/p + (theta - mean theta) and (c - mean_i c):
     # the only parameters evaluation reads, so components with bitwise-equal
-    # ones are the same map bit for bit (see distinct_members)
+    # ones are the same map bit for bit (see distinct_maps)
     base: np.ndarray = field(init=False, repr=False, compare=False)
     centered: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -402,10 +402,9 @@ def make_discriminator(config: HypothesisConfig, params_a, params_b) -> PairDisc
     discriminator bitwise, since x/(x + x) rounds to exactly 0.5 for every
     positive float x; it keeps one pushforward.
     """
-    gens = [make_generator(config, params_a), make_generator(config, params_b)]
-    keep, _ = distinct_members(gens)
+    maps, _ = distinct_maps(config, (params_a, params_b))
     b1, b2 = discriminator_constants(config.dim, config.K)
-    return PairDiscriminator(pushforwards=tuple(pushforward_density(gens[i]) for i in keep),
+    return PairDiscriminator(pushforwards=tuple(pushforward_density(g) for g in maps),
                              lower=b1, upper=b2)
 
 
@@ -449,24 +448,26 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
     return EpsNet(epsilon=float(epsilon), members=members)
 
 
-def distinct_members(maps) -> tuple[np.ndarray, np.ndarray]:
-    """Group family members by the map they realize.
+def distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
+    """The distinct maps the members realize, and each member's map index.
 
-    Returns the index of the first member of each distinct map and, per
-    member, the position of its map in that list. Members are one map
-    exactly when every component's mean-centred blocks are bitwise equal;
-    lattice nets hold many such members, since shifting a whole theta block
-    (or coupling column) by a constant leaves the map unchanged.
+    Builds each member's generator once and keeps the first member of each
+    map; group[i] is the position of member i's map in the returned list.
+    Members are one map exactly when every component's mean-centred blocks
+    are bitwise equal; lattice nets hold many such members, since shifting
+    a whole theta block (or coupling column) by a constant leaves the map
+    unchanged.
     """
-    first, keep, group = {}, [], []
-    for i, gen in enumerate(maps):
+    first, maps, group = {}, [], []
+    for v in vectors:
+        gen = make_generator(config, v)
         key = tuple((comp.base.tobytes(), comp.centered.tobytes())
                     for comp in gen.components)
         if key not in first:
-            first[key] = len(keep)
-            keep.append(i)
+            first[key] = len(maps)
+            maps.append(gen)
         group.append(first[key])
-    return np.asarray(keep, dtype=np.intp), np.asarray(group, dtype=np.intp)
+    return maps, np.asarray(group, dtype=np.intp)
 
 
 def random_box_params(config: HypothesisConfig, count: int, seed: int,

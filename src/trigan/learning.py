@@ -3,16 +3,15 @@
 The population suprema over generator and discriminator spaces are taken
 over explicit finite nets here: a lattice net of generator members, and as
 discriminators the ratios D_ab = f_a / (f_a + f_b) of every ordered pair
-of members. Both loss matrices are (c, c, c) cubes L[g, a, b], the loss
-of member g against D_ab. The theoretical cube is computed once by
+of members. Lattice nets hold many members that realize the same map, so
+the net is first reduced to its distinct maps (hypothesis.distinct_maps),
+with group[i] the index of member i's map. Both loss matrices are (h, h, h)
+cubes L[g, a, b] over the h distinct maps, the loss of map g against D_ab;
+member i against the pair of members (j, k) reads L[group[i], group[j],
+group[k]]. Every maximum over members is the same maximum over maps, since
+each map is some member's. The theoretical cube is computed once by
 quadrature and reused across all Monte Carlo trials; per-trial work is the
 empirical cube only.
-
-Lattice nets hold many members that realize the same map (see
-distinct_members in the hypothesis module). Both cubes are filled over the
-distinct maps once and expanded to the nominal net by index arrays, so the
-net, its cardinality and every cube keep all members. The rate experiment
-builds the distinct maps once and hands them to every trial.
 
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
@@ -38,14 +37,14 @@ from . import bounds, rng
 from .density import GridDensity
 from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
-from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_members,
+from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_maps,
                          family_delta1, make_discriminator, make_generator,
                          member_params)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_density)
 
-# entries of one (c, c, c) loss cube, 8 MB of floats; admits nets of up
-# to 100 members
+# entries of a nominal (c, c, c) loss cube over c members, 8 MB of
+# floats; admits nets of up to 100 members
 _MATRIX_CAP = 1_000_000
 # floats of one trial: (n, d) real and noise points and the (c, c, n)
 # densities of a c-member net at the fake points; 512 MB
@@ -123,15 +122,14 @@ def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> fl
     return float(loss_terms(1.0 / (2.0 * sample.n), 1.0, dy, 1.0, dx))
 
 
-def _distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
-    """The distinct maps among the members, and each member's index into them."""
+def _net_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
+    """The net's distinct maps and each member's index into them; refuses a
+    net whose nominal (c, c, c) cube would exceed _MATRIX_CAP."""
     c = len(vectors)
     if c ** 3 > _MATRIX_CAP:
         raise NetTooLarge(f"a net of {c} members needs {c ** 3} loss-matrix entries, "
                           f"cap is {_MATRIX_CAP}")
-    maps = [make_generator(config, v) for v in vectors]
-    keep, group = distinct_members(maps)
-    return [maps[i] for i in keep], group
+    return distinct_maps(config, vectors)
 
 
 def _densities_at(maps, points: np.ndarray) -> np.ndarray:
@@ -142,32 +140,25 @@ def _densities_at(maps, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_loss_matrix(config: HypothesisConfig, target, vectors, *,
-                     distinct: tuple | None = None) -> np.ndarray:
-    """Theoretical loss cube L[g, a, b] of the members against every D_ab;
-    each density is renormalized by its own quadrature mass. distinct, when
-    given, is _distinct_maps(config, vectors), built once by the caller."""
-    maps, group = distinct or _distinct_maps(config, vectors)
-    pts, w = eval_grid(config.dim)
+def pair_loss_matrix(target, maps) -> np.ndarray:
+    """Theoretical loss cube L[g, a, b] of maps[g] against D_ab of maps a
+    and b; each density is renormalized by its own quadrature mass."""
+    pts, w = eval_grid(maps[0].dim)
     dens = _densities_at(maps, pts)
     tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
     if np.any(tgt <= 0.0):
         raise ConfigInvalid("target density must be positive on the grid")
     w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
     w_gen *= w
-    losses = pair_losses(0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
-    return losses[np.ix_(group, group, group)]
+    return pair_losses(0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
 
 
-def empirical_pair_matrix(config: HypothesisConfig, vectors, sample: TrainingSample, *,
-                          distinct: tuple | None = None) -> np.ndarray:
-    """Empirical loss cube L[g, a, b] of the members on one sample.
+def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
+    """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample.
 
-    Each distinct map's density is evaluated once at the real points and
-    once at all distinct maps' fake points, concatenated. distinct, when given,
-    is _distinct_maps(config, vectors), built once by the caller.
+    Each map's density is evaluated once at the real points and once at
+    all maps' fake points, concatenated.
     """
-    maps, group = distinct or _distinct_maps(config, vectors)
     c, n = len(maps), sample.n
     fakes = np.empty((c * n, sample.noise_points.shape[1]))
     for g, gen in enumerate(maps):
@@ -175,8 +166,7 @@ def empirical_pair_matrix(config: HypothesisConfig, vectors, sample: TrainingSam
     # fx[a, g] is f_a at generator g's fakes
     fx = _densities_at(maps, fakes).reshape(c, c, n)
     fy = _densities_at(maps, sample.real_points)
-    losses = pair_losses(1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
-    return losses[np.ix_(group, group, group)]
+    return pair_losses(1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +203,13 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample,
 
 def _minimax_net(config, target, sample, net) -> MinimaxResult:
     vectors = net.vectors
-    emp = empirical_pair_matrix(config, vectors, sample)
-    inner = emp.max(axis=(1, 2))
+    maps, group = _net_maps(config, vectors)
+    emp = empirical_pair_matrix(maps, sample)
+    inner = emp.max(axis=(1, 2))[group]
     best = int(np.argmin(inner))
-    top = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
+    # the nominal (c, c) slice, so a tie picks the same members as the full cube
+    pairs = emp[group[best]][np.ix_(group, group)]
+    top = np.unravel_index(np.argmax(pairs), pairs.shape)
     gen = make_generator(config, vectors[best])
     js = js_divergence(target, pushforward_density(gen))
     trace = tuple(f"member {g}: inner max {float(inner[g])!r}"
@@ -300,9 +293,8 @@ class SamplingErrorSummary:
 
 
 def _sampling_trial(args) -> float:
-    config, sampler, vectors, distinct, n, seed, trial, losses = args
-    emp = empirical_pair_matrix(config, vectors, _draw_sample(sampler, n, seed, trial),
-                                distinct=distinct)
+    sampler, maps, n, seed, trial, losses = args
+    emp = empirical_pair_matrix(maps, _draw_sample(sampler, n, seed, trial))
     return float(np.abs(emp - losses).max())
 
 
@@ -311,26 +303,18 @@ def _worker_count(threads: int, trials: int) -> int:
     return min(threads, trials, os.cpu_count() or 1)
 
 
-def sampling_error_values(config: HypothesisConfig, target, net: EpsNet,
-                          n: int, trials: int, seed: int, threads: int = 1,
-                          losses: np.ndarray | None = None,
-                          distinct: tuple | None = None) -> np.ndarray:
-    """Per-trial sup |empirical - theoretical| over the net and its pairs.
+def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
+                          seed: int, threads: int = 1) -> np.ndarray:
+    """Per-trial sup |empirical - theoretical| over the maps and their pairs.
 
-    Results are indexed by trial and independent of the worker count.
-    losses and distinct, when given, are the net's theoretical cube and
-    _distinct_maps, built once by the caller.
+    losses is pair_loss_matrix(target, maps). Results are indexed by trial
+    and independent of the worker count.
     """
     if not 1 <= trials <= 1 << 56:
         # trial indices past 2**56 overflow the 64-bit RNG stream key
         raise ConfigInvalid("trials must be in [1, 2**56]")
-    vectors = net.vectors
-    distinct = distinct or _distinct_maps(config, vectors)
-    if losses is None:
-        losses = pair_loss_matrix(config, target, vectors, distinct=distinct)
     sampler = target_sampler(target)
-    tasks = [(config, sampler, vectors, distinct, n, seed, t, losses)
-             for t in range(trials)]
+    tasks = [(sampler, maps, n, seed, t, losses) for t in range(trials)]
     workers = _worker_count(threads, trials)
     if workers <= 1:
         vals = [_sampling_trial(t) for t in tasks]
@@ -353,7 +337,9 @@ def _summarize(n: int, values: np.ndarray) -> SamplingErrorSummary:
 def estimate_sampling_error(config: HypothesisConfig, target, net: EpsNet,
                             n: int, trials: int, seed: int,
                             threads: int = 1) -> SamplingErrorSummary:
-    vals = sampling_error_values(config, target, net, n, trials, seed, threads)
+    maps, _ = _net_maps(config, net.vectors)
+    vals = sampling_error_values(target, maps, pair_loss_matrix(target, maps), n, trials,
+                                 seed, threads)
     return _summarize(n, vals)
 
 
@@ -398,8 +384,8 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
-    distinct = _distinct_maps(config, net.vectors)
-    losses = pair_loss_matrix(config, target, net.vectors, distinct=distinct)
+    maps, _ = _net_maps(config, net.vectors)
+    losses = pair_loss_matrix(target, maps)
 
     warnings = []
     if config.regular:
@@ -412,8 +398,7 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
 
     rows = []
     for n in n_grid:
-        vals = sampling_error_values(config, target, net, n, trials, seed,
-                                     threads, losses=losses, distinct=distinct)
+        vals = sampling_error_values(target, maps, losses, n, trials, seed, threads)
         summ = _summarize(n, vals)
         if config.regular:
             bound = full_c / math.sqrt(n)

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .density import grid_points
-from .errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
+from trigan.density import grid_points
+from trigan.errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
 
 # all-pairs quotients stay below ~17M distance evaluations; 1D/2D oracle
 # grids (257, 33^2) fall under this, larger grids switch to strides

@@ -153,7 +153,8 @@ def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
     vecs = hyp.random_box_params(cfg1, 15, seed=606)
     combos = [(0, (1, 2)), (3, (4, 5)), (6, (7, 8)), (9, (10, 11)),
               (12, (13, 14))]
-    theo = ln.pair_loss_matrix(cfg1, tilted, vecs)
+    maps, group = hyp.distinct_maps(cfg1, vecs)
+    theo = ln.pair_loss_matrix(tilted, maps)[np.ix_(group, group, group)]
     worst = 0.0
     for gi, pair in combos:
         gen = hyp.make_generator(cfg1, vecs[gi])
@@ -175,13 +176,15 @@ def test_criterion_07_error_decomposition(tilted, cfg1):
     """0 <= inner(g_hat) - inner(g_star) <= 2 eps_hat per trial; the 1e-13
     cushion absorbs float roundoff in the two matrix reductions."""
     net = hyp.build_eps_net(cfg1, 0.05)
-    theo = ln.pair_loss_matrix(cfg1, tilted, net.vectors)
+    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    nominal = np.ix_(group, group, group)
+    theo = ln.pair_loss_matrix(tilted, maps)[nominal]
     inner_theo = theo.max(axis=(1, 2))
     star = float(inner_theo.min())
     ok, worst = True, -math.inf
     for t in range(100):
         sample = ln.make_training_sample(tilted, 128, seed=777, trial=t)
-        emp = ln.empirical_pair_matrix(cfg1, net.vectors, sample)
+        emp = ln.empirical_pair_matrix(maps, sample)[nominal]
         ghat = int(np.argmin(emp.max(axis=(1, 2))))
         gap = float(inner_theo[ghat]) - star
         eps_hat = float(np.abs(emp - theo).max())
@@ -211,7 +214,9 @@ def test_criterion_08_rate_reproduction(uniform1, cfg1):
 
 def test_criterion_09_concentration_dominance(uniform1, cfg1):
     net = hyp.build_eps_net(cfg1, 0.1)
-    vals = ln.sampling_error_values(cfg1, uniform1, net, 1024, 500, seed=4242)
+    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    vals = ln.sampling_error_values(uniform1, maps, ln.pair_loss_matrix(uniform1, maps),
+                                    1024, 500, seed=4242)
     threshold, prob = bd.thm54_threshold_and_prob(
         cfg1.dim, cfg1.alpha, cfg1.k, cfg1.K, 1024, 0.25,
         hyp.family_delta1(cfg1))

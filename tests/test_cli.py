@@ -213,6 +213,39 @@ def test_target_path_xor_family(tmp_path):
         _build_target({}, None)
 
 
+_GOOD_DENSITY = {"dim": 1, "resolution": 3, "quad_rule": "trapezoid", "values": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("payload", [
+    5,
+    {**_GOOD_DENSITY, "dim": "x"},
+    {**_GOOD_DENSITY, "values": ["a", 1, 1]},
+    {**_GOOD_DENSITY, "values": [[1, 1], [1]]},
+    {**_GOOD_DENSITY, "dim": 1.7},
+    {**_GOOD_DENSITY, "dim": True},
+    {**_GOOD_DENSITY, "quad_rule": "simpson"},
+], ids=["not-object", "dim-text", "value-text", "ragged", "dim-float", "dim-bool",
+        "simpson"])
+def test_malformed_density_file_refused(tmp_path, capsys, payload):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_cfg(tmp_path, "d.json", {"target": {"path": str(path)}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "o").exists()
+
+
+def test_density_file_value_past_float_range_refused(tmp_path, capsys):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({**_GOOD_DENSITY, "values": [10**400, 1, 1]}),
+                    encoding="utf-8")
+    cfg = write_cfg(tmp_path, "d.json", {"target": {"path": str(path)}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NonPositiveDensity"
+
+
 # ---------------------------------------------------------------------------
 # fit
 

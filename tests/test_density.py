@@ -78,12 +78,12 @@ def test_nonpositive_rejected():
     vals = np.ones((9, 9))
     vals[3, 4] = 0.0
     with pytest.raises(NonPositiveDensity):
-        dn.GridDensity(2, 9, vals, "trapezoid")
+        dn.GridDensity(2, 9, vals)
 
 
 def test_resolution_floor():
     with pytest.raises(ConfigInvalid):
-        dn.GridDensity(1, 1, np.ones(1), "trapezoid")
+        dn.GridDensity(1, 1, np.ones(1))
 
 
 def test_simpson_needs_odd_resolution():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trigan import holder
+import holder
 from trigan.errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
 
 

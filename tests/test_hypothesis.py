@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holder import estimate_holder_norm
 import trigan.hypothesis as hyp
 import trigan.rosenblatt as ros
 from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
-from trigan.holder import estimate_holder_norm
 
 EPS = np.finfo(np.float64).eps
 
@@ -326,12 +326,13 @@ def test_distinct_members(dim, coupling, eps, members, maps):
     cfg = hyp.make_config(dim, K=K, coupling_degree=coupling)
     net = hyp.build_eps_net(cfg, eps)
     gens = [hyp.make_generator(cfg, m) for m in net.members]
-    keep, group = hyp.distinct_members(gens)
-    assert (net.cardinality, len(keep)) == (members, maps)
-    assert np.array_equal(keep, [np.flatnonzero(group == h)[0] for h in range(maps)])
+    kept, group = hyp.distinct_maps(cfg, net.members)
+    keep = [np.flatnonzero(group == h)[0] for h in range(len(kept))]
+    assert (net.cardinality, len(kept)) == (members, maps)
+    assert [gen.meta for gen in kept] == [gens[i].meta for i in keep]
     pts = np.random.default_rng(31).random((257, dim))
-    kept_apply = [gens[i].apply(pts) for i in keep]
-    kept_dens = [ros.pushforward_density(gens[i]).evaluate(pts) for i in keep]
+    kept_apply = [gen.apply(pts) for gen in kept]
+    kept_dens = [ros.pushforward_density(gen).evaluate(pts) for gen in kept]
     for m, gen in enumerate(gens):
         assert np.array_equal(gen.apply(pts), kept_apply[group[m]])
         assert np.array_equal(ros.pushforward_density(gen).evaluate(pts),

@@ -109,9 +109,11 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
     # every entry, bitwise, also where 1/(2n) is not a power of two
     V = hyp.build_eps_net(cfg1, eps).vectors
-    L = lr.pair_loss_matrix(cfg1, uniform1, V)
+    maps, group = hyp.distinct_maps(cfg1, V)
+    nominal = np.ix_(group, group, group)
+    L = lr.pair_loss_matrix(uniform1, maps)[nominal]
     s = lr.make_training_sample(uniform1, n, seed=8)
-    E = lr.empirical_pair_matrix(cfg1, V, s)
+    E = lr.empirical_pair_matrix(maps, s)[nominal]
     c = len(V)
     assert L.shape == E.shape == (c, c, c)
     gens = [hyp.make_generator(cfg1, v) for v in V]
@@ -143,9 +145,11 @@ def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, membe
     theta = cfg.blocks()[0][0]
     V.append(V[0].copy())
     V[-1][theta] -= 0.5 * (V[0][theta].max() + V[0][theta].min())
-    L = lr.pair_loss_matrix(cfg, target, V)
+    maps, group = hyp.distinct_maps(cfg, V)
+    nominal = np.ix_(group, group, group)
+    L = lr.pair_loss_matrix(target, maps)[nominal]
     s = lr.make_training_sample(target, n, seed=seed)
-    E = lr.empirical_pair_matrix(cfg, V, s)
+    E = lr.empirical_pair_matrix(maps, s)[nominal]
     c = len(V)
     assert L.shape == E.shape == (c, c, c)
     gens = [hyp.make_generator(cfg, v) for v in V]
@@ -198,13 +202,15 @@ def test_net_pair_at_matrix_cap(cfg1, uniform1):
     # test_fit_net_over_matrix_cap refuses the next lattice, 121 members
     at_cap = hyp.build_eps_net(cfg1, 0.0125)
     assert at_cap.cardinality == 100
-    assert lr.pair_loss_matrix(cfg1, uniform1, at_cap.vectors).size == 10**6
+    maps, group = lr._net_maps(cfg1, at_cap.vectors)
+    assert lr.pair_loss_matrix(uniform1, maps)[np.ix_(group, group, group)].size == 10**6
 
 
 def test_diagonal_pairs_floor(cfg1, uniform1, net):
     # D_aa is constant 1/2: its empirical entries are exactly -log 2
     s = lr.make_training_sample(uniform1, 64, seed=5)
-    E = lr.empirical_pair_matrix(cfg1, net.vectors, s)
+    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    E = lr.empirical_pair_matrix(maps, s)[np.ix_(group, group, group)]
     diag = np.arange(net.cardinality)
     assert np.all(E[:, diag, diag] == -math.log(2.0))
 
@@ -255,15 +261,47 @@ def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net):
     assert again.achieved_value == base.achieved_value
 
 
+@pytest.mark.parametrize("dim,coupling,eps,members,maps", [
+    (1, 1, 0.03, 16, 7),
+    (2, 0, 0.07, 81, 25),
+])
+def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps, members,
+                                          maps):
+    """The per-member values read from the cube over distinct maps through
+    group equal those read from the cube expanded to every member."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
+    target = uniform1 if dim == 1 else product2
+    net = hyp.build_eps_net(cfg, eps)
+    kept, group = hyp.distinct_maps(cfg, net.vectors)
+    assert (net.cardinality, len(kept)) == (members, maps)
+    nominal = np.ix_(group, group, group)
+    s = lr.make_training_sample(target, 64, seed=12)
+    emp = lr.empirical_pair_matrix(kept, s)[nominal]
+    inner = emp.max(axis=(1, 2))
+    best = int(np.argmin(inner))
+    a, b = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
+    res = lr.minimax_fit(cfg, target, s, net=net)
+    assert res.inner_values == {g: float(v) for g, v in enumerate(inner)}
+    assert np.array_equal(res.best_generator.coefficients, net.vectors[best])
+    assert np.array_equal(res.inner_pair[0], net.vectors[a])
+    assert np.array_equal(res.inner_pair[1], net.vectors[b])
+    theo = lr.pair_loss_matrix(target, kept)[nominal]
+    errors = [float(np.abs(lr.empirical_pair_matrix(
+        kept, lr.make_training_sample(target, 64, seed=12, trial=t))[nominal] - theo).max())
+        for t in range(3)]
+    assert lr.estimate_sampling_error(cfg, target, net, 64, 3, seed=12).values == tuple(errors)
+
+
 def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
     """0 <= L(phi_hat) - L(phi*) <= 2 sup |L_hat - L| over the same nets."""
-    V = net.vectors
-    losses = lr.pair_loss_matrix(cfg1, realizable_target, V)
+    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    nominal = np.ix_(group, group, group)
+    losses = lr.pair_loss_matrix(realizable_target, maps)[nominal]
     inner_theo = losses.max(axis=(1, 2))
     star = inner_theo.min()
     for seed in (9, 10, 11):
         s = lr.make_training_sample(realizable_target, 2**8, seed=seed)
-        emp = lr.empirical_pair_matrix(cfg1, V, s)
+        emp = lr.empirical_pair_matrix(maps, s)[nominal]
         eps_hat = float(np.abs(emp - losses).max())
         best = int(np.argmin(emp.max(axis=(1, 2))))
         gap = inner_theo[best] - star
@@ -340,13 +378,17 @@ def test_trials_fit_the_stream_key(cfg1, uniform1, net):
     with pytest.raises(ValueError):
         stream_id(KIND_NOISE, 2**56)
     # rejected before any task is built or any pool is started
+    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    losses = lr.pair_loss_matrix(uniform1, maps)
     with pytest.raises(ConfigInvalid, match=r"2\*\*56"):
-        lr.sampling_error_values(cfg1, uniform1, net, 16, 2**56 + 1, seed=0)
+        lr.sampling_error_values(uniform1, maps, losses, 16, 2**56 + 1, seed=0)
 
 
 def test_sampling_error_thread_count_invariant(cfg1, uniform1, net):
-    one = lr.sampling_error_values(cfg1, uniform1, net, 100, 12, seed=5)
-    two = lr.sampling_error_values(cfg1, uniform1, net, 100, 12, seed=5,
+    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    losses = lr.pair_loss_matrix(uniform1, maps)
+    one = lr.sampling_error_values(uniform1, maps, losses, 100, 12, seed=5)
+    two = lr.sampling_error_values(uniform1, maps, losses, 100, 12, seed=5,
                                    threads=2)
     assert np.array_equal(one, two)
 

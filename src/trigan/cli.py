@@ -147,6 +147,10 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
         raise ConfigInvalid(f"sample writes at most {_MAX_SAMPLE} points")
     if "trials" in merged:
         kw["trials"] = _positive_int(merged["trials"], "trials")
+        if kw["trials"] > 1 << 56:
+            # trial indices past 2**56 overflow the RNG stream key; refused
+            # here, before the net and its loss cube are built
+            raise ConfigInvalid("trials must be in [1, 2**56]")
     if "seed" in merged:
         if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], int):
             raise ConfigInvalid("seed must be an integer")

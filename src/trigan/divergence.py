@@ -212,13 +212,17 @@ def pair_losses(scale, fy, wy, fx, wx) -> np.ndarray:
     ybuf, xbuf = np.empty(fy.shape[1:]), np.empty(fx.shape[1:])
     # shared fake-side points: each log row is weighted by every generator's wx
     wbuf = np.empty((len(wx), fx.shape[-1])) if fx.ndim == 2 else xbuf
+    # x * 1.0 == x bit for bit, so unit weights skip the multiply
+    unit_y = np.ndim(wy) == 0 and wy == 1.0
+    unit_x = np.ndim(wx) == 0 and wx == 1.0
 
     def y_sum(logs):
-        logs *= wy
+        if not unit_y:
+            logs *= wy
         return np.sum(logs)
 
     def x_sums(logs, out):
-        np.sum(np.multiply(logs, wx, out=wbuf), axis=-1, out=out)
+        np.sum(logs if unit_x else np.multiply(logs, wx, out=wbuf), axis=-1, out=out)
 
     s_sum, t_sum = np.empty(h), np.zeros((h, h))
     u_sum, v_sum = np.empty((wbuf.shape[0], h)), np.zeros((wbuf.shape[0], h, h))

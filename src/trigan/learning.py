@@ -156,17 +156,20 @@ def pair_loss_matrix(target, maps) -> np.ndarray:
 def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
     """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample.
 
-    Each map's density is evaluated once at the real points and once at
-    all maps' fake points, concatenated.
+    The h maps' fakes and then the real points fill one ((h + 1) n, d)
+    array, and each map's density is evaluated over it in one pass; the
+    kernels are pointwise, so the values do not depend on where a point
+    sits in that array.
     """
     c, n = len(maps), sample.n
-    fakes = np.empty((c * n, sample.noise_points.shape[1]))
+    points = np.empty(((c + 1) * n, sample.noise_points.shape[1]))
     for g, gen in enumerate(maps):
-        fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
-    # fx[a, g] is f_a at generator g's fakes
-    fx = _densities_at(maps, fakes).reshape(c, c, n)
-    fy = _densities_at(maps, sample.real_points)
-    return pair_losses(1.0 / (2.0 * n), fy, 1.0, fx, 1.0)
+        points[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+    points[c * n:] = sample.real_points
+    dens = _densities_at(maps, points)
+    # fx[a, g] is f_a at generator g's fakes; fy[a] is f_a at the real points
+    fx = dens[:, :c * n].reshape(c, c, n)
+    return pair_losses(1.0 / (2.0 * n), dens[:, c * n:], 1.0, fx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +328,24 @@ def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
     return np.asarray(vals, dtype=np.float64)
 
 
+def _quantile(ordered: list, q: float) -> float:
+    """The q-quantile of ascending finite values by numpy's default
+    'linear' method, with its arithmetic and so its bits, but without the
+    numpy.ma import that numpy's quantile pays for its index bookkeeping."""
+    n = len(ordered)
+    v = (n - 1) * q
+    if v >= n - 1:
+        return ordered[-1]
+    i = math.floor(v)
+    g = v - i
+    a, b = ordered[i], ordered[i + 1]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def _summarize(n: int, values: np.ndarray) -> SamplingErrorSummary:
-    q05, q50, q95 = (float(np.quantile(values, q)) for q in (0.05, 0.5, 0.95))
+    ordered = np.sort(values).tolist()
+    q05, q50, q95 = (_quantile(ordered, q) for q in (0.05, 0.5, 0.95))
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SamplingErrorSummary(n=n, trials=int(values.size),
                                 mean=float(np.mean(values)), std=std,

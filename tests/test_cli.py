@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import trigan
 import trigan.bounds as bd
 import trigan.hypothesis as hyp
+import trigan.learning as lr
 from trigan import rng
 from trigan.cli import _CSV_BLOCK, RunConfig, _samples_csv, build_run_config, main
 from trigan.density import load_density
@@ -193,6 +194,24 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_trial_path_imports_no_masked_arrays(tmp_path):
+    # the sampling-error summary takes its quantiles without numpy.ma
+    src = os.path.dirname(os.path.dirname(trigan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+            "n_grid": [8, 16], "n": 16, "trials": 2, "seed": 3, "epsilon": 0.05}
+    for command, drop in (("rate", "n"), ("sampling-error", "n_grid")):
+        cfg = write_cfg(tmp_path, f"{command}.json",
+                        {k: v for k, v in spec.items() if k != drop})
+        argv = [command, "--config", cfg, "--out", str(tmp_path)]
+        code = (f"import sys; from trigan.cli import main; assert main({argv!r}) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_density_roundtrip(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, "d.json",
@@ -290,13 +309,22 @@ def test_sampling_error_threads_agree(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command,size", [("sampling-error", {"n": 32}),
                                           ("rate", {"n_grid": [64]})])
 def test_trials_past_stream_key(tmp_path, monkeypatch, capsys, command, size):
+    # refused with the config, before the loss cube is built or a point drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(lr, "pair_loss_matrix", refuse)
+    monkeypatch.setattr(rng, "uniforms", refuse)
     monkeypatch.chdir(tmp_path)
-    cfg = write_cfg(tmp_path, "t.json",
-                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
-                     "trials": 2**56 + 1, "seed": 9, "out": "o", **size})
+    spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+            "trials": 2**56 + 1, "seed": 9, "out": "o", **size}
+    cfg = write_cfg(tmp_path, "t.json", spec)
     assert main([command, "--config", cfg]) == 2
-    blob = json.loads(capsys.readouterr().err)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    blob = json.loads(err[0])
     assert blob["error"] == "ConfigInvalid" and "2**56" in blob["message"]
+    assert not (tmp_path / "o").exists()
+    assert build_run_config(command, {**spec, "trials": 2**56}, {}).trials == 2**56
 
 
 def test_rate_artifacts(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,8 @@ from trigan.density import make_density
 from trigan.errors import ConfigInvalid, NonConvergence
 from trigan.rng import KIND_NOISE, stream_id, uniforms
 
+import two_pass_cube
+
 
 @pytest.fixture(scope="module")
 def net(cfg1):
@@ -164,6 +166,29 @@ def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, membe
         disc = hyp.make_discriminator(cfg, V[a], V[b])
         pf = ros.pushforward_density(gens[g])
         assert L[g, a, b] == dv.theoretical_loss(target, pf, disc)
+
+
+@pytest.mark.parametrize("dim,coupling,eps", [
+    (1, 0, None), (1, 1, None), (2, 0, None), (2, 1, None),
+    # the README rate net: 16 members, 7 distinct maps
+    (1, 1, 0.03),
+])
+def test_one_pass_cube_matches_two_pass(tilted, coupled, dim, coupling, eps):
+    """The merged density pass gives the two-pass cube bit for bit, also at
+    the largest n whose fakes fit one evaluation chunk and whose merged
+    points do not."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
+    V = (hyp.build_eps_net(cfg, eps).vectors if eps
+         else hyp.random_box_params(cfg, 5, seed=dim + 2 * coupling))
+    maps, _ = hyp.distinct_maps(cfg, V)
+    h, chunk = len(maps), ros._CHUNK
+    assert h * (chunk // h) <= chunk < (h + 1) * (chunk // h)
+    target = tilted if dim == 1 else coupled
+    for n in (1, 37, chunk // h):
+        s = lr.make_training_sample(target, n, seed=n)
+        one = lr.empirical_pair_matrix(maps, s)
+        assert one.shape == (h, h, h)
+        assert np.all(one == two_pass_cube.empirical_pair_matrix(maps, s))
 
 
 @settings(max_examples=20)
@@ -359,6 +384,27 @@ def test_sampling_error_decreases_over_decade(cfg1, uniform1, net):
     assert hi.mean < lo.mean
     assert lo.q05 <= lo.q50 <= lo.q95
     assert all(v >= 0.0 for v in lo.values)
+
+
+@settings(max_examples=100)
+@given(size=st.one_of(st.integers(1, 60), st.just(4096)), distinct=st.integers(1, 60),
+       low=st.integers(-300, 300), spread=st.sampled_from([0, 1, 3, 600]),
+       signed=st.booleans(), seed=st.integers(0, 2**32 - 1), q=st.floats(0.0, 1.0))
+def test_quantile_matches_numpy(size, distinct, low, spread, signed, seed, q):
+    """The summary's quantile is numpy's default method bit for bit, over
+    repeated values and magnitudes from 1e-300 to 1e300, spread over a few
+    decades (where the two interpolation forms round differently) or all
+    of them. No zeros: the two sorts may order -0.0 and 0.0 differently."""
+    gen = np.random.default_rng(seed)
+    decades = np.minimum(low + gen.integers(0, spread + 1, distinct), 300)
+    pool = gen.uniform(1.0, 10.0, distinct) * 10.0 ** decades
+    if signed:
+        pool *= gen.choice([-1.0, 1.0], distinct)
+    # each pool value size / distinct times, rounded
+    values = gen.permutation(np.resize(pool, size))
+    ordered = np.sort(values).tolist()
+    for p in (0.05, 0.5, 0.95, q):
+        assert lr._quantile(ordered, p) == float(np.quantile(values, p))
 
 
 def test_worker_count_bounded(monkeypatch):

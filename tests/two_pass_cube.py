@@ -1,0 +1,26 @@
+"""The empirical loss cube by two density passes: the reference the one-pass
+learning.empirical_pair_matrix is tested against.
+
+Each map's density is evaluated once at all maps' fakes and once, in a
+separate call, at the real points. The one-pass kernel evaluates both in a
+single call over the merged points, so the two agree bit for bit exactly
+when the density kernels are pointwise, whatever the chunking.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from trigan.divergence import pair_losses
+from trigan.learning import TrainingSample, _densities_at
+
+
+def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
+    c, n = len(maps), sample.n
+    fakes = np.empty((c * n, sample.noise_points.shape[1]))
+    for g, gen in enumerate(maps):
+        fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+    # fx[a, g] is f_a at generator g's fakes
+    fx = _densities_at(maps, fakes).reshape(c, c, n)
+    fy = _densities_at(maps, sample.real_points)
+    return pair_losses(1.0 / (2.0 * n), fy, 1.0, fx, 1.0)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -393,20 +392,53 @@ def save_density(density: GridDensity, path: str) -> None:
 
 
 def load_density(path: str) -> GridDensity:
-    with open(path, "r", encoding="utf-8") as fh:
-        return density_from_dict(json.load(fh))
+    return density_from_dict(read_json(path))
+
+
+def read_json(path: str, parse_constant=None):
+    """Parse a UTF-8 JSON file; a file that does not decode is ConfigInvalid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=parse_constant)
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bytes that are not UTF-8, an integer past Python's
+        # 4300-digit limit, or nesting deeper than the recursion limit
+        raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
+
+
+def _null_nonfinite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_nonfinite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_nonfinite(val) for val in obj]
+    return obj
 
 
 def write_json_atomic(payload, path: str) -> None:
-    """Serialize to JSON and rename into place; sorted keys, stable floats."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Serialize to strict JSON and rename into place; sorted keys, stable floats.
+
+    NaN and infinities are not JSON, so a non-finite float is written as null.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        # walked only on failure: a density's values list holds up to 2^22 floats
+        text = json.dumps(_null_nonfinite(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
     write_text_atomic(text + "\n", path)
 
 
 def write_text_atomic(text: str, path: str) -> None:
+    """Write through a temporary file and rename into place.
+
+    The file gets the mode `open(path, "w")` would give it, 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -182,11 +183,16 @@ def test_samples_csv_bytes_pinned(tmp_path, cfg, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def _env_importing_trigan() -> dict:
+    # a child interpreter imports the same trigan as this test process
+    src = os.path.dirname(os.path.dirname(trigan.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_loads_no_process_pool():
     # single-worker runs never pay for the pool's modules
-    src = os.path.dirname(os.path.dirname(trigan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _env_importing_trigan()
     code = ("import sys, trigan.cli; print([m for m in sys.modules "
             "if m.startswith(('concurrent', 'multiprocessing'))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -196,9 +202,7 @@ def test_cli_import_loads_no_process_pool():
 
 def test_trial_path_imports_no_masked_arrays(tmp_path):
     # the sampling-error summary takes its quantiles without numpy.ma
-    src = os.path.dirname(os.path.dirname(trigan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _env_importing_trigan()
     spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
             "n_grid": [8, 16], "n": 16, "trials": 2, "seed": 3, "epsilon": 0.05}
     for command, drop in (("rate", "n"), ("sampling-error", "n_grid")):
@@ -210,6 +214,40 @@ def test_trial_path_imports_no_masked_arrays(tmp_path):
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_process_freezes_start_up_heap(tmp_path):
+    # the collector stays on; the import-time heap is frozen out of its scans
+    env = _env_importing_trigan()
+    cfg = write_cfg(tmp_path, "s.json", {"target": {"family": "uniform"}, "n": 4, "seed": 1})
+    argv = ["sample", "--config", cfg, "--out", str(tmp_path)]
+    code = (f"import gc; from trigan.cli import main; assert main({argv!r}) == 0; "
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "True True"
+
+
+def test_main_freezes_once_per_process(tmp_path):
+    cfg = write_cfg(tmp_path, "s.json", {"target": {"family": "uniform"}, "n": 4, "seed": 1})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifact_mode_follows_umask(tmp_path, umask, mode):
+    cfg = write_cfg(tmp_path, "s.json", {"target": {"family": "uniform"}, "n": 4, "seed": 1})
+    old = os.umask(umask)
+    try:
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "a" / "samples.csv").st_mode & 0o777 == mode
+    assert sorted(os.listdir(tmp_path / "a")) == ["samples.csv"]
 
 
 def test_density_roundtrip(tmp_path, monkeypatch):
@@ -250,6 +288,32 @@ def test_malformed_density_file_refused(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     cfg = write_cfg(tmp_path, "d.json", {"target": {"path": str(path)}})
     assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "o").exists()
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("where,raw", [
+    ("config", b'{"hypothesis": "\xff\xfe", "n": 10}'),
+    ("config", _DEEP),
+    ("target", b'{"dim": 1, "quad_rule": "\xff\xfe"}'),
+    ("target", _DEEP),
+    ("config", b'{"n": ' + b"1" * 5000 + b"}"),
+    ("config", b'{"n": 10,}'),
+], ids=["config-not-utf8", "config-too-deep", "target-not-utf8", "target-too-deep",
+        "config-int-too-long", "config-syntax"])
+def test_undecodable_json_refused(tmp_path, capsys, where, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    if where == "config":
+        argv = ["bounds", "--config", str(path)]
+    else:
+        argv = ["density", "--config", write_cfg(tmp_path, "d.json",
+                                                 {"target": {"path": str(path)}})]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
     assert not (tmp_path / "o").exists()
@@ -364,6 +428,22 @@ def test_bounds_artifact_matches_library(tmp_path, monkeypatch, capsys):
         config.dim, config.alpha, config.k, config.K, 1000,
         delta1=hyp.family_delta1(config)))
     assert got == want and got["regularity_ok"] is True
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("patch,null_field", [
+    ({"hypothesis": dict(HYP, dim=2, k=1), "n": 1000}, "C"),
+    ({"hypothesis": dict(HYP, dim=3), "n": 2**53, "delta": 100.0}, "thm54_threshold"),
+], ids=["irregular", "threshold-overflow"])
+def test_bounds_json_is_strict(tmp_path, patch, null_field):
+    cfg = write_cfg(tmp_path, "b.json", patch)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bd")]) == 0
+    text = (tmp_path / "bd" / "bounds.json").read_text()
+    got = json.loads(text, parse_constant=_refuse_constant)
+    assert got[null_field] is None
 
 
 def test_bounds_beta_schedule(tmp_path, monkeypatch):

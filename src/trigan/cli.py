@@ -106,10 +106,6 @@ def _path(raw, key: str) -> str:
     return raw
 
 
-def _reject_constant(name: str):
-    raise ConfigInvalid(f"config holds the non-finite number {name}")
-
-
 def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
@@ -372,7 +368,7 @@ def main(argv=None) -> int:
         args = _make_parser().parse_args(argv)
         file_cfg = {}
         if args.config is not None:
-            file_cfg = density_mod.read_json(args.config, parse_constant=_reject_constant)
+            file_cfg = density_mod.read_json(args.config)
             if not isinstance(file_cfg, dict):
                 raise ConfigInvalid("config file must hold a JSON object")
         overrides = {"seed": args.seed, "threads": args.threads, "out": args.out,

@@ -374,17 +374,27 @@ def density_from_dict(payload) -> GridDensity:
                             f"be >= 2, got {d} and {m}")
     if payload["quad_rule"] != "trapezoid":
         raise ConfigInvalid("density quad_rule must be 'trapezoid'")
-    vals = payload["values"]
+    return GridDensity(d, m, positive_table(payload["values"], m, d, "density values"))
+
+
+def positive_table(vals, m: int, rank: int, what: str) -> np.ndarray:
+    """The (m,)*rank array of a flat JSON list of m^rank numbers; ConfigInvalid
+    for any other list, NonPositiveDensity unless every value is finite and
+    positive."""
     if not isinstance(vals, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-        raise ConfigInvalid("density values must be a flat list of numbers")
-    if len(vals) != m**d:
-        raise ConfigInvalid(f"values length {len(vals)} != resolution^dim {m**d}")
+        raise ConfigInvalid(f"{what} must be a flat list of numbers")
+    if len(vals) != m**rank:
+        raise ConfigInvalid(f"{what} length {len(vals)} != resolution^{rank} {m**rank}")
     try:
         arr = np.asarray(vals, dtype=np.float64)
     except OverflowError:
-        raise NonPositiveDensity("density values must be finite") from None
-    return GridDensity(d, m, arr.reshape((m,) * d))
+        raise NonPositiveDensity(f"{what} must be finite") from None
+    if not np.all(np.isfinite(arr)):
+        raise NonPositiveDensity(f"{what} must be finite")
+    if np.any(arr <= 0.0):
+        raise NonPositiveDensity(f"{what} must be strictly positive")
+    return arr.reshape((m,) * rank)
 
 
 def save_density(density: GridDensity, path: str) -> None:
@@ -395,11 +405,16 @@ def load_density(path: str) -> GridDensity:
     return density_from_dict(read_json(path))
 
 
-def read_json(path: str, parse_constant=None):
-    """Parse a UTF-8 JSON file; a file that does not decode is ConfigInvalid."""
+def _reject_constant(name: str):
+    raise ConfigInvalid(f"JSON holds the non-finite number {name}")
+
+
+def read_json(path: str):
+    """Parse a strict UTF-8 JSON file: one that does not decode, or that
+    holds NaN or an infinity, is ConfigInvalid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=parse_constant)
+            return json.load(fh, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         # bad syntax, bytes that are not UTF-8, an integer past Python's
         # 4300-digit limit, or nesting deeper than the recursion limit

@@ -26,7 +26,7 @@ import numpy as np
 
 from .density import _MAX_GRID_NODES, GridDensity, axis_weights, grid_points
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
-from .rosenblatt import PushforwardDensity
+from .rosenblatt import PushforwardDensity, pushforward_densities
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class PairDiscriminator:
 
     def densities(self, points: np.ndarray) -> np.ndarray:
         """(h, N): row a is pushforwards[a] at the points, h = 1 or 2."""
-        return np.stack([f.evaluate(points) for f in self.pushforwards])
+        return pushforward_densities([f.base_map for f in self.pushforwards], points)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         f = self.densities(points)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .bounds import RhoMetricParams, discriminator_constants, rho_metric
-from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, write_text_atomic
+from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, read_json, write_text_atomic
 from .divergence import PairDiscriminator
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .rosenblatt import TriangularMap, pushforward_density
@@ -121,48 +121,62 @@ class BernsteinComponent:
             object.__setattr__(self, name, arr)
 
     def weights(self, prefix: np.ndarray) -> np.ndarray:
+        """(N, p) per-point weights, or the constant (p,) base when uncoupled."""
         if self.centered.size:
             return self.base[None, :] + (
                 2.0 * prefix[:, : self.centered.shape[1]] - 1.0) @ self.centered.T
-        return np.broadcast_to(self.base, (prefix.shape[0], self.degree))
+        return self.base
 
-    def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         w = self.weights(np.asarray(prefix, dtype=np.float64))
         s = _upper_sums(self.degree, t)
-        return np.clip(np.sum(w * s, axis=-1), 0.0, 1.0)
+        return np.clip(np.sum(w * s, axis=-1, out=out), 0.0, 1.0, out=out)
 
-    def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def partial(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         w = self.weights(np.asarray(prefix, dtype=np.float64))
-        return np.sum(w * _upper_sum_derivs(self.degree, t), axis=-1)
+        return np.sum(w * _upper_sum_derivs(self.degree, t), axis=-1, out=out)
 
 
 @dataclass(frozen=True)
 class _QuadBernstein(BernsteinComponent):
     """Degree-2 component: phi(t) = 2 w1 t + (w2 - w1) t^2 inverts in closed form."""
 
-    def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         w = self.weights(np.asarray(prefix, dtype=np.float64))
         # t + (w1 - w2) t (1 - t): endpoints and the neutral member are exact
-        e = w[..., 0] - w[..., 1]
-        return np.clip(t + e * t * (1.0 - t), 0.0, 1.0)
+        out = np.multiply(w[..., 0] - w[..., 1], t, out=out)
+        out *= 1.0 - t
+        out += t
+        return np.clip(out, 0.0, 1.0, out=out)
 
-    def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def partial(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         w = self.weights(np.asarray(prefix, dtype=np.float64))
-        # 2 (w1 B_{0,1} + w2 B_{1,1}), with the generic sum's arithmetic
-        return w[..., 0] * (2.0 * (1.0 - t)) + w[..., 1] * (2.0 * t)
+        # w1 (2 (1 - t)) + w2 (2 t), with the generic sum's arithmetic
+        out = np.subtract(1.0, t, out=out)
+        out *= 2.0
+        out *= w[..., 0]
+        right = 2.0 * t
+        right *= w[..., 1]
+        out += right
+        return out
 
-    def inverse_exact(self, prefix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    def inverse_exact(self, prefix: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        """Root in [0, 1] of a t^2 + 2 w1 t - x, a = w2 - w1, for targets x in
+        [0, 1]: x / (w1 + sqrt(max(w1 w1 + a x, 0))), stable for either sign of a."""
+        x = np.asarray(x, dtype=np.float64)
         w = self.weights(np.asarray(prefix, dtype=np.float64))
-        w1 = w[:, 0]
-        a = w[:, 1] - w1
-        # root of a t^2 + 2 w1 t - x in [0,1]; stable for either sign of a
-        disc = np.maximum(w1 * w1 + a * x, 0.0)
-        return np.clip(x / (w1 + np.sqrt(disc)), 0.0, 1.0)
+        w1 = w[..., 0]
+        out = np.multiply(w[..., 1] - w1, x, out=out)
+        out += w1 * w1
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out += w1
+        np.divide(x, out, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +340,19 @@ class GeneratorParams:
         object.__setattr__(self, "coefficients", v)
 
 
-def member_params(config: HypothesisConfig, vector) -> GeneratorParams:
+def _box_vector(config: HypothesisConfig, vector) -> np.ndarray:
+    """vector as a flat float array; ParamsOutOfBox unless it has the
+    family's length and every entry is finite and inside the certified box."""
     v = np.asarray(vector, dtype=np.float64).ravel()
     if v.size != config.n_params:
         raise ParamsOutOfBox(f"expected {config.n_params} parameters, got {v.size}")
+    if not np.all(np.abs(v) <= config.box_half + _BOX_TOL):
+        raise ParamsOutOfBox("a parameter is not finite or leaves the certified box")
+    return v
+
+
+def member_params(config: HypothesisConfig, vector) -> GeneratorParams:
+    v = _box_vector(config, vector)
     p = config.degree
     lo = hi = 1.0
     for theta_sl, coup_sl in config.blocks():
@@ -352,11 +375,7 @@ def make_generator(config: HypothesisConfig, params) -> TriangularMap:
     """
     if isinstance(params, GeneratorParams):
         params = params.coefficients
-    v = np.asarray(params, dtype=np.float64).ravel()
-    if v.size != config.n_params:
-        raise ParamsOutOfBox(f"expected {config.n_params} parameters, got {v.size}")
-    if np.any(np.abs(v) > config.box_half + _BOX_TOL):
-        raise ParamsOutOfBox("a parameter leaves the certified box")
+    v = _box_vector(config, params)
     p = config.degree
     cls = _QuadBernstein if p == 2 else BernsteinComponent
     comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
@@ -538,6 +557,8 @@ def config_to_dict(config: HypothesisConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> HypothesisConfig:
+    if not isinstance(payload, dict):
+        raise ConfigInvalid("a hypothesis config must be a JSON object")
     required = {"dim", "k", "alpha", "K", "family", "degree", "coupling_degree"}
     unknown = set(payload) - required
     if unknown:
@@ -572,8 +593,7 @@ def save_config(config: HypothesisConfig, path: str) -> None:
 
 
 def load_config(path: str) -> HypothesisConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
 
 
 def save_net(net: EpsNet, path: str) -> None:

@@ -11,7 +11,9 @@ member i against the pair of members (j, k) reads L[group[i], group[j],
 group[k]]. Every maximum over members is the same maximum over maps, since
 each map is some member's. The theoretical cube is computed once by
 quadrature and reused across all Monte Carlo trials; per-trial work is the
-empirical cube only.
+empirical cube only. Both cubes take their densities from one
+rosenblatt.pushforward_densities call, which writes each map's density
+into its row of one (h, N) array.
 
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
@@ -41,7 +43,7 @@ from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_map
                          family_delta1, make_discriminator, make_generator,
                          member_params)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
-                         pushforward_density)
+                         pushforward_densities, pushforward_density)
 
 # entries of a nominal (c, c, c) loss cube over c members, 8 MB of
 # floats; admits nets of up to 100 members
@@ -132,19 +134,11 @@ def _net_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
     return distinct_maps(config, vectors)
 
 
-def _densities_at(maps, points: np.ndarray) -> np.ndarray:
-    """(c, N) array: row a is the pushforward density of maps[a] at points."""
-    out = np.empty((len(maps), points.shape[0]))
-    for a, gen in enumerate(maps):
-        out[a] = pushforward_density(gen).evaluate(points)
-    return out
-
-
 def pair_loss_matrix(target, maps) -> np.ndarray:
     """Theoretical loss cube L[g, a, b] of maps[g] against D_ab of maps a
     and b; each density is renormalized by its own quadrature mass."""
     pts, w = eval_grid(maps[0].dim)
-    dens = _densities_at(maps, pts)
+    dens = pushforward_densities(maps, pts)
     tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
     if np.any(tgt <= 0.0):
         raise ConfigInvalid("target density must be positive on the grid")
@@ -156,17 +150,17 @@ def pair_loss_matrix(target, maps) -> np.ndarray:
 def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
     """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample.
 
-    The h maps' fakes and then the real points fill one ((h + 1) n, d)
-    array, and each map's density is evaluated over it in one pass; the
-    kernels are pointwise, so the values do not depend on where a point
-    sits in that array.
+    Each map writes its fakes, and then the real points are copied, into
+    one ((h + 1) n, d) array, and one pushforward_densities call evaluates
+    every map's density over it; the kernels are pointwise, so the values
+    do not depend on where a point sits in that array.
     """
     c, n = len(maps), sample.n
     points = np.empty(((c + 1) * n, sample.noise_points.shape[1]))
     for g, gen in enumerate(maps):
-        points[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+        gen.apply(sample.noise_points, out=points[g * n:(g + 1) * n])
     points[c * n:] = sample.real_points
-    dens = _densities_at(maps, points)
+    dens = pushforward_densities(maps, points)
     # fx[a, g] is f_a at generator g's fakes; fy[a] is f_a at the real points
     fx = dens[:, :c * n].reshape(c, c, n)
     return pair_losses(1.0 / (2.0 * n), dens[:, c * n:], 1.0, fx, 1.0)

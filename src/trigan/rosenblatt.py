@@ -15,8 +15,10 @@ piecewise-linear conditional densities, so forward evaluation, inversion
 (closed form per cell), and the diagonal partials are mutually consistent
 to machine precision, and the Jacobian of the forward map telescopes to
 the stored multilinear interpolant of the density. One prefix-linear
-kernel evaluates every component, whatever its rank, and one product of
-diagonal partials gives every Jacobian, the pushforward density included.
+kernel evaluates every component, whatever its rank, and one kernel,
+PushforwardDensity.evaluate, gives every density and Jacobian in _CHUNK-point
+blocks with its scratch allocated once per call. It, apply and every component
+kernel write into the row or array they are given, so nothing is concatenated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .density import GridDensity, _corners, prefix_marginal_tables, write_text_atomic
+from .density import (_MAX_DIM, GridDensity, _corners, positive_table,
+                      prefix_marginal_tables, read_json, write_text_atomic)
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -83,7 +86,7 @@ class TableComponent:
         m = self.knots.size
         return np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, m - 2)
 
-    def value(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
@@ -91,24 +94,26 @@ class TableComponent:
         s = t - self.knots[k]
         g0, g1 = at(table, k), at(table, k + 1)
         raw = at(cum, k) + g0 * s + (g1 - g0) * s * s / (2.0 * h)
-        out = np.clip(raw / at(cum, self.knots.size - 1), 0.0, 1.0)
-        return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, out))
+        out = np.clip(raw / at(cum, self.knots.size - 1), 0.0, 1.0, out=out)
+        out[t <= 0.0], out[t >= 1.0] = 0.0, 1.0
+        return out
 
-    def partial(self, prefix: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def partial(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
         k = self._cells(t)
         s = (t - self.knots[k]) / h
-        return (at(table, k) * (1.0 - s) + at(table, k + 1) * s) / at(cum, self.knots.size - 1)
+        return np.divide(at(table, k) * (1.0 - s) + at(table, k + 1) * s,
+                         at(cum, self.knots.size - 1), out=out)
 
-    def inverse_exact(self, prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Closed-form cell-wise inverse of the piecewise-quadratic CDF."""
+    def inverse_exact(self, prefix: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+        """Closed-form cell-wise inverse of the piecewise-quadratic CDF, u in [0, 1]."""
         u = np.asarray(u, dtype=np.float64)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
         m = self.knots.size
-        target = np.clip(u, 0.0, 1.0) * at(cum, m - 1)
+        target = u * at(cum, m - 1)
         # last cell k in [0, m-2] whose left cumulative is <= target
         lo = np.zeros(u.size, dtype=np.int64)
         hi = np.full(u.size, m - 1, dtype=np.int64)
@@ -121,7 +126,7 @@ class TableComponent:
         p0, p1 = at(table, lo), at(table, lo + 1)
         disc = np.maximum(p0 * p0 + 2.0 * (p1 - p0) * r / h, 0.0)
         s = 2.0 * r / (p0 + np.sqrt(disc))
-        return np.clip(self.knots[lo] + s, 0.0, 1.0)
+        return np.clip(self.knots[lo] + s, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -153,49 +158,35 @@ class TriangularMap:
         return replace(self, direction=flipped,
                        components_direct=not self.components_direct)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        fn = self._eval_components if self.components_direct else self._solve_components
-        return _in_chunks(fn, pts)
+    def apply(self, points: np.ndarray, out=None) -> np.ndarray:
+        """The map at (N, d) points, written into out when it is given."""
+        return self._transport(points, self.components_direct, out)
 
     def invert(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        fn = self._solve_components if self.components_direct else self._eval_components
-        return _in_chunks(fn, pts)
+        return self._transport(points, not self.components_direct, None)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """Product of this map's diagonal partials at the given points."""
-        return self._jacobian(points, self.components_direct)
+        """Product of this map's diagonal partials: its inverse's pushforward density."""
+        return PushforwardDensity(self.inverse()).evaluate(points)
 
-    def _jacobian(self, points: np.ndarray, direct: bool) -> np.ndarray:
-        """Jacobian of the map the components realize (direct) or of its inverse."""
+    def _transport(self, points: np.ndarray, direct: bool, out) -> np.ndarray:
+        """Evaluate (direct) or solve the components at points, into out."""
         pts = _as_points(points, self.dim)
-        if direct:
-            return _in_chunks(self._jacobian_direct, pts)
-        return _in_chunks(lambda c: 1.0 / self._jacobian_direct(self._solve_components(c)), pts)
-
-    # internal single-chunk kernels -----------------------------------------
-
-    def _eval_components(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(pts)
-        for j, comp in enumerate(self.components):
-            out[:, j] = comp.value(pts[:, :j], pts[:, j])
+        out = np.empty(pts.shape) if out is None else out
+        scratch = np.empty(min(len(pts), _CHUNK))
+        for lo in range(0, len(pts), _CHUNK):
+            block = pts[lo:lo + _CHUNK]
+            self._transport_block(block, direct, out[lo:lo + _CHUNK], scratch[:len(block)])
         return out
 
-    def _solve_components(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(pts)
+    def _transport_block(self, pts: np.ndarray, direct: bool, out, scratch) -> None:
+        """One block of _transport; scratch holds each solve's clipped targets."""
         for j, comp in enumerate(self.components):
-            out[:, j] = _solve_monotone(comp, out[:, :j], pts[:, j])
-        return out
-
-    def _jacobian_direct(self, pts: np.ndarray) -> np.ndarray:
-        jac = np.ones(pts.shape[0])
-        for j, comp in enumerate(self.components):
-            part = comp.partial(pts[:, :j], pts[:, j])
-            if np.any(part < _JAC_FLOOR):
-                raise DegenerateJacobian("diagonal partial below positivity floor")
-            jac = jac * part
-        return jac
+            if direct:
+                comp.value(pts[:, :j], pts[:, j], out=out[:, j])
+            else:
+                target = np.clip(pts[:, j], 0.0, 1.0, out=scratch)
+                _solve_monotone(comp, out[:, :j], target, out=out[:, j])
 
 
 @dataclass(frozen=True)
@@ -208,11 +199,32 @@ class PushforwardDensity:
     def dim(self) -> int:
         return self.base_map.dim
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """The Jacobian of the generator's inverse: the direct product when
-        the components realize the forward map."""
+    def evaluate(self, points: np.ndarray, out=None) -> np.ndarray:
+        """The density at (N, d) points, written into out when it is given:
+        the Jacobian of the generator's inverse. That is the reciprocal of the
+        diagonal partials' product at the solved preimage when the components
+        realize the generator, else the product at the points; each partial
+        must clear _JAC_FLOOR."""
         gen = self.base_map
-        return gen._jacobian(points, not gen.components_direct)
+        pts = _as_points(points, gen.dim)
+        out = np.empty(len(pts)) if out is None else out
+        pre = np.empty((min(len(pts), _CHUNK), gen.dim))   # block preimages
+        scratch = np.empty(len(pre))   # clipped solve targets, then partials
+        for lo in range(0, len(pts), _CHUNK):
+            block, dens = pts[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+            at, row = block, scratch[:len(block)]
+            if gen.components_direct:
+                at = pre[:len(block)]
+                gen._transport_block(block, False, at, row)
+            for j, comp in enumerate(gen.components):
+                part = comp.partial(at[:, :j], at[:, j], out=row if j else dens)
+                if np.any(part < _JAC_FLOOR):
+                    raise DegenerateJacobian("diagonal partial below positivity floor")
+                if j:
+                    dens *= part
+            if gen.components_direct:
+                np.divide(1.0, dens, out=dens)
+        return out
 
     @property
     def density_bounds(self) -> tuple[float, float] | None:
@@ -263,7 +275,7 @@ def sample(generator: TriangularMap, n: int, seed: int, trial: int = 0) -> np.nd
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         z = rng.uniforms(seed, stream, lo, hi - lo, generator.dim)
-        out[lo:hi] = generator.apply(z)
+        generator.apply(z, out=out[lo:hi])
     return out
 
 
@@ -271,6 +283,16 @@ def pushforward_density(generator: TriangularMap) -> PushforwardDensity:
     if generator.direction != "inverse":
         raise ConfigInvalid("pushforward density needs a generator-role map")
     return PushforwardDensity(base_map=generator)
+
+
+def pushforward_densities(generators, points: np.ndarray) -> np.ndarray:
+    """(h, N) array whose row a is the pushforward density of generators[a]
+    at the (N, d) points; each density is evaluated into its own row."""
+    pts = _as_points(points, generators[0].dim)
+    out = np.empty((len(generators), len(pts)))
+    for gen, row in zip(generators, out):
+        pushforward_density(gen).evaluate(pts, out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +308,15 @@ def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
     return pts
 
 
-def _in_chunks(fn, pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[0]
-    if n <= _CHUNK:
-        return fn(pts)
-    pieces = [fn(pts[lo:lo + _CHUNK]) for lo in range(0, n, _CHUNK)]
-    return np.concatenate(pieces, axis=0)
-
-
-def _solve_monotone(comp, prefix: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Invert a monotone component at fixed prefix.
+def _solve_monotone(comp, prefix: np.ndarray, target: np.ndarray, out=None) -> np.ndarray:
+    """Invert a monotone component at fixed prefix, at targets in [0, 1].
 
     Components with a closed-form inverse return it as is. The rest get
     bisection to width ~1e-13, and only that bisection result is polished
     by two Newton steps with the analytic diagonal partial.
     """
-    target = np.clip(np.asarray(target, dtype=np.float64), 0.0, 1.0)
     if hasattr(comp, "inverse_exact"):
-        return comp.inverse_exact(prefix, target)
+        return comp.inverse_exact(prefix, target, out=out)
     lo = np.zeros_like(target)
     hi = np.ones_like(target)
     flo = comp.value(prefix, lo) - target
@@ -317,11 +330,11 @@ def _solve_monotone(comp, prefix: np.ndarray, target: np.ndarray) -> np.ndarray:
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
     t = 0.5 * (lo + hi)
-    for _ in range(2):
+    for newton in range(2):
         f = comp.value(prefix, t) - target
         dp = comp.partial(prefix, t)
         step = np.where(dp > _JAC_FLOOR, f / np.where(dp > _JAC_FLOOR, dp, 1.0), 0.0)
-        t = np.clip(t - step, 0.0, 1.0)
+        t = np.clip(t - step, 0.0, 1.0, out=out if newton else None)
     return t
 
 
@@ -349,24 +362,32 @@ def map_to_dict(tri_map: TriangularMap) -> dict:
 
 
 def map_from_dict(payload: dict) -> TriangularMap:
+    if not isinstance(payload, dict):
+        raise ConfigInvalid("a map must be a JSON object")
     kind = payload.get("kind")
     if kind == "rosenblatt_table":
-        known = {"kind", "dim", "direction", "components_direct", "order",
-                 "resolution", "tables"}
-        unknown = set(payload) - known
+        required = {"kind", "dim", "direction", "components_direct", "resolution", "tables"}
+        unknown = set(payload) - required - {"order"}
         if unknown:
             raise ConfigInvalid(f"unknown map fields {sorted(unknown)}")
-        d = int(payload["dim"])
+        missing = required - set(payload)
+        if missing:
+            raise ConfigInvalid(f"missing map fields {sorted(missing)}")
+        d, m, tables = payload["dim"], payload["resolution"], payload["tables"]
+        if (isinstance(d, bool) or isinstance(m, bool) or not isinstance(d, int)
+                or not isinstance(m, int) or not 1 <= d <= _MAX_DIM or m < 2):
+            raise ConfigInvalid(f"map dim must be an integer in [1, {_MAX_DIM}] and "
+                                f"resolution an integer >= 2")
         # files written before the coordinate order was removed carry it
         if payload.get("order", list(range(d))) != list(range(d)):
             raise ConfigInvalid("only the identity coordinate order is supported")
-        m = int(payload["resolution"])
+        if not isinstance(tables, list) or len(tables) != d:
+            raise ConfigInvalid(f"a {d}-dimensional map needs a list of {d} tables")
         knots = np.linspace(0.0, 1.0, m)
-        comps = []
-        for j, flat in enumerate(payload["tables"], start=1):
-            arr = np.asarray(flat, dtype=np.float64).reshape((m,) * j)
-            comps.append(TableComponent(table=arr, knots=knots))
-        return TriangularMap(dim=d, components=tuple(comps),
+        comps = tuple(TableComponent(table=positive_table(flat, m, j, f"map table {j}"),
+                                     knots=knots)
+                      for j, flat in enumerate(tables, start=1))
+        return TriangularMap(dim=d, components=comps,
                              direction=str(payload["direction"]),
                              components_direct=bool(payload["components_direct"]))
     if kind == "bernstein":
@@ -380,5 +401,4 @@ def save_map(tri_map: TriangularMap, path: str) -> None:
 
 
 def load_map(path: str) -> TriangularMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return map_from_dict(json.load(fh))
+    return map_from_dict(read_json(path))

@@ -183,6 +183,37 @@ def test_samples_csv_bytes_pinned(tmp_path, cfg, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# SHA-256 of every artifact and of stdout of the bench's rate1d and fit2d_net
+# invocations at seed 7; the out directory is relative, so stdout is fixed too
+_RATE1D = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+           "n_grid": [64, 256, 1024, 4096], "trials": 3, "seed": 7, "epsilon": 0.03,
+           "threads": 1}
+_FIT2D_NET = {"target": {"family": "coupled", "dim": 2, "params": {"a": 0.8}},
+              "resolution": 129, "n": 256, "seed": 7, "epsilon": 0.07, "strategy": "net",
+              "threads": 1,
+              "hypothesis": {**HYP, "dim": 2, "K": 3.0, "coupling_degree": 0}}
+
+
+@pytest.mark.parametrize("command,cfg,digests", [
+    ("rate", _RATE1D, {
+        "stdout": "c4d401a9682d19c7a158a3206dadfab2d64ae3ea4fdb284cbaa9f8c8578a3818",
+        "rate.csv": "a2731ba447602fa5ce22625b947766702e18742171fa60c0f98ac0c849853129",
+        "rate.svg": "f4e13711c294cc272f0099b0ab79ad64513322eee1b252d5c882e148198da54b",
+        "bounds.json": "2c0b86a58621c847cafc50a8c3be774821341a3fcd36a2ba2ac3e17ac8ba5003"}),
+    ("fit", _FIT2D_NET, {
+        "stdout": "e7b7a73ef279c5123a3ef61363a48124f3e65d1fcbd2a632fa11ebfd32e6f2e7",
+        "fit.json": "9882f34a31e01f245ecad12bc4dfc3ba07516bd18d176d6eb671b758f0a2b11d"}),
+], ids=["rate1d", "fit2d_net"])
+def test_bench_artifact_bytes_pinned(tmp_path, monkeypatch, capsys, command, cfg, digests):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main([command, "--config", path, "--out", "o"]) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    got.update({name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                for name in os.listdir(tmp_path / "o")})
+    assert got == digests
+
+
 def _env_importing_trigan() -> dict:
     # a child interpreter imports the same trigan as this test process
     src = os.path.dirname(os.path.dirname(trigan.__file__))

@@ -194,6 +194,18 @@ def test_params_out_of_box(cfg1):
     hyp.make_generator(cfg1, np.array([cfg1.box_half, -cfg1.box_half]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0])
+def test_non_finite_or_out_of_box_params_refused(cfg1, bad):
+    # abs(nan) > b is False: the box check must be stated as a membership test
+    vec = np.array([bad, 0.0])
+    with pytest.raises(ParamsOutOfBox):
+        hyp.make_generator(cfg1, vec)
+    with pytest.raises(ParamsOutOfBox):
+        hyp.member_params(cfg1, vec)
+    with pytest.raises(ParamsOutOfBox):
+        hyp.certify_member(cfg1, vec[::-1])
+
+
 def test_member_params_wraps_vector(cfg1):
     gp = hyp.member_params(cfg1, [0.1, -0.1])
     assert not gp.coefficients.flags.writeable
@@ -238,6 +250,30 @@ def test_quad_partial_matches_generic(prefix_dim, seed):
     quad = hyp._QuadBernstein(degree=2, theta=theta, coupling=coupling)
     generic = hyp.BernsteinComponent(degree=2, theta=theta, coupling=coupling)
     assert np.array_equal(quad.partial(prefix, t), generic.partial(prefix, t))
+
+
+@given(prefix_dim=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_quad_kernels_match_formulas(prefix_dim, seed):
+    """The in-place degree-2 kernels give the bits of their formulas, into a
+    given row or a fresh one."""
+    gen = np.random.default_rng(seed)
+    theta, coupling = gen.uniform(-0.2, 0.2, 2), gen.uniform(-0.1, 0.1, (2, prefix_dim))
+    prefix = gen.random((257, prefix_dim))
+    t = np.concatenate([[0.0, 1.0, 0.5], gen.random(254)])
+    quad = hyp._QuadBernstein(degree=2, theta=theta, coupling=coupling)
+    w = np.broadcast_to(quad.weights(prefix), (257, 2))
+    w1, w2 = w[:, 0], w[:, 1]
+    want = {
+        "value": np.clip(t + (w1 - w2) * t * (1.0 - t), 0.0, 1.0),
+        "partial": w1 * (2.0 * (1.0 - t)) + w2 * (2.0 * t),
+        "inverse_exact": np.clip(
+            t / (w1 + np.sqrt(np.maximum(w1 * w1 + (w2 - w1) * t, 0.0))), 0.0, 1.0),
+    }
+    for name, ref in want.items():
+        kernel = getattr(quad, name)
+        out = np.empty(257)
+        assert kernel(prefix, t, out=out) is out
+        assert np.array_equal(out, ref) and np.array_equal(kernel(prefix, t), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +456,21 @@ def test_config_roundtrip(tmp_path, cfg2):
     del bad["degree"]
     with pytest.raises(ConfigInvalid, match="missing"):
         hyp.config_from_dict(bad)
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"dim": 1, "k": 3, "alpha": NaN, "K": 2.0, "family": "bernstein_triangular", '
+    b'"degree": 2, "coupling_degree": 1}',
+    b'{"dim": 1, "k": 3, "alpha": 0.5, "K": Infinity, "family": "bernstein_triangular", '
+    b'"degree": 2, "coupling_degree": 1}',
+    b'{"dim": 1, "family": "\xff\xfe"}',
+    b'[1, 2]',
+], ids=["nan", "infinity", "not-utf8", "not-object"])
+def test_load_config_refuses_bad_json(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigInvalid):
+        hyp.load_config(str(path))
 
 
 def test_save_net(tmp_path, cfg1):

@@ -11,7 +11,7 @@ from row_cdf import conditional_cdf
 from trigan import density as dn
 from trigan import divergence as dv
 from trigan import rosenblatt as rb
-from trigan.errors import ConfigInvalid
+from trigan.errors import ConfigInvalid, DegenerateJacobian, NonPositiveDensity
 from trigan import hypothesis as hyp
 
 
@@ -149,6 +149,84 @@ def test_solve_monotone_returns_closed_form(coupled, cfg2):
                               comp.inverse_exact(prefix, target))
 
 
+def _reference_transport(tri, pts, direct):
+    """apply (direct) or invert by the definition: whole arrays at once and
+    the allocating forms of the component kernels."""
+    out = np.empty_like(pts)
+    for j, comp in enumerate(tri.components):
+        out[:, j] = (comp.value(pts[:, :j], pts[:, j]) if direct else
+                     rb._solve_monotone(comp, out[:, :j], np.clip(pts[:, j], 0.0, 1.0)))
+    return out
+
+
+def _reference_density(gen, pts):
+    """A generator's pushforward density by the definition: the Jacobian of
+    its inverse, as a product started from ones over whole arrays."""
+    at = _reference_transport(gen, pts, False) if gen.components_direct else pts
+    jac = np.ones(len(pts))
+    for j, comp in enumerate(gen.components):
+        jac = jac * comp.partial(at[:, :j], at[:, j])
+    return 1.0 / jac if gen.components_direct else jac
+
+
+def _generators(family, dim: int, count: int, gen) -> list:
+    """count generators of a family: "table" maps of random grid densities,
+    or Bernstein members (degree, coupling_degree) drawn from the box."""
+    if family == "table":
+        m = int(gen.integers(3, 10))
+        grids = [dn.GridDensity(dim, m, 0.2 + gen.random((m,) * dim)) for _ in range(count)]
+        return [rb.build_rosenblatt(dn.normalize(g)).inverse() for g in grids]
+    degree, coupling = family
+    cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
+    return [hyp.make_generator(cfg, v)
+            for v in hyp.random_box_params(cfg, count, seed=int(gen.integers(2**31)))]
+
+
+# every family in every dimension, on both sides of each block boundary;
+# bisection makes degree 3 slow, so it crosses a boundary in 1D only
+@pytest.mark.parametrize("family,dim,n", [
+    ("table", 1, 16383), ("table", 2, 16384), ("table", 3, 16385),
+    ((2, 0), 1, 32769), ((2, 0), 2, 16385), ((2, 0), 3, 1),
+    ((2, 1), 1, 1), ((2, 1), 2, 32769), ((2, 1), 3, 16384),
+    ((3, 0), 1, 16385), ((3, 0), 2, 1), ((3, 0), 3, 1),
+    ((3, 1), 1, 16383), ((3, 1), 2, 1), ((3, 1), 3, 1),
+])
+def test_batched_kernels_match_reference(family, dim, n):
+    # rows of one batch, single evaluations and whole-array references agree
+    # bitwise, across block boundaries and into caller-owned arrays
+    assert rb._CHUNK == 16384
+    gen = np.random.default_rng(n + 10 * dim)
+    maps = _generators(family, dim, 2, gen)
+    pts = gen.random((n, dim))
+    pts[-1], pts[0] = 1.0, 0.0
+    dens = rb.pushforward_densities(maps, pts)
+    assert dens.shape == (2, n)
+    assert np.array_equal(dens[0], rb.pushforward_density(maps[0]).evaluate(pts))
+    for gen_map, row in zip(maps, dens):
+        assert np.array_equal(row, _reference_density(gen_map, pts))
+        buf = np.full_like(pts, np.nan)
+        assert gen_map.apply(pts, out=buf) is buf
+        assert np.array_equal(buf, _reference_transport(gen_map, pts, gen_map.components_direct))
+    assert np.array_equal(maps[0].invert(pts),
+                          _reference_transport(maps[0], pts, not maps[0].components_direct))
+
+
+def test_degenerate_partial_raises_in_batch(cfg1):
+    # base weights (1e-13, 1 - 1e-13): the partial 2 (w1 (1 - t) + w2 t) is
+    # below the floor only near t = 0, the preimage of x = 0
+    thin = hyp._QuadBernstein(degree=2, theta=np.array([1e-13 - 0.5, 0.5 - 1e-13]),
+                              coupling=np.zeros((2, 0)))
+    bad = rb.TriangularMap(dim=1, components=(thin,), direction="inverse")
+    good = hyp.make_generator(cfg1, hyp.neutral_params(cfg1))
+    pts = np.full((rb._CHUNK + 1, 1), 0.5)
+    assert np.all(np.isfinite(rb.pushforward_densities([good, bad], pts)))
+    pts[-1] = 0.0
+    with pytest.raises(DegenerateJacobian):
+        rb.pushforward_densities([good, bad], pts)
+    with pytest.raises(DegenerateJacobian):
+        rb.pushforward_density(bad).evaluate(pts)
+
+
 @st.composite
 def grid_densities(draw):
     d = draw(st.integers(1, 3))
@@ -198,6 +276,48 @@ def test_table_map_legacy_order(coupled, rng):
     assert np.array_equal(back.apply(pts), rb.map_from_dict(payload).apply(pts))
     with pytest.raises(ConfigInvalid, match="order"):
         rb.map_from_dict({**payload, "order": [1, 0]})
+
+
+def _table_payload():
+    # a forward 2D table map on 3 knots: tables of 3 and 9 values
+    return {"kind": "rosenblatt_table", "dim": 2, "direction": "forward",
+            "components_direct": True, "resolution": 3,
+            "tables": [[1.0, 1.0, 1.0], [1.0] * 9]}
+
+
+@pytest.mark.parametrize("patch,error", [
+    ({"tables": [[1.0, 1.0, 1.0], [1.0] * 8]}, ConfigInvalid),
+    ({"tables": [[1.0, 1.0, 1.0]]}, ConfigInvalid),
+    ({"tables": [[1.0, 1.0, 1.0], [[1.0] * 3] * 3]}, ConfigInvalid),
+    ({"tables": [[1.0, True, 1.0], [1.0] * 9]}, ConfigInvalid),
+    ({"tables": [[1.0, 0.0, 1.0], [1.0] * 9]}, NonPositiveDensity),
+    ({"tables": [[1.0, 1.0, 1.0], [1.0] * 8 + [-2.0]]}, NonPositiveDensity),
+    ({"tables": [[1.0, 1e400, 1.0], [1.0] * 9]}, NonPositiveDensity),
+    ({"tables": [[1.0, 10**400, 1.0], [1.0] * 9]}, NonPositiveDensity),
+    ({"dim": 1.5}, ConfigInvalid),
+    ({"resolution": 1}, ConfigInvalid),
+    ({"resolution": True}, ConfigInvalid),
+    ({"tables": None}, ConfigInvalid),
+], ids=["short-rank2", "missing-table", "nested", "bool", "zero", "negative", "overflow",
+        "int-overflow", "dim-float", "resolution-1", "resolution-bool", "tables-null"])
+def test_table_map_payload_checked(patch, error):
+    assert rb.map_from_dict(_table_payload()).dim == 2
+    with pytest.raises(error):
+        rb.map_from_dict({**_table_payload(), **patch})
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"kind": "rosenblatt_table", "dim": 1, "direction": "forward", '
+    b'"components_direct": true, "resolution": 3, "tables": [[1.0, NaN, 1.0]]}',
+    b'{"kind": "rosenblatt_table", "dim": 1, "direction": "\xff"}',
+    b'{"kind": "rosenblatt_table", "dim": 1}',
+    b'[]',
+], ids=["nan", "not-utf8", "missing-fields", "not-object"])
+def test_load_map_refuses_bad_json(tmp_path, raw):
+    path = tmp_path / "map.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigInvalid):
+        rb.load_map(str(path))
 
 
 def test_bernstein_map_serialization(tmp_path, cfg1, rng):

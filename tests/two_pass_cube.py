@@ -1,10 +1,11 @@
 """The empirical loss cube by two density passes: the reference the one-pass
 learning.empirical_pair_matrix is tested against.
 
-Each map's density is evaluated once at all maps' fakes and once, in a
-separate call, at the real points. The one-pass kernel evaluates both in a
-single call over the merged points, so the two agree bit for bit exactly
-when the density kernels are pointwise, whatever the chunking.
+Each map's density is evaluated on its own, once at all maps' fakes and
+once, in a separate call, at the real points. The one-pass kernel evaluates
+every map in a single call over the merged points, so the two agree bit for
+bit exactly when the density kernels are pointwise, whatever the chunking
+and however many maps share a call.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from trigan.divergence import pair_losses
-from trigan.learning import TrainingSample, _densities_at
+from trigan.learning import TrainingSample
+from trigan.rosenblatt import pushforward_density
+
+
+def _densities_at(maps, points: np.ndarray) -> np.ndarray:
+    return np.stack([pushforward_density(gen).evaluate(points) for gen in maps])
 
 
 def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
     c, n = len(maps), sample.n
-    fakes = np.empty((c * n, sample.noise_points.shape[1]))
-    for g, gen in enumerate(maps):
-        fakes[g * n:(g + 1) * n] = gen.apply(sample.noise_points)
+    fakes = np.concatenate([gen.apply(sample.noise_points) for gen in maps])
     # fx[a, g] is f_a at generator g's fakes
     fx = _densities_at(maps, fakes).reshape(c, c, n)
     fy = _densities_at(maps, sample.real_points)

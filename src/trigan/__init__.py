@@ -6,6 +6,8 @@ minimax fitting, sampling-error experiments, and closed-form constants
 for the accompanying error bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     RhoMetricParams,
@@ -68,64 +70,8 @@ from .learning import (
 )
 from .rosenblatt import PushforwardDensity, TriangularMap, build_rosenblatt, sample
 
-__all__ = [
-    "BoundReport",
-    "BoxOutOfDomain",
-    "ConfigInvalid",
-    "DegenerateJacobian",
-    "DiscriminatorFn",
-    "DiscriminatorOutOfRange",
-    "EpsNet",
-    "GeneratorParams",
-    "GridDensity",
-    "HypothesisConfig",
-    "InsufficientResolution",
-    "IntegralDivergent",
-    "MinimaxResult",
-    "NetTooLarge",
-    "NonConvergence",
-    "NonPositiveDensity",
-    "PairDiscriminator",
-    "ParamsOutOfBox",
-    "PushforwardDensity",
-    "RateReport",
-    "RhoMetricParams",
-    "RootNotBracketed",
-    "SamplingErrorSummary",
-    "TrainingSample",
-    "TriangularMap",
-    "TriganError",
-    "bound_report",
-    "build_eps_net",
-    "build_rosenblatt",
-    "covering_bound",
-    "dudley_bound",
-    "empirical_loss",
-    "estimate_sampling_error",
-    "full_C",
-    "gamma_constant",
-    "js_divergence",
-    "k_schedule",
-    "kl_divergence",
-    "load_config",
-    "load_density",
-    "make_config",
-    "make_density",
-    "make_discriminator",
-    "make_generator",
-    "make_training_sample",
-    "mcdiarmid_tail",
-    "minimax_fit",
-    "neutral_params",
-    "optimal_discriminator",
-    "rate_experiment",
-    "rho_metric",
-    "sample",
-    "save_config",
-    "save_density",
-    "save_net",
-    "theoretical_loss",
-    "thm54_threshold_and_prob",
-]
+# every public name imported above
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 
 __version__ = "0.1.0"

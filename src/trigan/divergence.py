@@ -188,7 +188,7 @@ def loss_terms(scale, wy, dy, wx, dx):
     return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
 
 
-def pair_losses(scale, fy, wy, fx, wx) -> np.ndarray:
+def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
     """Cube L[g, a, b]: the loss of generator g against D_ab = f_a / (f_a + f_b),
     over h distinct maps.
 
@@ -207,8 +207,15 @@ def pair_losses(scale, fy, wy, fx, wx) -> np.ndarray:
     that holds the pair. D_aa is the constant 1/2, and L[g, a, a] is
     loss_terms at 1/2. Raises NonPositiveDensity unless every density is
     positive and finite.
+
+    With ends, one cube per prefix is stacked into (len(ends), G, h, h):
+    cube p sums each row over its first ends[p] samples only, on both
+    sides, with scale[p]. Each log row is still taken once, over the whole
+    sample axis, so cube p is bitwise the cube of those samples alone.
     """
-    h = fy.shape[0]
+    single = ends is None
+    scales, ends = ([scale], [None]) if single else (scale, ends)
+    h, p = fy.shape[0], len(ends)
     ybuf, xbuf = np.empty(fy.shape[1:]), np.empty(fx.shape[1:])
     # shared fake-side points: each log row is weighted by every generator's wx
     wbuf = np.empty((len(wx), fx.shape[-1])) if fx.ndim == 2 else xbuf
@@ -216,31 +223,39 @@ def pair_losses(scale, fy, wy, fx, wx) -> np.ndarray:
     unit_y = np.ndim(wy) == 0 and wy == 1.0
     unit_x = np.ndim(wx) == 0 and wx == 1.0
 
-    def y_sum(logs):
+    def y_sums(logs, out):
         if not unit_y:
             logs *= wy
-        return np.sum(logs)
+        for i, end in enumerate(ends):
+            out[i] = np.sum(logs[:end])
 
     def x_sums(logs, out):
-        np.sum(logs if unit_x else np.multiply(logs, wx, out=wbuf), axis=-1, out=out)
+        rows = logs if unit_x else np.multiply(logs, wx, out=wbuf)
+        for i, end in enumerate(ends):
+            np.sum(rows[..., :end], axis=-1, out=out[i])
 
-    s_sum, t_sum = np.empty(h), np.zeros((h, h))
-    u_sum, v_sum = np.empty((wbuf.shape[0], h)), np.zeros((wbuf.shape[0], h, h))
+    g = wbuf.shape[0]
+    s_sum, t_sum = np.empty((p, h)), np.zeros((p, h, h))
+    u_sum, v_sum = np.empty((p, g, h)), np.zeros((p, g, h, h))
     # log f is finite for every f exactly when S and U are finite
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(h):
-            s_sum[a] = y_sum(np.log(fy[a], out=ybuf))
-            x_sums(np.log(fx[a], out=xbuf), u_sum[:, a])
+            y_sums(np.log(fy[a], out=ybuf), s_sum[:, a])
+            x_sums(np.log(fx[a], out=xbuf), u_sum[:, :, a])
     if not (np.all(np.isfinite(s_sum)) and np.all(np.isfinite(u_sum))):
         raise NonPositiveDensity("a density is not positive and finite at a sample point")
     for a, b in itertools.combinations(range(h), 2):
-        t_sum[a, b] = t_sum[b, a] = y_sum(np.log(np.add(fy[a], fy[b], out=ybuf), out=ybuf))
-        x_sums(np.log(np.add(fx[a], fx[b], out=xbuf), out=xbuf), v_sum[:, a, b])
-        v_sum[:, b, a] = v_sum[:, a, b]
-    out = scale * ((s_sum[:, None] - t_sum) + (u_sum[:, None, :] - v_sum))
-    half = loss_terms(scale, wy, np.full(fy.shape[-1], 0.5), wx, np.full(fx.shape[-1], 0.5))
-    out[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
-    return out
+        y_sums(np.log(np.add(fy[a], fy[b], out=ybuf), out=ybuf), t_sum[:, a, b])
+        x_sums(np.log(np.add(fx[a], fx[b], out=xbuf), out=xbuf), v_sum[:, :, a, b])
+        t_sum[:, b, a], v_sum[:, :, b, a] = t_sum[:, a, b], v_sum[:, :, a, b]
+    out = (np.reshape(scales, (p, 1, 1, 1))
+           * ((s_sum[:, None, :, None] - t_sum[:, None]) + (u_sum[:, :, None, :] - v_sum)))
+    half_y, half_x = np.full(fy.shape[-1], 0.5), np.full(fx.shape[-1], 0.5)
+    for cube, s, end in zip(out, scales, ends):
+        wy_p, wx_p = (w if np.ndim(w) == 0 else w[..., :end] for w in (wy, wx))
+        half = loss_terms(s, wy_p, half_y[:end], wx_p, half_x[:end])
+        cube[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
+    return out[0] if single else out
 
 
 LOG2 = math.log(2.0)

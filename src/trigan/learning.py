@@ -10,10 +10,9 @@ cubes L[g, a, b] over the h distinct maps, the loss of map g against D_ab;
 member i against the pair of members (j, k) reads L[group[i], group[j],
 group[k]]. Every maximum over members is the same maximum over maps, since
 each map is some member's. The theoretical cube is computed once by
-quadrature and reused across all Monte Carlo trials; per-trial work is the
-empirical cube only. Both cubes take their densities from one
-rosenblatt.pushforward_densities call, which writes each map's density
-into its row of one (h, N) array.
+quadrature and reused across all Monte Carlo trials. Both cubes take their
+densities from one rosenblatt.pushforward_densities call, which writes
+each map's density into its row of one (h, N) array.
 
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
@@ -24,7 +23,12 @@ two maps, so it equals the cube entry bitwise.
 
 Trials are independent by construction: trial t draws its real and noise
 points from counter-RNG streams keyed (seed, stream(kind, t)), so any
-assignment of trials to workers produces identical numbers.
+assignment of trials to workers produces identical numbers. Point i of a
+stream depends on its index alone and every kernel is pointwise, so trial
+t at size n is the first n points of trial t at any larger size. A rate
+trial is therefore one pass at max(n_grid): one draw, one push-forward,
+one density evaluation and one log per row, and each n reads its cube off
+prefix sums of those rows (pair_losses with ends).
 """
 
 from __future__ import annotations
@@ -147,8 +151,10 @@ def pair_loss_matrix(target, maps) -> np.ndarray:
     return pair_losses(0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
 
 
-def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
-    """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample.
+def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
+    """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample;
+    with sizes ns, the (len(ns), h, h, h) stack of the cubes of the
+    sample's first n points, one per n in ns (each at most sample.n).
 
     Each map writes its fakes, and then the real points are copied, into
     one ((h + 1) n, d) array, and one pushforward_densities call evaluates
@@ -163,7 +169,9 @@ def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:
     dens = pushforward_densities(maps, points)
     # fx[a, g] is f_a at generator g's fakes; fy[a] is f_a at the real points
     fx = dens[:, :c * n].reshape(c, c, n)
-    return pair_losses(1.0 / (2.0 * n), dens[:, c * n:], 1.0, fx, 1.0)
+    ends = [n] if ns is None else ns
+    cubes = pair_losses([1.0 / (2.0 * m) for m in ends], dens[:, c * n:], 1.0, fx, 1.0, ends)
+    return cubes[0] if ns is None else cubes
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +297,10 @@ class SamplingErrorSummary:
     values: tuple
 
 
-def _sampling_trial(args) -> float:
-    sampler, maps, n, seed, trial, losses = args
-    emp = empirical_pair_matrix(maps, _draw_sample(sampler, n, seed, trial))
-    return float(np.abs(emp - losses).max())
+def _sampling_trial(args) -> list:
+    sampler, maps, sizes, seed, trial, losses = args
+    cubes = empirical_pair_matrix(maps, _draw_sample(sampler, sizes[-1], seed, trial), sizes)
+    return [float(np.abs(emp - losses).max()) for emp in cubes]
 
 
 def _worker_count(threads: int, trials: int) -> int:
@@ -300,18 +308,21 @@ def _worker_count(threads: int, trials: int) -> int:
     return min(threads, trials, os.cpu_count() or 1)
 
 
-def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
-                          seed: int, threads: int = 1) -> np.ndarray:
-    """Per-trial sup |empirical - theoretical| over the maps and their pairs.
+def sampling_error_grid(target, maps, losses: np.ndarray, n_grid, trials: int,
+                        seed: int, threads: int = 1) -> np.ndarray:
+    """(len(n_grid), trials) array: row i holds the per-trial sup
+    |empirical - theoretical| over the maps and their pairs at n_grid[i].
 
-    losses is pair_loss_matrix(target, maps). Results are indexed by trial
-    and independent of the worker count.
+    losses is pair_loss_matrix(target, maps). Each trial is one pass at
+    max(n_grid) (_sampling_trial), with every distinct size a prefix of it.
+    Results are indexed by trial and independent of the worker count.
     """
     if not 1 <= trials <= 1 << 56:
         # trial indices past 2**56 overflow the 64-bit RNG stream key
         raise ConfigInvalid("trials must be in [1, 2**56]")
     sampler = target_sampler(target)
-    tasks = [(sampler, maps, n, seed, t, losses) for t in range(trials)]
+    sizes = sorted(set(n_grid))
+    tasks = [(sampler, maps, sizes, seed, t, losses) for t in range(trials)]
     workers = _worker_count(threads, trials)
     if workers <= 1:
         vals = [_sampling_trial(t) for t in tasks]
@@ -319,7 +330,14 @@ def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             vals = list(pool.map(_sampling_trial, tasks, chunksize=8))
-    return np.asarray(vals, dtype=np.float64)
+    by_size = np.asarray(vals, dtype=np.float64).T
+    return np.array([by_size[sizes.index(n)] for n in n_grid])
+
+
+def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
+                          seed: int, threads: int = 1) -> np.ndarray:
+    """Per-trial sup |empirical - theoretical| at one sample size n."""
+    return sampling_error_grid(target, maps, losses, [n], trials, seed, threads)[0]
 
 
 def _quantile(ordered: list, q: float) -> float:
@@ -410,8 +428,8 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
         warnings.append("regularity k > 1 - alpha + d/2 fails; bound columns are nan")
 
     rows = []
-    for n in n_grid:
-        vals = sampling_error_values(target, maps, losses, n, trials, seed, threads)
+    grid_vals = sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
+    for n, vals in zip(n_grid, grid_vals):
         summ = _summarize(n, vals)
         if config.regular:
             bound = full_c / math.sqrt(n)

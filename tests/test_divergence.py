@@ -7,6 +7,7 @@ instead of to quadrature error.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ def test_pair_losses_match_ratio_formula(shared):
                 assert np.allclose(cube[:, a, b], direct, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_pair_losses_prefix_cubes_are_truncated_cubes(shared):
+    """Cube p over prefix ends[p] is bitwise the cube of the truncated
+    inputs, for unsorted, repeated and past-buffer (> 8192) ends."""
+    gen = np.random.default_rng(73)
+    fy, wy, fx, wx = _random_pair_inputs(gen, 4, 3, 9001, shared)
+    ends = [9001, 17, 8193, 17]
+    cubes = dv.pair_losses([0.5 / m for m in ends], fy, wy, fx, wx, ends)
+    assert cubes.shape == (4, 3, 4, 4)
+    for cube, m in zip(cubes, ends):
+        wy_m, wx_m = (w if np.ndim(w) == 0 else w[..., :m] for w in (wy, wx))
+        assert np.array_equal(cube, dv.pair_losses(0.5 / m, fy[:, :m], wy_m,
+                                                   fx[..., :m], wx_m))
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])
 @pytest.mark.parametrize("side", ["real", "fake"])
 @pytest.mark.parametrize("shared", [False, True])
@@ -154,5 +170,9 @@ def test_pair_losses_reject_bad_density(bad, side, shared):
     gen = np.random.default_rng(72)
     fy, wy, fx, wx = _random_pair_inputs(gen, 3, 2, 9, shared)
     (fy if side == "real" else fx)[1, ..., 4] = bad
-    with pytest.raises(NonPositiveDensity):
-        dv.pair_losses(0.5, fy, wy, fx, wx)
+    # with prefix ends, the bad point lies past the first end only
+    for scale, ends in ((0.5, None), ([0.5, 0.25, 0.5], [3, 9, 3])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveDensity):
+                dv.pair_losses(scale, fy, wy, fx, wx, ends)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trigan.divergence as dv
@@ -437,6 +437,46 @@ def test_sampling_error_thread_count_invariant(cfg1, uniform1, net):
     two = lr.sampling_error_values(uniform1, maps, losses, 100, 12, seed=5,
                                    threads=2)
     assert np.array_equal(one, two)
+
+
+def _check_prefixes(target, maps, n_grid, trials, seed, threads=1):
+    """sampling_error_grid row i is sampling_error_values at n_grid[i], and
+    each prefix cube of a trial drawn at max(n_grid) is the cube of that
+    trial freshly drawn at its size, bitwise."""
+    losses = lr.pair_loss_matrix(target, maps)
+    grid = lr.sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
+    assert grid.shape == (len(n_grid), trials)
+    for n, row in zip(n_grid, grid):
+        assert np.array_equal(row, lr.sampling_error_values(target, maps, losses, n,
+                                                            trials, seed))
+    last = trials - 1
+    cubes = lr.empirical_pair_matrix(
+        maps, lr.make_training_sample(target, max(n_grid), seed, last), n_grid)
+    assert cubes.shape == (len(n_grid),) + (len(maps),) * 3
+    for n, cube, err in zip(n_grid, cubes, grid[:, last]):
+        fresh = lr.empirical_pair_matrix(maps, lr.make_training_sample(target, n, seed, last))
+        assert np.array_equal(cube, fresh)
+        assert float(np.abs(fresh - losses).max()) == err
+
+
+@settings(max_examples=12)
+@given(dim=st.integers(1, 2), coupling=st.integers(0, 1),
+       n_grid=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+       trials=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(dim=1, coupling=1, n_grid=[32, 16, 32], trials=2, seed=3)
+@example(dim=2, coupling=1, n_grid=[32, 16, 32], trials=2, seed=3)
+def test_grid_trials_are_prefixes(tilted, coupled, dim, coupling, n_grid, trials, seed):
+    """One pass per trial at max(n_grid) gives every size's numbers, for
+    unsorted and repeated sizes, across 1D and 2D families."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
+    maps, _ = hyp.distinct_maps(cfg, list(hyp.random_box_params(cfg, 3, seed=seed)))
+    _check_prefixes(tilted if dim == 1 else coupled, maps, n_grid, trials, seed)
+
+
+def test_grid_prefixes_past_numpy_buffer(cfg1, uniform1, net):
+    # sums longer than numpy's 8192-element buffer, through the process pool
+    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    _check_prefixes(uniform1, maps, [9000, 8193, 20000], 2, seed=4, threads=2)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .errors import (
     InsufficientResolution,
     IntegralDivergent,
     NetTooLarge,
-    NonConvergence,
     NonPositiveDensity,
     ParamsOutOfBox,
     RootNotBracketed,

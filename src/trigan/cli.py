@@ -73,7 +73,6 @@ class RunConfig:
     out: str = "."
     threads: int = 1
     exact_integral: bool = False
-    strategy: str = "net"
     resolution: int | None = None
 
 
@@ -165,10 +164,9 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
         if not isinstance(merged["exact_integral"], bool):
             raise ConfigInvalid("exact_integral must be a boolean")
         kw["exact_integral"] = merged["exact_integral"]
-    if "strategy" in merged:
-        if merged["strategy"] not in ("net", "grad"):
-            raise ConfigInvalid("strategy must be 'net' or 'grad'")
-        kw["strategy"] = merged["strategy"]
+    # kept so configs that name the exhaustive net search still run
+    if merged.get("strategy", "net") != "net":
+        raise ConfigInvalid("strategy must be 'net'")
     if "resolution" in merged:
         kw["resolution"] = _positive_int(merged["resolution"], "resolution", minimum=2)
     return RunConfig(**kw)
@@ -209,7 +207,7 @@ def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:
     return hyp_mod.config_from_dict(payload)
 
 
-def _build_model(rc: RunConfig, with_net: bool = True) -> tuple:
+def _build_model(rc: RunConfig) -> tuple:
     """Target, hypothesis config and net; bad dims, grids and trial sizes fail first."""
     target = _build_target(rc.target, rc.resolution)
     if isinstance(rc.hypothesis, dict) and rc.hypothesis.get("dim", target.dim) != target.dim:
@@ -217,9 +215,8 @@ def _build_model(rc: RunConfig, with_net: bool = True) -> tuple:
                             f"target dim {target.dim}")
     config = _build_hypothesis(rc.hypothesis)
     divergence.eval_resolution(config.dim)
-    net = hyp_mod.build_eps_net(config, rc.epsilon) if with_net else None
-    learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim,
-                              net.cardinality if net else 1)
+    net = hyp_mod.build_eps_net(config, rc.epsilon)
+    learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim, net.cardinality)
     return target, config, net
 
 
@@ -260,13 +257,12 @@ def _cmd_density(rc: RunConfig) -> None:
 
 
 def _cmd_fit(rc: RunConfig) -> None:
-    target, config, net = _build_model(rc, with_net=rc.strategy == "net")
-    strategy = "net_exhaustive" if rc.strategy == "net" else "alternating_gradient"
+    target, config, net = _build_model(rc)
     sample = learning.make_training_sample(target, rc.n, rc.seed)
-    result = learning.minimax_fit(config, target, sample, strategy, net=net)
+    result = learning.minimax_fit(config, target, sample, net=net)
     payload = {
-        "strategy": result.strategy,
-        "converged": result.converged,
+        "strategy": "net_exhaustive",
+        "converged": True,
         "achieved_value": result.achieved_value,
         "js_to_target": result.js_to_target,
         "best_params": [float(v) for v in result.best_generator.coefficients],
@@ -277,7 +273,7 @@ def _cmd_fit(rc: RunConfig) -> None:
     }
     path = _out_path(rc, "fit.json")
     density_mod.write_json_atomic(payload, path)
-    print(f"fit: strategy {result.strategy}, value {result.achieved_value!r}, "
+    print(f"fit: strategy net_exhaustive, value {result.achieved_value!r}, "
           f"js {result.js_to_target!r} -> {path}")
 
 
@@ -357,7 +353,6 @@ def _make_parser() -> _Parser:
         sp.add_argument("--out", default=None)
         sp.add_argument("--exact-integral", dest="exact_integral",
                         action="store_true", default=None)
-        sp.add_argument("--strategy", choices=("net", "grad"), default=None)
         sp.add_argument("--delta", type=float, default=None)
         sp.add_argument("--beta", type=float, default=None)
     return parser
@@ -372,8 +367,7 @@ def main(argv=None) -> int:
             if not isinstance(file_cfg, dict):
                 raise ConfigInvalid("config file must hold a JSON object")
         overrides = {"seed": args.seed, "threads": args.threads, "out": args.out,
-                     "exact_integral": args.exact_integral,
-                     "strategy": args.strategy, "delta": args.delta,
+                     "exact_integral": args.exact_integral, "delta": args.delta,
                      "beta": args.beta}
         rc = build_run_config(args.command, file_cfg, overrides)
         if gc.get_freeze_count() == 0:

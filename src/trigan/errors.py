@@ -37,14 +37,6 @@ class NetTooLarge(TriganError):
     """Requested net cardinality exceeds the configured cap."""
 
 
-class NonConvergence(TriganError):
-    """Iterative optimizer hit its iteration cap. Carries the partial result."""
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class DiscriminatorOutOfRange(TriganError):
     """Discriminator evaluated outside (0, 1)."""
 

@@ -457,7 +457,11 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
     n = config.n_params
     b = config.box_half
     lip = _param_lipschitz(config.degree)
-    q = max(1, math.ceil(n * lip * b / epsilon - 1e-12))
+    cells = n * lip * b / epsilon
+    if not math.isfinite(cells):
+        # a subnormal epsilon overflows the per-axis count before any ceil
+        raise NetTooLarge(f"epsilon {epsilon!r} gives {cells!r} cells per axis")
+    q = max(1, math.ceil(cells - 1e-12))
     if n * math.log(q) > math.log(_NET_CAP) + 1e-9 or q**n > _NET_CAP:
         raise NetTooLarge(f"lattice has {q}^{n} members, cap is {_NET_CAP}")
     half_cell = b / q

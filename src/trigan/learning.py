@@ -42,10 +42,9 @@ import numpy as np
 from . import bounds, rng
 from .density import GridDensity
 from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
-from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge, NonConvergence
+from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
 from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_maps,
-                         family_delta1, make_discriminator, make_generator,
-                         member_params)
+                         family_delta1, make_generator)
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_densities, pushforward_density)
 
@@ -185,28 +184,14 @@ class MinimaxResult:
     achieved_value: float
     js_to_target: float
     trace: tuple
-    converged: bool = True
-    strategy: str = "net_exhaustive"
     # the inner maximizer: parameter vectors (a, b) of D_{ab}, so
     # achieved_value can be re-evaluated from the result alone
     inner_pair: tuple = ()
 
 
-def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample,
-                strategy: str = "net_exhaustive", *, net: EpsNet | None = None,
-                max_iter: int = 200, tol: float = 1e-6,
-                raise_on_nonconvergence: bool = False) -> MinimaxResult:
-    if strategy == "net_exhaustive":
-        if net is None:
-            raise ConfigInvalid("strategy net_exhaustive needs a net")
-        return _minimax_net(config, target, sample, net)
-    if strategy == "alternating_gradient":
-        return _minimax_gradient(config, target, sample, max_iter, tol,
-                                 raise_on_nonconvergence)
-    raise ConfigInvalid(f"unknown strategy {strategy!r}")
-
-
-def _minimax_net(config, target, sample, net) -> MinimaxResult:
+def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
+                net: EpsNet) -> MinimaxResult:
+    """The exact empirical minimax over the members of net."""
     vectors = net.vectors
     maps, group = _net_maps(config, vectors)
     emp = empirical_pair_matrix(maps, sample)
@@ -222,63 +207,7 @@ def _minimax_net(config, target, sample, net) -> MinimaxResult:
     return MinimaxResult(best_generator=net.members[best],
                          inner_values={g: float(inner[g]) for g in range(len(vectors))},
                          achieved_value=float(inner[best]), js_to_target=float(js),
-                         trace=trace, converged=True, strategy="net_exhaustive",
-                         inner_pair=(vectors[top[0]], vectors[top[1]]))
-
-
-def _minimax_gradient(config, target, sample, max_iter, tol, strict) -> MinimaxResult:
-    b = config.box_half
-    n_par = config.n_params
-    gen_v = np.zeros(n_par)
-    disc_a = np.full(n_par, 0.5 * b)
-    disc_b = np.full(n_par, -0.5 * b)
-    h = max(1e-5 * b, 1e-8)
-    step = 0.2 * b if b > 0 else 0.0
-
-    def loss(gv, av, bv):
-        disc = make_discriminator(config, av, bv)
-        return empirical_loss(disc, make_generator(config, gv), sample)
-
-    def grad(fn, x):
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            up = x.copy(); up[i] = min(up[i] + h, b)
-            dn = x.copy(); dn[i] = max(dn[i] - h, -b)
-            if up[i] == dn[i]:
-                continue
-            g[i] = (fn(up) - fn(dn)) / (up[i] - dn[i])
-        return g
-
-    inner_values, trace = {}, []
-    converged = False
-    value = loss(gen_v, disc_a, disc_b)
-    for it in range(max_iter):
-        g_gen = grad(lambda v: loss(v, disc_a, disc_b), gen_v)
-        g_da = grad(lambda v: loss(gen_v, v, disc_b), disc_a)
-        g_db = grad(lambda v: loss(gen_v, disc_a, v), disc_b)
-        new_gen = np.clip(gen_v - step * g_gen, -b, b)
-        new_da = np.clip(disc_a + step * g_da, -b, b)
-        new_db = np.clip(disc_b + step * g_db, -b, b)
-        move = max(np.abs(new_gen - gen_v).max(), np.abs(new_da - disc_a).max(),
-                   np.abs(new_db - disc_b).max())
-        gen_v, disc_a, disc_b = new_gen, new_da, new_db
-        value = loss(gen_v, disc_a, disc_b)
-        inner_values[it] = value
-        trace.append(f"iter {it}: value {value!r} move {move:.3e}")
-        if move < tol:
-            converged = True
-            break
-        step *= 0.98
-    gen = make_generator(config, gen_v)
-    js = js_divergence(target, pushforward_density(gen))
-    result = MinimaxResult(best_generator=member_params(config, gen_v),
-                           inner_values=inner_values, achieved_value=float(value),
-                           js_to_target=float(js), trace=tuple(trace),
-                           converged=converged, strategy="alternating_gradient",
-                           inner_pair=(disc_a.copy(), disc_b.copy()))
-    if not converged and strict:
-        raise NonConvergence(f"no convergence in {max_iter} iterations", result=result)
-    return result
+                         trace=trace, inner_pair=(vectors[top[0]], vectors[top[1]]))
 
 
 # ---------------------------------------------------------------------------

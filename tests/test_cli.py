@@ -62,9 +62,8 @@ def test_seed_mandatory_for_stochastic():
 
 
 def test_flag_not_valid_for_command():
-    with pytest.raises(ConfigInvalid, match="--strategy"):
-        build_run_config("bounds", {"hypothesis": HYP, "n": 10},
-                         {"strategy": "net"})
+    with pytest.raises(ConfigInvalid, match="--seed"):
+        build_run_config("bounds", {"hypothesis": HYP, "n": 10}, {"seed": 3})
 
 
 def test_override_merges_over_file():
@@ -385,6 +384,36 @@ def test_fit_artifact(tmp_path, monkeypatch):
     assert len(fit["trace"]) == 1 and "np.float64" not in fit["trace"][0]
 
 
+_FIT_TILTED = {"target": {"family": "tilted"}, "hypothesis": HYP, "n": 64, "seed": 1,
+               "epsilon": 0.05}
+
+
+def test_fit_strategy_net_key_changes_no_byte(tmp_path, monkeypatch, capsys):
+    """The one strategy value a config accepts is "net", the default."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for name, cfg in (("plain", _FIT_TILTED), ("net", {**_FIT_TILTED, "strategy": "net"})):
+        path = write_cfg(tmp_path, name + ".json", cfg)
+        assert main(["fit", "--config", path, "--out", "o"]) == 0
+        runs.append((capsys.readouterr().out, (tmp_path / "o" / "fit.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cfg,flags", [
+    ({**_FIT_TILTED, "strategy": "grad"}, []),
+    (_FIT_TILTED, ["--strategy", "net"]),
+], ids=["grad_key", "strategy_flag"])
+def test_fit_strategy_choices_refused(tmp_path, monkeypatch, capsys, cfg, flags):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    path = write_cfg(tmp_path, "f.json", cfg)
+    assert main(["fit", "--config", path, "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # sampling-error / rate
 
@@ -534,6 +563,26 @@ def test_fit_net_over_matrix_cap(tmp_path, capsys):
     assert len(err) == 1 and json.loads(err[0])["error"] == "NetTooLarge"
     assert "1771561" in json.loads(err[0])["message"]
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("epsilon", [1e-310, 5e-324])
+@pytest.mark.parametrize("command,extra", [
+    ("fit", {"n": 16}),
+    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16, 32], "trials": 2}),
+])
+def test_subnormal_epsilon_net_too_large(tmp_path, monkeypatch, capsys, command, extra,
+                                         epsilon):
+    # n L b / epsilon overflows to inf: refused before any ceil or draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    cfg = write_cfg(tmp_path, "e.json", {"target": {"family": "tilted"}, "hypothesis": HYP,
+                                         "seed": 1, "epsilon": epsilon, **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NetTooLarge"
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import trigan.hypothesis as hyp
 import trigan.learning as lr
 import trigan.rosenblatt as ros
 from trigan.density import make_density
-from trigan.errors import ConfigInvalid, NonConvergence
+from trigan.errors import ConfigInvalid
 from trigan.rng import KIND_NOISE, stream_id, uniforms
 
 import two_pass_cube
@@ -250,7 +250,6 @@ def test_minimax_uniform_picks_identity_member(cfg1, uniform1):
     coeff = res.best_generator.coefficients
     assert coeff[0] == coeff[1]              # centered: an identity copy
     assert res.js_to_target < 1e-8
-    assert res.converged and res.strategy == "net_exhaustive"
 
 
 def test_minimax_singleton_net_any_n(cfg1, uniform1):
@@ -331,40 +330,6 @@ def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
         best = int(np.argmin(emp.max(axis=(1, 2))))
         gap = inner_theo[best] - star
         assert 0.0 <= gap <= 2.0 * eps_hat + 1e-13
-
-
-def test_gradient_strategy_converges(cfg1, uniform1):
-    s = lr.make_training_sample(uniform1, 64, seed=4)
-    res = lr.minimax_fit(cfg1, uniform1, s, strategy="alternating_gradient",
-                         max_iter=500)
-    assert res.converged and res.strategy == "alternating_gradient"
-    assert res.js_to_target < 1e-4
-    disc = hyp.make_discriminator(cfg1, *res.inner_pair)
-    gen = hyp.make_generator(cfg1, res.best_generator)
-    assert abs(lr.empirical_loss(disc, gen, s) - res.achieved_value) < 1e-12
-
-
-def test_gradient_nonconvergence_flagged(cfg1, uniform1):
-    s = lr.make_training_sample(uniform1, 64, seed=4)
-    soft = lr.minimax_fit(cfg1, uniform1, s, strategy="alternating_gradient",
-                          max_iter=2)
-    assert not soft.converged                 # flagged, still returned
-    with pytest.raises(NonConvergence) as exc:
-        lr.minimax_fit(cfg1, uniform1, s, strategy="alternating_gradient",
-                       max_iter=2, raise_on_nonconvergence=True)
-    assert exc.value.result.converged is False
-
-
-def test_minimax_unknown_strategy(cfg1, uniform1):
-    s = lr.make_training_sample(uniform1, 8, seed=1)
-    with pytest.raises(ConfigInvalid):
-        lr.minimax_fit(cfg1, uniform1, s, strategy="newton")
-
-
-def test_minimax_net_strategy_needs_net(cfg1, uniform1):
-    s = lr.make_training_sample(uniform1, 8, seed=1)
-    with pytest.raises(ConfigInvalid):
-        lr.minimax_fit(cfg1, uniform1, s)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ _ALLOWED = {
 }
 # sizes enter float formulas, so they stay exact as floats
 _MAX_N = 2**53
-# samples.csv holds at most 2^20 points, about 20 MB of text per axis
+# samples.csv holds at most 2^20 points: its file stays within about 20 MB per axis
 _MAX_SAMPLE = 1 << 20
-# rows per repr call in samples.csv; a block's tokens set the writer's memory peak
+# rows per repr call and per chunk streamed to samples.csv
 _CSV_BLOCK = 1024
 _REQUIRED = {
     "sample": {"target", "n", "seed"},
@@ -225,14 +225,13 @@ def _out_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.out, name)
 
 
-def _samples_csv(points: np.ndarray) -> str:
+def _samples_csv(points: np.ndarray):
     # repr of a float list is float.__repr__ of each item: per-value repr bytes
     d = points.shape[1]
-    blocks = [",".join(f"y{i + 1}" for i in range(d))]
+    yield ",".join(f"y{i + 1}" for i in range(d)) + "\n"
     for lo in range(0, len(points), _CSV_BLOCK):
         tokens = repr(points[lo:lo + _CSV_BLOCK].ravel().tolist())[1:-1].split(", ")
-        blocks.append("\n".join(map(",".join, zip(*[iter(tokens)] * d))))
-    return "\n".join(blocks) + "\n"
+        yield "\n".join(map(",".join, zip(*[iter(tokens)] * d))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _cmd_sample(rc: RunConfig) -> None:
     gen = rosenblatt.build_rosenblatt(target).inverse()
     pts = rosenblatt.sample(gen, rc.n, rc.seed)
     path = _out_path(rc, "samples.csv")
-    density_mod.write_text_atomic(_samples_csv(pts), path)
+    density_mod.write_chunks_atomic(_samples_csv(pts), path)
     print(f"sample: {rc.n} points, dim {target.dim}, seed {rc.seed} -> {path}")
 
 

@@ -431,24 +431,44 @@ def _null_nonfinite(obj):
     return obj
 
 
-def write_json_atomic(payload, path: str) -> None:
-    """Serialize to strict JSON and rename into place; sorted keys, stable floats.
+# start of the encoder's refusal of NaN and infinities, Python 3.10 to 3.13
+_NONFINITE = "Out of range float values are not JSON compliant"
 
-    NaN and infinities are not JSON, so a non-finite float is written as null.
+
+def _json_chunks(payload):
+    # with an indent, json.dumps joins this same pure-Python token stream
+    yield from json.JSONEncoder(sort_keys=True, indent=2,
+                                allow_nan=False).iterencode(payload)
+    yield "\n"
+
+
+def write_json_atomic(payload, path: str) -> None:
+    """Stream strict JSON into place; sorted keys, stable floats.
+
+    The bytes are those of `json.dumps(payload, sort_keys=True, indent=2)`
+    plus a newline. NaN and infinities are not JSON, so a non-finite float
+    is written as null.
     """
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
+        write_chunks_atomic(_json_chunks(payload), path)
+    except ValueError as exc:
+        if not str(exc).startswith(_NONFINITE):
+            raise
         # walked only on failure: a density's values list holds up to 2^22 floats
-        text = json.dumps(_null_nonfinite(payload), sort_keys=True, indent=2,
-                          allow_nan=False)
-    write_text_atomic(text + "\n", path)
+        write_chunks_atomic(_json_chunks(_null_nonfinite(payload)), path)
 
 
 def write_text_atomic(text: str, path: str) -> None:
-    """Write through a temporary file and rename into place.
+    write_chunks_atomic((text,), path)
 
-    The file gets the mode `open(path, "w")` would give it, 0o666 less the umask.
+
+def write_chunks_atomic(chunks, path: str) -> None:
+    """Write each string of `chunks` as it arrives to a temporary file, then
+    rename it into place; memory stays that of one chunk.
+
+    If `chunks` raises, the temporary file is removed and a file already at
+    `path` keeps its bytes. The file gets the mode `open(path, "w")` would
+    give it, 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -456,7 +476,7 @@ def write_text_atomic(text: str, path: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

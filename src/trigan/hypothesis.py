@@ -463,7 +463,7 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
         raise NetTooLarge(f"epsilon {epsilon!r} gives {cells!r} cells per axis")
     q = max(1, math.ceil(cells - 1e-12))
     if n * math.log(q) > math.log(_NET_CAP) + 1e-9 or q**n > _NET_CAP:
-        raise NetTooLarge(f"lattice has {q}^{n} members, cap is {_NET_CAP}")
+        raise NetTooLarge(f"lattice has {q:.4g}^{n} members, cap is {_NET_CAP}")
     half_cell = b / q
     axis = -b + half_cell * (2.0 * np.arange(q) + 1.0)
     members = tuple(member_params(config, np.array(combo))

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import trigan.hypothesis as hyp
 import trigan.learning as lr
 from trigan import rng
 from trigan.cli import _CSV_BLOCK, RunConfig, _samples_csv, build_run_config, main
-from trigan.density import load_density
+from trigan.density import load_density, write_chunks_atomic
 from trigan.errors import ConfigInvalid
 
 HYP = {"dim": 1, "k": 3, "alpha": 0.5, "K": 2.0,
@@ -155,10 +156,26 @@ _CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17]
 @example(rows=_CSV_BLOCK + 1, dim=3, values=_CSV_VALUES)
 def test_samples_csv_matches_per_value_repr(rows, dim, values):
     points = np.resize(np.asarray(values, dtype=np.float64), (rows, dim))
-    got, want = _samples_csv(points), _samples_csv_oracle(points)
+    chunks = list(_samples_csv(points))
+    # the writer streams one block of rows at a time
+    assert max(chunk.count("\n") for chunk in chunks) <= _CSV_BLOCK
+    got, want = "".join(chunks), _samples_csv_oracle(points)
     # a plain bool keeps pytest from diffing megabyte strings on failure
     same = got == want
     assert same, next((g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w)
+
+
+def test_samples_csv_streams_in_blocks(tmp_path):
+    # 2^16 2D points: the traced peak is a few blocks, not the file's text
+    points = np.random.default_rng(3).random((1 << 16, 2))
+    path = tmp_path / "samples.csv"
+    tracemalloc.start()
+    try:
+        write_chunks_atomic(_samples_csv(points), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 # SHA-256 of samples.csv; its bytes stay fixed across versions
@@ -582,6 +599,19 @@ def test_subnormal_epsilon_net_too_large(tmp_path, monkeypatch, capsys, command,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "NetTooLarge"
+    assert not (tmp_path / "o").exists()
+
+
+def test_net_too_large_message_is_short(tmp_path, capsys):
+    # epsilon 1e-300 gives a lattice side of about 1e302: printed rounded
+    cfg = write_cfg(tmp_path, "e.json", {"target": {"family": "tilted"}, "hypothesis": HYP,
+                                         "n": 16, "seed": 1, "epsilon": 1e-300})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    blob = json.loads(err[0])
+    assert blob["error"] == "NetTooLarge" and "cap is 1000000" in blob["message"]
+    assert len(blob["message"]) < 200
     assert not (tmp_path / "o").exists()
 
 

@@ -1,9 +1,14 @@
 """Grid densities: families, quadrature, marginals, conditionals, IO."""
 
 import json
+import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigan import density as dn
 from trigan.errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
@@ -141,6 +146,75 @@ def test_save_load_roundtrip(tmp_path, coupled):
     # file is strict JSON with sorted keys
     payload = json.loads(open(path).read())
     assert list(payload) == sorted(payload)
+
+
+# ---------------------------------------------------------------------------
+# streamed atomic writers
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.floats()
+           | st.sampled_from([math.nan, math.inf, -math.inf]))
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+                      max_leaves=24)
+
+
+@settings(max_examples=150)
+@given(payload=_TREES)
+def test_write_json_atomic_matches_dumps(tmp_path_factory, payload):
+    # one-shot oracle: json.dumps, or its null form when a float is not finite
+    try:
+        want = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        want = json.dumps(dn._null_nonfinite(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+    directory = tmp_path_factory.mktemp("json")
+    dn.write_json_atomic(payload, str(directory / "a.json"))
+    # the file is in place and no temporary file is left beside it
+    assert os.listdir(directory) == ["a.json"]
+    with open(directory / "a.json", encoding="utf-8", newline="") as fh:
+        assert fh.read() == want + "\n"
+
+
+def test_write_json_atomic_retries_only_nonfinite(tmp_path, monkeypatch):
+    # a circular payload is refused as it is, not re-walked
+    payload = {"a": []}
+    payload["a"].append(payload)
+    walked = []
+    monkeypatch.setattr(dn, "_null_nonfinite", walked.append)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dn.write_json_atomic(payload, str(tmp_path / "c.json"))
+    assert walked == [] and os.listdir(tmp_path) == []
+
+
+def _two_chunks_then_fail():
+    yield "first\n"
+    yield "second\n"
+    raise RuntimeError("source failed")
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+def test_write_chunks_atomic_failure_leaves_no_trace(tmp_path, old):
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="source failed"):
+        dn.write_chunks_atomic(_two_chunks_then_fail(), str(path))
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.csv"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_write_json_atomic_streams(tmp_path):
+    # 2^18 density values: the traced peak is the encoder's, not the file's text
+    payload = dn.density_to_dict(dn.make_density("coupled", dim=2, resolution=512))
+    path = tmp_path / "density.json"
+    tracemalloc.start()
+    try:
+        dn.write_json_atomic(payload, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_load_rejects_unknown_keys(tmp_path):

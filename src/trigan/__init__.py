@@ -45,7 +45,6 @@ from .errors import (
 )
 from .hypothesis import (
     EpsNet,
-    GeneratorParams,
     HypothesisConfig,
     build_eps_net,
     load_config,

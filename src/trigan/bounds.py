@@ -43,8 +43,15 @@ def _exponents(d: int, alpha: float, k: int) -> tuple[float, float]:
     return d / (2.0 * (alpha + k)), d / (2.0 * (alpha + k - 1.0))
 
 
+def regular(d: int, alpha: float, k: int) -> bool:
+    """The smoothness gate k > 1 - alpha + d/2, under which the entropy
+    integral converges; stated without a division, so alpha + k = 1 is
+    simply irregular."""
+    return k > 1.0 - alpha + d / 2.0
+
+
 def _require_convergent(d: int, alpha: float, k: int) -> None:
-    if d / (2.0 * (alpha + k - 1.0)) >= 1.0:
+    if not regular(d, alpha, k):
         raise IntegralDivergent(
             f"entropy integral diverges: k = {k} <= 1 - alpha + d/2 = {1 - alpha + d / 2}")
 
@@ -64,6 +71,7 @@ def c3_constant(d: int, alpha: float, k: int, K: float,
     A for generators and B for discriminators; C3 carries those factors
     into the integrand exponents.
     """
+    _require_convergent(d, alpha, k)
     big = 1.0 + factorial(d) * K ** (d + 1)
     a_fac = 2.0 * d**2 * factorial(d) ** 3 * K ** (3 * d + 3) * big
     b_fac = 2.0 * K * big
@@ -260,8 +268,8 @@ def bound_report(d: int, alpha: float, k: int, K: float, n: int,
     b1, b2 = discriminator_constants(d, K)
     c1 = _c1(d, d, alpha + k, c1_star)
     c2 = c2_constant(d, alpha, k, c1_star)
-    regular = k > 1.0 - alpha + d / 2.0
-    if regular:
+    ok = regular(d, alpha, k)
+    if ok:
         c3 = c3_constant(d, alpha, k, K, c1_star)
         gamma = gamma_constant(d, alpha, k, delta1, c1_star)
         big_c = full_C(d, alpha, k, K, delta1, c1_star)
@@ -276,7 +284,7 @@ def bound_report(d: int, alpha: float, k: int, K: float, n: int,
     return BoundReport(d=d, alpha=float(alpha), k=k, K=float(K), n=n,
                        delta=float(delta), delta1=float(delta1),
                        exact_integral=bool(exact_integral), c1_star=float(c1_star),
-                       regularity_ok=regular, B1=b1, B2=b2, C1=c1, C2=c2, C3=c3,
+                       regularity_ok=ok, B1=b1, B2=b2, C1=c1, C2=c2, C3=c3,
                        gamma=gamma, C=big_c, dudley_value=dudley,
                        mcdiarmid_tail=tail, thm54_threshold=threshold,
                        thm54_probability=prob)

@@ -28,7 +28,6 @@ from ._svg import render_rate_plot
 from .errors import ConfigInvalid, TriganError
 
 _COMMANDS = ("sample", "density", "fit", "sampling-error", "rate", "bounds")
-_STOCHASTIC = {"sample", "fit", "sampling-error", "rate"}
 
 _ALLOWED = {
     "sample": {"target", "n", "seed", "out", "threads", "resolution"},
@@ -122,8 +121,6 @@ def build_run_config(command: str, file_cfg: dict, overrides: dict) -> RunConfig
     missing = _REQUIRED[command] - set(merged)
     if missing:
         raise ConfigInvalid(f"{command} requires config keys {sorted(missing)}")
-    if command in _STOCHASTIC and "seed" not in merged:
-        raise ConfigInvalid(f"{command} is stochastic: seed is mandatory")
 
     kw: dict = {"command": command}
     if "target" in merged:
@@ -259,14 +256,15 @@ def _cmd_fit(rc: RunConfig) -> None:
     target, config, net = _build_model(rc)
     sample = learning.make_training_sample(target, rc.n, rc.seed)
     result = learning.minimax_fit(config, target, sample, net=net)
+    jac_lower, c1_upper = hyp_mod.jacobian_range(config, result.best_params)
     payload = {
         "strategy": "net_exhaustive",
         "converged": True,
         "achieved_value": result.achieved_value,
         "js_to_target": result.js_to_target,
-        "best_params": [float(v) for v in result.best_generator.coefficients],
-        "jac_lower": result.best_generator.jac_lower,
-        "c1_upper": result.best_generator.c1_upper,
+        "best_params": [float(v) for v in result.best_params],
+        "jac_lower": jac_lower,
+        "c1_upper": c1_upper,
         "inner_values": {str(key): val for key, val in result.inner_values.items()},
         "trace": list(result.trace),
     }

@@ -106,7 +106,8 @@ def _renormalized_pair(f, g):
     pts, w = eval_grid(d)
     fv = _values_on(f, pts)
     gv = _values_on(g, pts)
-    return pts, w, fv / np.sum(w * fv), gv / np.sum(w * gv)
+    mass_f, mass_g = float(np.sum(w * fv)), float(np.sum(w * gv))
+    return pts, w, fv / mass_f, gv / mass_g, (mass_f, mass_g)
 
 
 def kl_divergence(f, g) -> float:
@@ -115,13 +116,13 @@ def kl_divergence(f, g) -> float:
     With nonnegative weights the renormalized weighted sum is a discrete KL,
     so the result is nonnegative up to rounding of the masses.
     """
-    _, w, fv, gv = _renormalized_pair(f, g)
+    _, w, fv, gv, _ = _renormalized_pair(f, g)
     return float(np.sum(w * fv * np.log(fv / gv)))
 
 
 def js_divergence(f, g) -> float:
     """Symmetrized divergence to the midpoint; lies in [0, log 2]."""
-    _, w, fv, gv = _renormalized_pair(f, g)
+    _, w, fv, gv, _ = _renormalized_pair(f, g)
     mid = 0.5 * (fv + gv)
     return float(0.5 * (np.sum(w * fv * np.log(fv / mid))
                         + np.sum(w * gv * np.log(gv / mid))))
@@ -135,9 +136,7 @@ def optimal_discriminator(f_mu, f_phi) -> DiscriminatorFn:
     range for certified generators), else from the observed grid range with
     a small widening.
     """
-    pts, w, _, _ = _renormalized_pair(f_mu, f_phi)
-    mass_f = float(np.sum(w * _values_on(f_mu, pts)))
-    mass_g = float(np.sum(w * _values_on(f_phi, pts)))
+    pts, _, _, _, (mass_f, mass_g) = _renormalized_pair(f_mu, f_phi)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         fv = _values_on(f_mu, x) / mass_f
@@ -169,7 +168,7 @@ def theoretical_loss(f_mu, f_phi,
                      disc: DiscriminatorFn | PairDiscriminator | Callable) -> float:
     """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid;
     a pair discriminator's loss is its pair_losses entry."""
-    pts, w, fv, gv = _renormalized_pair(f_mu, f_phi)
+    pts, w, fv, gv, _ = _renormalized_pair(f_mu, f_phi)
     if isinstance(disc, PairDiscriminator):
         dens = disc.densities(pts)
         return float(pair_losses(0.5, dens, w * fv, dens, (w * gv)[None])[0, 0, -1])

@@ -34,7 +34,7 @@ from math import comb, perm
 
 import numpy as np
 
-from . import rng
+from . import bounds, rng
 from .bounds import RhoMetricParams, discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, read_json, write_text_atomic
 from .divergence import PairDiscriminator
@@ -225,7 +225,7 @@ class HypothesisConfig:
     @property
     def regular(self) -> bool:
         """Smoothness gate k > 1 - alpha + d/2 for the rate machinery."""
-        return self.k > 1.0 - self.alpha + self.dim / 2.0
+        return bounds.regular(self.dim, self.alpha, self.k)
 
     def blocks(self) -> list[tuple[slice, slice]]:
         """Per-component (theta slice, coupling slice) into the flat vector."""
@@ -326,20 +326,6 @@ def make_config(dim: int, k: int = 3, alpha: float = 0.5, K: float = 3.0,
 # members
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """One parameter vector with its cached analytic Jacobian range."""
-
-    coefficients: np.ndarray
-    jac_lower: float    # certified lower bound on the Jacobian over the cube
-    c1_upper: float     # certified upper bound on the diagonal-partial product
-
-    def __post_init__(self):
-        v = np.array(self.coefficients, dtype=np.float64).ravel()
-        v.flags.writeable = False
-        object.__setattr__(self, "coefficients", v)
-
-
 def _box_vector(config: HypothesisConfig, vector) -> np.ndarray:
     """vector as a flat float array; ParamsOutOfBox unless it has the
     family's length and every entry is finite and inside the certified box."""
@@ -351,7 +337,10 @@ def _box_vector(config: HypothesisConfig, vector) -> np.ndarray:
     return v
 
 
-def member_params(config: HypothesisConfig, vector) -> GeneratorParams:
+def jacobian_range(config: HypothesisConfig, vector) -> tuple[float, float]:
+    """Certified (lo, hi) bounds on the member's Jacobian over the cube: the
+    product over components of p times the smallest and largest weight the
+    mean-centred blocks allow at any prefix. ParamsOutOfBox outside the box."""
     v = _box_vector(config, vector)
     p = config.degree
     lo = hi = 1.0
@@ -361,7 +350,7 @@ def member_params(config: HypothesisConfig, vector) -> GeneratorParams:
         reach = np.abs(cc - cc.mean(axis=0)).sum(axis=1)
         lo *= p * float((1.0 / p + dev - reach).min())
         hi *= p * float((1.0 / p + dev + reach).max())
-    return GeneratorParams(coefficients=v, jac_lower=lo, c1_upper=hi)
+    return lo, hi
 
 
 def neutral_params(config: HypothesisConfig) -> np.ndarray:
@@ -369,12 +358,7 @@ def neutral_params(config: HypothesisConfig) -> np.ndarray:
 
 
 def make_generator(config: HypothesisConfig, params) -> TriangularMap:
-    """Member of the family in the generator role (noise -> target).
-
-    params may be a GeneratorParams or a bare coefficient vector.
-    """
-    if isinstance(params, GeneratorParams):
-        params = params.coefficients
+    """Member of the family in the generator role (noise -> target)."""
     v = _box_vector(config, params)
     p = config.degree
     cls = _QuadBernstein if p == 2 else BernsteinComponent
@@ -396,10 +380,10 @@ class Certification:
 
 def certify_member(config: HypothesisConfig, params) -> Certification:
     """Closed-form Jacobian and Holder-norm bounds of one member against K."""
-    gp = params if isinstance(params, GeneratorParams) else member_params(config, params)
-    holder = holder_bound(config, gp.coefficients)
-    ok = gp.jac_lower >= 1.0 / config.K and holder <= config.K
-    return Certification(jac_lower=gp.jac_lower, holder_total=holder, certified=ok)
+    lo, _ = jacobian_range(config, params)
+    holder = holder_bound(config, params)
+    ok = lo >= 1.0 / config.K and holder <= config.K
+    return Certification(jac_lower=lo, holder_total=holder, certified=ok)
 
 
 def bound_constants_finite(dim: int, K: float) -> bool:
@@ -433,16 +417,15 @@ def make_discriminator(config: HypothesisConfig, params_a, params_b) -> PairDisc
 
 @dataclass(frozen=True)
 class EpsNet:
+    """A lattice net: vectors is the read-only (c, n_params) array whose
+    rows are the c member coefficient vectors; a member is its row."""
+
     epsilon: float
-    members: tuple
+    vectors: np.ndarray
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
-
-    @property
-    def vectors(self) -> tuple:
-        return tuple(m.coefficients for m in self.members)
+        return len(self.vectors)
 
 
 def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
@@ -466,9 +449,14 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
         raise NetTooLarge(f"lattice has {q:.4g}^{n} members, cap is {_NET_CAP}")
     half_cell = b / q
     axis = -b + half_cell * (2.0 * np.arange(q) + 1.0)
-    members = tuple(member_params(config, np.array(combo))
-                    for combo in itertools.product(axis, repeat=n))
-    return EpsNet(epsilon=float(epsilon), members=members)
+    # row r picks axis entries by r's n base-q digits, most significant
+    # first: itertools.product order; an n-dimensional meshgrid would fail
+    # past numpy's 64 dimensions, which a one-cell net of a large family has
+    digits = np.arange(q**n)[:, None] // q ** np.arange(n - 1, -1, -1)
+    digits %= q
+    vectors = axis[digits]
+    vectors.flags.writeable = False
+    return EpsNet(epsilon=float(epsilon), vectors=vectors)
 
 
 def distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
@@ -601,7 +589,7 @@ def load_config(path: str) -> HypothesisConfig:
 
 
 def save_net(net: EpsNet, path: str) -> None:
-    write_text_atomic(json.dumps([v.tolist() for v in net.vectors]) + "\n", path)
+    write_text_atomic(json.dumps(net.vectors.tolist()) + "\n", path)
 
 
 def map_from_bernstein_payload(payload: dict) -> TriangularMap:

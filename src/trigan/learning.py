@@ -43,8 +43,7 @@ from . import bounds, rng
 from .density import GridDensity
 from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
-from .hypothesis import (EpsNet, GeneratorParams, HypothesisConfig, distinct_maps,
-                         family_delta1, make_generator)
+from .hypothesis import EpsNet, HypothesisConfig, distinct_maps, family_delta1, make_generator
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_densities, pushforward_density)
 
@@ -179,7 +178,7 @@ def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    best_generator: GeneratorParams
+    best_params: np.ndarray    # the winning member's row of net.vectors
     inner_values: dict
     achieved_value: float
     js_to_target: float
@@ -204,7 +203,7 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
     js = js_divergence(target, pushforward_density(gen))
     trace = tuple(f"member {g}: inner max {float(inner[g])!r}"
                   for g in range(len(vectors)))
-    return MinimaxResult(best_generator=net.members[best],
+    return MinimaxResult(best_params=vectors[best],
                          inner_values={g: float(inner[g]) for g in range(len(vectors))},
                          achieved_value=float(inner[best]), js_to_target=float(js),
                          trace=trace, inner_pair=(vectors[top[0]], vectors[top[1]]))

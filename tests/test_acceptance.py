@@ -190,7 +190,7 @@ def test_criterion_07_error_decomposition(tilted, cfg1):
         eps_hat = float(np.abs(emp - theo).max())
         ok &= -1e-13 <= gap <= 2.0 * eps_hat + 1e-13
         worst = max(worst, gap - 2.0 * eps_hat)
-    ok &= len(net.members) <= 1000
+    ok &= net.cardinality <= 1000
     _verdict(7, "error-decomposition", ok,
              f"100 trials, net 9, worst gap-over-bound {worst:.2e}")
 

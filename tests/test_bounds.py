@@ -81,6 +81,31 @@ def test_dudley_divergence_gate():
         bd.dudley_bound(1, 0.5, 1, 2.0, 100, 1.0)
 
 
+def test_alpha_plus_k_one_is_irregular():
+    # alpha + k - 1 = 0: the gate does not divide by it, so every
+    # integral-backed constant refuses instead of dividing by zero
+    assert not bd.regular(1, 0.0, 1)
+    calls = (lambda: bd.c3_constant(1, 0.0, 1, 2.0),
+             lambda: bd.dudley_bound(1, 0.0, 1, 2.0, 10, 1.0),
+             lambda: bd.gamma_constant(1, 0.0, 1, 1.0),
+             lambda: bd.full_C(1, 0.0, 1, 2.0, 1.0),
+             lambda: bd.thm54_threshold_and_prob(1, 0.0, 1, 2.0, 10, 0.1))
+    for call in calls:
+        with pytest.raises(IntegralDivergent):
+            call()
+    assert bd.bound_report(1, 0.0, 1, 2.0, 10).regularity_ok is False
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_regularity_gate(dim):
+    # the family's gate and the report's flag are bounds.regular
+    for k in range(1, 5):
+        for alpha in (0.25, 0.5, 1.0):
+            ok = bd.regular(dim, alpha, k)
+            assert hyp.HypothesisConfig(dim, k, alpha, 2.0).regular is ok
+            assert bd.bound_report(dim, alpha, k, 2.0, 16).regularity_ok is ok
+
+
 def test_dudley_exact_integral_ratio():
     """Antiderivative form vs plain power-sum form at delta1 = 1.
 

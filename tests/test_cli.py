@@ -602,6 +602,28 @@ def test_subnormal_epsilon_net_too_large(tmp_path, monkeypatch, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("fit", {"n": 16}),
+    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16, 32], "trials": 2}),
+])
+def test_cap_sized_net_refused_by_trial_size(tmp_path, monkeypatch, capsys, command, extra):
+    # 1000^2 members, exactly at the lattice cap: the net is built as one
+    # array, and the trial-size check refuses it before any point is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(rng, "uniforms", no_draw)
+    cfg = write_cfg(tmp_path, "e.json", {"target": {"family": "tilted"}, "hypothesis": HYP,
+                                         "seed": 1, "epsilon": 0.0001185, **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    blob = json.loads(err[0])
+    assert blob["error"] == "ConfigInvalid"
+    assert "with 1000000 net members" in blob["message"] and "per trial" in blob["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_net_too_large_message_is_short(tmp_path, capsys):
     # epsilon 1e-300 gives a lattice side of about 1e302: printed rounded
     cfg = write_cfg(tmp_path, "e.json", {"target": {"family": "tilted"}, "hypothesis": HYP,

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trigan import density as dn
 from trigan import divergence as dv
 from trigan import rosenblatt as rb
 from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
@@ -61,6 +62,26 @@ def test_optimal_discriminator_values(uniform1, tilted):
     val = disc(np.array([[0.0]]))
     assert val[0] == pytest.approx(0.6, abs=1e-9)
     assert disc.lower > 0.0 and disc.upper < 1.0
+
+
+def test_optimal_discriminator_evaluates_each_density_once(monkeypatch, uniform1, tilted):
+    calls = []
+    evaluate = dn.GridDensity.evaluate
+
+    def counted(self, x):
+        calls.append(len(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(dn.GridDensity, "evaluate", counted)
+    disc = dv.optimal_discriminator(uniform1, tilted)
+    assert len(calls) == 2
+    # the masses are the grid quadratures of that one evaluation
+    pts, w = dv.eval_grid(1)
+    mass_f = np.sum(w * evaluate(uniform1, pts))
+    mass_g = np.sum(w * evaluate(tilted, pts))
+    x = np.linspace(0.0, 1.0, 17)[:, None]
+    fv, gv = evaluate(uniform1, x) / mass_f, evaluate(tilted, x) / mass_g
+    assert np.array_equal(disc(x), fv / (fv + gv))
 
 
 def test_loss_identity_with_js(uniform1, tilted):

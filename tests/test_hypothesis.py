@@ -1,6 +1,8 @@
 """Generator family: configs, certified boxes, members, discriminators, nets."""
 
+import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -180,10 +182,10 @@ def test_degree3_increment_example():
     vals = gen.apply(pts).ravel()
     assert vals[0] == pytest.approx(0.26875, abs=5e-15)
     assert vals[1] == pytest.approx(0.5, abs=5e-15)
-    gp = hyp.member_params(cfg, theta)
-    assert gp.jac_lower == pytest.approx(0.6, abs=1e-12)
-    assert gp.c1_upper == pytest.approx(1.2, abs=1e-12)
-    assert hyp.certify_member(cfg, gp).certified
+    lo, hi = hyp.jacobian_range(cfg, theta)
+    assert lo == pytest.approx(0.6, abs=1e-12)
+    assert hi == pytest.approx(1.2, abs=1e-12)
+    assert hyp.certify_member(cfg, theta).certified
 
 
 def test_params_out_of_box(cfg1):
@@ -201,20 +203,18 @@ def test_non_finite_or_out_of_box_params_refused(cfg1, bad):
     with pytest.raises(ParamsOutOfBox):
         hyp.make_generator(cfg1, vec)
     with pytest.raises(ParamsOutOfBox):
-        hyp.member_params(cfg1, vec)
+        hyp.jacobian_range(cfg1, vec)
     with pytest.raises(ParamsOutOfBox):
         hyp.certify_member(cfg1, vec[::-1])
 
 
-def test_member_params_wraps_vector(cfg1):
-    gp = hyp.member_params(cfg1, [0.1, -0.1])
-    assert not gp.coefficients.flags.writeable
-    assert 0.0 < gp.jac_lower <= 1.0 <= gp.c1_upper
-    # make_generator accepts the wrapper and the bare vector identically
+def test_jacobian_range(cfg1):
+    lo, hi = hyp.jacobian_range(cfg1, [0.1, -0.1])
+    assert 0.0 < lo <= 1.0 <= hi
+    # the range is certified: the member's Jacobian stays inside it
     pts = np.linspace(0.0, 1.0, 33)[:, None]
-    a = hyp.make_generator(cfg1, gp).apply(pts)
-    b = hyp.make_generator(cfg1, np.array([0.1, -0.1])).apply(pts)
-    assert np.array_equal(a, b)
+    jac = hyp.make_generator(cfg1, [0.1, -0.1]).components[0].partial(pts[:, :0], pts[:, 0])
+    assert lo <= jac.min() and jac.max() <= hi
 
 
 def test_quadratic_closed_form_and_inverse(cfg1, rng):
@@ -336,16 +336,50 @@ def test_net_cap(cfg1):
         hyp.build_eps_net(cfg1, 1e-4)
 
 
+@pytest.mark.parametrize("dim,coupling,eps", [(1, 1, 0.03), (2, 0, 0.07), (2, 1, 0.1)])
+def test_net_rows_are_the_product_lattice(dim, coupling, eps):
+    """The rows are the itertools.product of the lattice axis, in its order
+    and bit for bit, and the array is read-only."""
+    cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
+    net = hyp.build_eps_net(cfg, eps)
+    q = round(net.cardinality ** (1.0 / cfg.n_params))
+    b = cfg.box_half
+    axis = -b + (b / q) * (2.0 * np.arange(q) + 1.0)
+    want = np.array(list(itertools.product(axis, repeat=cfg.n_params)))
+    assert net.vectors.tobytes() == want.tobytes() and net.vectors.shape == want.shape
+    assert not net.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        net.vectors[0, 0] = 0.0
+
+
+def test_net_with_more_parameters_than_array_dims():
+    # 96 parameters, more than an ndarray has dimensions: one cell per axis
+    cfg = hyp.make_config(3, K=3.0, degree=16)
+    net = hyp.build_eps_net(cfg, 0.5)
+    assert net.vectors.shape == (1, 96)
+    assert np.all(net.vectors == 0.0)             # the one cell's center
+
+
+def test_cap_sized_net_memory(cfg1):
+    # 1000^2 members, exactly at the cap: the lattice costs about its own array
+    tracemalloc.start()
+    try:
+        net = hyp.build_eps_net(cfg1, 0.0001185)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.vectors.shape == (1000**2, 2)
+    assert peak <= 3 * net.vectors.nbytes
+
+
 def test_net_member_invariants(cfg1):
     net = hyp.build_eps_net(cfg1, 0.1)
-    assert net.cardinality == len(net.members)
-    seen = {tuple(m.coefficients) for m in net.members}
+    assert net.vectors.shape == (net.cardinality, cfg1.n_params)
+    seen = {tuple(v) for v in net.vectors}
     assert len(seen) == net.cardinality          # pairwise distinct vectors
-    b = cfg1.box_half
-    for m in net.members:
-        assert np.all(np.abs(m.coefficients) <= b)
-    assert hyp.certify_member(cfg1, net.members[0]).certified
-    assert hyp.certify_member(cfg1, net.members[-1]).certified
+    assert np.all(np.abs(net.vectors) <= cfg1.box_half)
+    assert hyp.certify_member(cfg1, net.vectors[0]).certified
+    assert hyp.certify_member(cfg1, net.vectors[-1]).certified
 
 
 @pytest.mark.parametrize("dim,coupling,eps,members,maps", [
@@ -361,8 +395,8 @@ def test_distinct_members(dim, coupling, eps, members, maps):
     K = 2.0 if dim == 1 else 3.0
     cfg = hyp.make_config(dim, K=K, coupling_degree=coupling)
     net = hyp.build_eps_net(cfg, eps)
-    gens = [hyp.make_generator(cfg, m) for m in net.members]
-    kept, group = hyp.distinct_maps(cfg, net.members)
+    gens = [hyp.make_generator(cfg, v) for v in net.vectors]
+    kept, group = hyp.distinct_maps(cfg, net.vectors)
     keep = [np.flatnonzero(group == h)[0] for h in range(len(kept))]
     assert (net.cardinality, len(kept)) == (members, maps)
     assert [gen.meta for gen in kept] == [gens[i].meta for i in keep]
@@ -383,7 +417,7 @@ def test_net_covers_box(cfg1):
     eps = 0.1
     net = hyp.build_eps_net(cfg1, eps)
     for vec in hyp.random_box_params(cfg1, 40, seed=21):
-        d = min(hyp.map_sup_distance(cfg1, vec, m) for m in net.members)
+        d = min(hyp.map_sup_distance(cfg1, vec, v) for v in net.vectors)
         assert d <= eps + 1e-12
 
 
@@ -434,8 +468,8 @@ def test_realizability_improves_with_degree():
         cfg = hyp.make_config(1, K=6.0, degree=deg)
         net = hyp.build_eps_net(cfg, 0.02)
         best[deg] = min(
-            float(np.abs(hyp.make_generator(cfg, m).apply(t) - phi_mu).max())
-            for m in net.members)
+            float(np.abs(hyp.make_generator(cfg, v).apply(t) - phi_mu).max())
+            for v in net.vectors)
     assert best[3] < best[2] < 0.05
 
 
@@ -479,7 +513,7 @@ def test_save_net(tmp_path, cfg1):
     hyp.save_net(net, str(path))
     rows = json.loads(path.read_text())
     assert len(rows) == net.cardinality
-    assert rows[0] == net.members[0].coefficients.tolist()
+    assert rows == net.vectors.tolist()
 
 
 def test_random_box_params_deterministic(cfg2):

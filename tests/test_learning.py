@@ -26,7 +26,7 @@ def net(cfg1):
 @pytest.fixture(scope="module")
 def realizable_target(cfg1, net):
     # pushforward of a fixed net member: phi_mu lies inside the family
-    vec = net.members[1].coefficients
+    vec = net.vectors[1]
     return ros.pushforward_density(hyp.make_generator(cfg1, vec))
 
 
@@ -247,7 +247,7 @@ def test_diagonal_pairs_floor(cfg1, uniform1, net):
 def test_minimax_uniform_picks_identity_member(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**10, seed=1)
     res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
-    coeff = res.best_generator.coefficients
+    coeff = res.best_params
     assert coeff[0] == coeff[1]              # centered: an identity copy
     assert res.js_to_target < 1e-8
 
@@ -256,7 +256,7 @@ def test_minimax_singleton_net_any_n(cfg1, uniform1):
     for seed, n in ((1, 16), (2, 3), (7, 101)):
         s = lr.make_training_sample(uniform1, n, seed=seed)
         res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.25))
-        assert np.all(res.best_generator.coefficients == 0.0)
+        assert np.all(res.best_params == 0.0)
         assert res.js_to_target == 0.0
 
 
@@ -270,7 +270,7 @@ def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**9, seed=13)
     res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
     disc = hyp.make_discriminator(cfg1, *res.inner_pair)
-    gen = hyp.make_generator(cfg1, res.best_generator)
+    gen = hyp.make_generator(cfg1, res.best_params)
     assert abs(lr.empirical_loss(disc, gen, s) - res.achieved_value) < 1e-12
     assert res.inner_values[int(np.argmin(list(res.inner_values.values())))] \
         == pytest.approx(res.achieved_value, abs=0)
@@ -280,7 +280,7 @@ def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
 def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net):
     s = lr.make_training_sample(uniform1, 200, seed=4)
     base = lr.minimax_fit(cfg1, uniform1, s, net=net)
-    flipped = hyp.EpsNet(epsilon=net.epsilon, members=tuple(reversed(net.members)))
+    flipped = hyp.EpsNet(epsilon=net.epsilon, vectors=net.vectors[::-1])
     again = lr.minimax_fit(cfg1, uniform1, s, net=flipped)
     assert again.achieved_value == base.achieved_value
 
@@ -306,7 +306,7 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     a, b = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
     res = lr.minimax_fit(cfg, target, s, net=net)
     assert res.inner_values == {g: float(v) for g, v in enumerate(inner)}
-    assert np.array_equal(res.best_generator.coefficients, net.vectors[best])
+    assert np.array_equal(res.best_params, net.vectors[best])
     assert np.array_equal(res.inner_pair[0], net.vectors[a])
     assert np.array_equal(res.inner_pair[1], net.vectors[b])
     theo = lr.pair_loss_matrix(target, kept)[nominal]

@@ -2,8 +2,8 @@
 
 Exact transport sampling for grid densities, a certified monotone
 generator family with epsilon-nets, divergences and adversarial losses,
-minimax fitting, sampling-error experiments, and closed-form constants
-for the accompanying error bounds.
+minimax fitting, the sampling-error rate experiment, and closed-form
+constants for the accompanying error bounds.
 """
 
 from types import ModuleType as _ModuleType
@@ -47,21 +47,15 @@ from .hypothesis import (
     EpsNet,
     HypothesisConfig,
     build_eps_net,
-    load_config,
     make_config,
     make_discriminator,
     make_generator,
-    neutral_params,
-    save_config,
-    save_net,
 )
 from .learning import (
     MinimaxResult,
     RateReport,
-    SamplingErrorSummary,
     TrainingSample,
     empirical_loss,
-    estimate_sampling_error,
     make_training_sample,
     minimax_fit,
     rate_experiment,

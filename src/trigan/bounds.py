@@ -27,6 +27,8 @@ from .errors import ConfigInvalid, IntegralDivergent
 
 def _c1(d1: int, d2: int, smooth: float, c1_star: float) -> float:
     """Covering prefactor C1 = c1_star d2^{1 + d1/(2 smooth)}, maps R^d1 -> R^d2."""
+    if smooth <= 0.0:
+        raise ConfigInvalid(f"smoothness alpha + k must be positive, got {smooth!r}")
     return c1_star * d2 ** (1.0 + d1 / (2.0 * smooth))
 
 

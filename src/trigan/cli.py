@@ -27,15 +27,13 @@ from . import rosenblatt
 from ._svg import render_rate_plot
 from .errors import ConfigInvalid, TriganError
 
-_COMMANDS = ("sample", "density", "fit", "sampling-error", "rate", "bounds")
+_COMMANDS = ("sample", "density", "fit", "rate", "bounds")
 
 _ALLOWED = {
     "sample": {"target", "n", "seed", "out", "threads", "resolution"},
     "density": {"target", "out", "resolution"},
     "fit": {"target", "hypothesis", "n", "seed", "strategy", "epsilon", "out",
             "threads", "resolution"},
-    "sampling-error": {"target", "hypothesis", "n", "trials", "seed", "epsilon",
-                       "threads", "out", "resolution"},
     "rate": {"target", "hypothesis", "n_grid", "trials", "seed", "delta", "delta1",
              "epsilon", "threads", "out", "exact_integral", "resolution"},
     "bounds": {"hypothesis", "n", "delta", "delta1", "beta", "exact_integral", "out"},
@@ -50,7 +48,6 @@ _REQUIRED = {
     "sample": {"target", "n", "seed"},
     "density": {"target"},
     "fit": {"target", "hypothesis", "n", "seed"},
-    "sampling-error": {"target", "hypothesis", "n", "trials", "seed"},
     "rate": {"target", "hypothesis", "n_grid", "trials", "seed"},
     "bounds": {"hypothesis", "n"},
 }
@@ -274,14 +271,6 @@ def _cmd_fit(rc: RunConfig) -> None:
           f"js {result.js_to_target!r} -> {path}")
 
 
-def _cmd_sampling_error(rc: RunConfig) -> None:
-    target, config, net = _build_model(rc)
-    summ = learning.estimate_sampling_error(config, target, net, rc.n, rc.trials,
-                                            rc.seed, threads=rc.threads)
-    print(f"sampling-error: n {summ.n}, trials {summ.trials}, mean {summ.mean!r}, "
-          f"std {summ.std!r}, q05 {summ.q05!r}, q50 {summ.q50!r}, q95 {summ.q95!r}")
-
-
 def _cmd_rate(rc: RunConfig) -> None:
     target, config, net = _build_model(rc)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
@@ -328,7 +317,6 @@ _DISPATCH = {
     "sample": _cmd_sample,
     "density": _cmd_density,
     "fit": _cmd_fit,
-    "sampling-error": _cmd_sampling_error,
     "rate": _cmd_rate,
     "bounds": _cmd_bounds,
 }

@@ -26,7 +26,6 @@ range constants depend only on (d, K).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -34,9 +33,9 @@ from math import comb, perm
 
 import numpy as np
 
-from . import bounds, rng
+from . import bounds
 from .bounds import RhoMetricParams, discriminator_constants, rho_metric
-from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points, read_json, write_text_atomic
+from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points
 from .divergence import PairDiscriminator
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .rosenblatt import TriangularMap, pushforward_density
@@ -241,11 +240,6 @@ class HypothesisConfig:
         last = self.blocks()[-1][1]
         return last.stop
 
-    @property
-    def param_box(self) -> tuple:
-        b = self.box_half
-        return tuple((-b, b) for _ in range(self.n_params))
-
 
 def _analytic_box_ok(config: HypothesisConfig, b: float) -> bool:
     """All-corner Jacobian range inside [1/(sK), sK] for half-width b."""
@@ -353,10 +347,6 @@ def jacobian_range(config: HypothesisConfig, vector) -> tuple[float, float]:
     return lo, hi
 
 
-def neutral_params(config: HypothesisConfig) -> np.ndarray:
-    return np.zeros(config.n_params)
-
-
 def make_generator(config: HypothesisConfig, params) -> TriangularMap:
     """Member of the family in the generator role (noise -> target)."""
     v = _box_vector(config, params)
@@ -364,26 +354,9 @@ def make_generator(config: HypothesisConfig, params) -> TriangularMap:
     cls = _QuadBernstein if p == 2 else BernsteinComponent
     comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
                   for theta_sl, coup_sl in config.blocks())
-    payload = json.dumps({"kind": "bernstein", "config": config_to_dict(config),
-                          "params": v.tolist()}, sort_keys=True)
     return TriangularMap(dim=config.dim, components=comps,
                          direction="inverse", components_direct=True,
-                         norm_bound_K=config.K, meta=("bernstein", payload))
-
-
-@dataclass(frozen=True)
-class Certification:
-    jac_lower: float
-    holder_total: float
-    certified: bool
-
-
-def certify_member(config: HypothesisConfig, params) -> Certification:
-    """Closed-form Jacobian and Holder-norm bounds of one member against K."""
-    lo, _ = jacobian_range(config, params)
-    holder = holder_bound(config, params)
-    ok = lo >= 1.0 / config.K and holder <= config.K
-    return Certification(jac_lower=lo, holder_total=holder, certified=ok)
+                         norm_bound_K=config.K)
 
 
 def bound_constants_finite(dim: int, K: float) -> bool:
@@ -481,14 +454,6 @@ def distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
     return maps, np.asarray(group, dtype=np.intp)
 
 
-def random_box_params(config: HypothesisConfig, count: int, seed: int,
-                      trial: int = 0) -> np.ndarray:
-    """count uniform parameter vectors in the box, counter-RNG keyed."""
-    u = rng.uniforms(seed, rng.stream_id(rng.KIND_MEMBER, trial),
-                     0, count, config.n_params)
-    return config.box_half * (2.0 * u - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # sup distances and the family diameter
 
@@ -578,29 +543,3 @@ def _finite_number(raw, key: str) -> float:
         if math.isfinite(val):
             return val
     raise ConfigInvalid(f"{key} must be a finite number")
-
-
-def save_config(config: HypothesisConfig, path: str) -> None:
-    write_text_atomic(json.dumps(config_to_dict(config), sort_keys=True) + "\n", path)
-
-
-def load_config(path: str) -> HypothesisConfig:
-    return config_from_dict(read_json(path))
-
-
-def save_net(net: EpsNet, path: str) -> None:
-    write_text_atomic(json.dumps(net.vectors.tolist()) + "\n", path)
-
-
-def map_from_bernstein_payload(payload: dict) -> TriangularMap:
-    required = {"kind", "config", "params", "direction", "components_direct"}
-    unknown = set(payload) - required
-    if unknown:
-        raise ConfigInvalid(f"unknown map fields {sorted(unknown)}")
-    missing = required - set(payload)
-    if missing:
-        raise ConfigInvalid(f"missing map fields {sorted(missing)}")
-    config = config_from_dict(payload["config"])
-    gen = make_generator(config, np.asarray(payload["params"], dtype=np.float64))
-    return replace(gen, direction=str(payload["direction"]),
-                   components_direct=bool(payload["components_direct"]))

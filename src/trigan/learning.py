@@ -1,4 +1,4 @@
-"""Empirical loss, minimax learning, and sampling-error experiments.
+"""Empirical loss, minimax learning, and the sampling-error rate experiment.
 
 The population suprema over generator and discriminator spaces are taken
 over explicit finite nets here: a lattice net of generator members, and as
@@ -213,18 +213,6 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
 # sampling error
 
 
-@dataclass(frozen=True)
-class SamplingErrorSummary:
-    n: int
-    trials: int
-    mean: float
-    std: float
-    q05: float
-    q50: float
-    q95: float
-    values: tuple
-
-
 def _sampling_trial(args) -> list:
     sampler, maps, sizes, seed, trial, losses = args
     cubes = empirical_pair_matrix(maps, _draw_sample(sampler, sizes[-1], seed, trial), sizes)
@@ -262,12 +250,6 @@ def sampling_error_grid(target, maps, losses: np.ndarray, n_grid, trials: int,
     return np.array([by_size[sizes.index(n)] for n in n_grid])
 
 
-def sampling_error_values(target, maps, losses: np.ndarray, n: int, trials: int,
-                          seed: int, threads: int = 1) -> np.ndarray:
-    """Per-trial sup |empirical - theoretical| at one sample size n."""
-    return sampling_error_grid(target, maps, losses, [n], trials, seed, threads)[0]
-
-
 def _quantile(ordered: list, q: float) -> float:
     """The q-quantile of ascending finite values by numpy's default
     'linear' method, with its arithmetic and so its bits, but without the
@@ -283,23 +265,12 @@ def _quantile(ordered: list, q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def _summarize(n: int, values: np.ndarray) -> SamplingErrorSummary:
+def _summarize(values: np.ndarray) -> dict:
+    """A rate row's mean, std and q05/q50/q95 of one size's per-trial errors."""
     ordered = np.sort(values).tolist()
     q05, q50, q95 = (_quantile(ordered, q) for q in (0.05, 0.5, 0.95))
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-    return SamplingErrorSummary(n=n, trials=int(values.size),
-                                mean=float(np.mean(values)), std=std,
-                                q05=q05, q50=q50, q95=q95,
-                                values=tuple(float(v) for v in values))
-
-
-def estimate_sampling_error(config: HypothesisConfig, target, net: EpsNet,
-                            n: int, trials: int, seed: int,
-                            threads: int = 1) -> SamplingErrorSummary:
-    maps, _ = _net_maps(config, net.vectors)
-    vals = sampling_error_values(target, maps, pair_loss_matrix(target, maps), n, trials,
-                                 seed, threads)
-    return _summarize(n, vals)
+    return dict(mean=float(np.mean(values)), std=std, q05=q05, q50=q50, q95=q95)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +329,6 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     rows = []
     grid_vals = sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
     for n, vals in zip(n_grid, grid_vals):
-        summ = _summarize(n, vals)
         if config.regular:
             bound = full_c / math.sqrt(n)
             threshold, _ = bounds.thm54_threshold_and_prob(
@@ -367,8 +337,7 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
             exceed = float(np.sum(vals > threshold)) / vals.size
         else:
             bound = threshold = exceed = float("nan")
-        rows.append(RateRow(n=n, trials=trials, mean=summ.mean, std=summ.std,
-                            q05=summ.q05, q50=summ.q50, q95=summ.q95,
+        rows.append(RateRow(n=n, trials=trials, **_summarize(vals),
                             bound_C_over_sqrt_n=bound, thm54_threshold=threshold,
                             exceed_frac=exceed))
 

@@ -23,15 +23,13 @@ kernel write into the row or array they are given, so nothing is concatenated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from math import factorial
 
 import numpy as np
 
 from . import rng
-from .density import (_MAX_DIM, GridDensity, _corners, positive_table,
-                      prefix_marginal_tables, read_json, write_text_atomic)
+from .density import GridDensity, _corners, prefix_marginal_tables
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -145,7 +143,6 @@ class TriangularMap:
     direction: str
     components_direct: bool = True
     norm_bound_K: float | None = None
-    meta: tuple = ()   # family serialization payload, e.g. ("bernstein", json_str)
 
     def __post_init__(self):
         if self.direction not in ("forward", "inverse"):
@@ -336,69 +333,3 @@ def _solve_monotone(comp, prefix: np.ndarray, target: np.ndarray, out=None) -> n
         step = np.where(dp > _JAC_FLOOR, f / np.where(dp > _JAC_FLOOR, dp, 1.0), 0.0)
         t = np.clip(t - step, 0.0, 1.0, out=out if newton else None)
     return t
-
-
-# ---------------------------------------------------------------------------
-# serialization (bit-exact for table maps: floats survive JSON round trips)
-
-
-def map_to_dict(tri_map: TriangularMap) -> dict:
-    first = tri_map.components[0]
-    if isinstance(first, TableComponent):
-        return {
-            "kind": "rosenblatt_table",
-            "dim": tri_map.dim,
-            "direction": tri_map.direction,
-            "components_direct": tri_map.components_direct,
-            "resolution": int(first.knots.size),
-            "tables": [c.table.ravel().tolist() for c in tri_map.components],
-        }
-    if tri_map.meta and tri_map.meta[0] == "bernstein":
-        payload = json.loads(tri_map.meta[1])
-        payload["direction"] = tri_map.direction
-        payload["components_direct"] = tri_map.components_direct
-        return payload
-    raise ConfigInvalid("map components do not support serialization")
-
-
-def map_from_dict(payload: dict) -> TriangularMap:
-    if not isinstance(payload, dict):
-        raise ConfigInvalid("a map must be a JSON object")
-    kind = payload.get("kind")
-    if kind == "rosenblatt_table":
-        required = {"kind", "dim", "direction", "components_direct", "resolution", "tables"}
-        unknown = set(payload) - required - {"order"}
-        if unknown:
-            raise ConfigInvalid(f"unknown map fields {sorted(unknown)}")
-        missing = required - set(payload)
-        if missing:
-            raise ConfigInvalid(f"missing map fields {sorted(missing)}")
-        d, m, tables = payload["dim"], payload["resolution"], payload["tables"]
-        if (isinstance(d, bool) or isinstance(m, bool) or not isinstance(d, int)
-                or not isinstance(m, int) or not 1 <= d <= _MAX_DIM or m < 2):
-            raise ConfigInvalid(f"map dim must be an integer in [1, {_MAX_DIM}] and "
-                                f"resolution an integer >= 2")
-        # files written before the coordinate order was removed carry it
-        if payload.get("order", list(range(d))) != list(range(d)):
-            raise ConfigInvalid("only the identity coordinate order is supported")
-        if not isinstance(tables, list) or len(tables) != d:
-            raise ConfigInvalid(f"a {d}-dimensional map needs a list of {d} tables")
-        knots = np.linspace(0.0, 1.0, m)
-        comps = tuple(TableComponent(table=positive_table(flat, m, j, f"map table {j}"),
-                                     knots=knots)
-                      for j, flat in enumerate(tables, start=1))
-        return TriangularMap(dim=d, components=comps,
-                             direction=str(payload["direction"]),
-                             components_direct=bool(payload["components_direct"]))
-    if kind == "bernstein":
-        from .hypothesis import map_from_bernstein_payload
-        return map_from_bernstein_payload(payload)
-    raise ConfigInvalid(f"unknown map kind {kind!r}")
-
-
-def save_map(tri_map: TriangularMap, path: str) -> None:
-    write_text_atomic(json.dumps(map_to_dict(tri_map), sort_keys=True) + "\n", path)
-
-
-def load_map(path: str) -> TriangularMap:
-    return map_from_dict(read_json(path))

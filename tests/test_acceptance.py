@@ -21,6 +21,8 @@ import trigan.rosenblatt as rb
 from trigan.cli import main
 from trigan.errors import IntegralDivergent
 
+from box_params import random_box_params
+
 LOG2 = math.log(2.0)
 
 # 0.99 quantile of the chi-square law with 31 degrees of freedom
@@ -90,7 +92,7 @@ def test_criterion_02_generator_realizes_target(tilted, product2, coupled):
 def test_criterion_03_js_identity(tilted, product2, coupled, cfg1, cfg2):
     worst = 0.0
     for dens, cfg in ((tilted, cfg1), (product2, cfg2), (coupled, cfg2)):
-        for row in hyp.random_box_params(cfg, 20, seed=303):
+        for row in random_box_params(cfg, 20, seed=303):
             fphi = rb.pushforward_density(hyp.make_generator(cfg, row))
             js = dv.js_divergence(dens, fphi)
             loss = dv.theoretical_loss(dens, fphi,
@@ -106,7 +108,7 @@ def test_criterion_04_optimal_discriminator(tilted, product2, coupled,
     ok, strict_cases, min_gap = True, 0, math.inf
     for dens, cfg in ((tilted, cfg1), (product2, cfg2), (coupled, cfg2)):
         pts, _ = dv.eval_grid(cfg.dim)
-        for row in hyp.random_box_params(cfg, 3, seed=7):
+        for row in random_box_params(cfg, 3, seed=7):
             fphi = rb.pushforward_density(hyp.make_generator(cfg, row))
             dopt = dv.optimal_discriminator(dens, fphi)
             lopt = dv.theoretical_loss(dens, fphi, dopt)
@@ -138,7 +140,7 @@ def test_criterion_05_discriminator_bounds(cfg1, cfg2):
     ok = True
     for cfg in (cfg1, cfg2):
         b1 = 1.0 / (1.0 + math.factorial(cfg.dim) * cfg.K ** (cfg.dim + 1))
-        vecs = hyp.random_box_params(cfg, 12, seed=55)
+        vecs = random_box_params(cfg, 12, seed=55)
         pts = rng.random((10**4, cfg.dim))
         for i in range(6):
             disc = hyp.make_discriminator(cfg, vecs[2 * i], vecs[2 * i + 1])
@@ -150,7 +152,7 @@ def test_criterion_05_discriminator_bounds(cfg1, cfg2):
 
 
 def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
-    vecs = hyp.random_box_params(cfg1, 15, seed=606)
+    vecs = random_box_params(cfg1, 15, seed=606)
     combos = [(0, (1, 2)), (3, (4, 5)), (6, (7, 8)), (9, (10, 11)),
               (12, (13, 14))]
     maps, group = hyp.distinct_maps(cfg1, vecs)
@@ -215,8 +217,8 @@ def test_criterion_08_rate_reproduction(uniform1, cfg1):
 def test_criterion_09_concentration_dominance(uniform1, cfg1):
     net = hyp.build_eps_net(cfg1, 0.1)
     maps, _ = hyp.distinct_maps(cfg1, net.vectors)
-    vals = ln.sampling_error_values(uniform1, maps, ln.pair_loss_matrix(uniform1, maps),
-                                    1024, 500, seed=4242)
+    vals = ln.sampling_error_grid(uniform1, maps, ln.pair_loss_matrix(uniform1, maps),
+                                  [1024], 500, seed=4242)[0]
     threshold, prob = bd.thm54_threshold_and_prob(
         cfg1.dim, cfg1.alpha, cfg1.k, cfg1.K, 1024, 0.25,
         hyp.family_delta1(cfg1))
@@ -266,9 +268,6 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
         "fit": ({"target": {"family": "uniform", "dim": 1},
                  "hypothesis": hyp_payload, "n": 32, "seed": 3},
                 ["fit.json"], True),
-        "sampling-error": ({"target": {"family": "uniform", "dim": 1},
-                            "hypothesis": hyp_payload, "n": 32, "trials": 2,
-                            "seed": 3, "epsilon": 0.1}, [], True),
         "rate": ({"target": {"family": "uniform", "dim": 1},
                   "hypothesis": hyp_payload, "n_grid": [16, 32], "trials": 2,
                   "seed": 3, "epsilon": 0.1},
@@ -292,4 +291,4 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
             outputs.append((stdout, blobs))
         ok &= all(run == outputs[0] for run in outputs[1:])
     _verdict(11, "cli-determinism", ok,
-             "6 commands byte-identical across reruns and thread counts")
+             "5 commands byte-identical across reruns and thread counts")

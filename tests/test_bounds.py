@@ -35,6 +35,15 @@ def test_covering_bound_rejects():
         bd.covering_bound(1, 1, 3, 0.5, -1.0, 0.1)
 
 
+@pytest.mark.parametrize("k,alpha", [(0, 0.0), (0, -0.5), (-1, 0.5)])
+def test_covering_bound_rejects_nonpositive_smoothness(k, alpha):
+    # alpha + k <= 0 is refused before the 1/(alpha + k) exponents
+    with pytest.raises(ConfigInvalid, match="alpha \\+ k"):
+        bd.covering_bound(1, 1, k, alpha, 2.0, 0.1)
+    with pytest.raises(ConfigInvalid, match="alpha \\+ k"):
+        bd.c2_constant(1, alpha, k)
+
+
 # ---------------------------------------------------------------------------
 # rho metric
 

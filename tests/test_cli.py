@@ -248,19 +248,17 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_trial_path_imports_no_masked_arrays(tmp_path):
-    # the sampling-error summary takes its quantiles without numpy.ma
+    # the rate rows take their quantiles without numpy.ma
     env = _env_importing_trigan()
-    spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
-            "n_grid": [8, 16], "n": 16, "trials": 2, "seed": 3, "epsilon": 0.05}
-    for command, drop in (("rate", "n"), ("sampling-error", "n_grid")):
-        cfg = write_cfg(tmp_path, f"{command}.json",
-                        {k: v for k, v in spec.items() if k != drop})
-        argv = [command, "--config", cfg, "--out", str(tmp_path)]
-        code = (f"import sys; from trigan.cli import main; assert main({argv!r}) == 0; "
-                "print('numpy.ma' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.splitlines()[-1] == "False"
+    cfg = write_cfg(tmp_path, "rate.json",
+                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+                     "n_grid": [8, 16], "trials": 2, "seed": 3, "epsilon": 0.05})
+    argv = ["rate", "--config", cfg, "--out", str(tmp_path)]
+    code = (f"import sys; from trigan.cli import main; assert main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_process_freezes_start_up_heap(tmp_path):
@@ -432,22 +430,42 @@ def test_fit_strategy_choices_refused(tmp_path, monkeypatch, capsys, cfg, flags)
 
 
 # ---------------------------------------------------------------------------
-# sampling-error / rate
+# rate
 
 
-def test_sampling_error_threads_agree(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_sampling_error_command_is_gone(tmp_path):
+    # the one-size sampling error is a rate with n_grid [n]; the old
+    # subcommand is an unknown command: exit 2, one JSON line, no out dir
     cfg = write_cfg(tmp_path, "se.json",
-                    {"target": {"family": "uniform", "dim": 1},
-                     "hypothesis": HYP, "n": 32, "trials": 2, "seed": 9})
-    assert main(["sampling-error", "--config", cfg]) == 0
-    line1 = capsys.readouterr().out
-    assert main(["sampling-error", "--config", cfg, "--threads", "2"]) == 0
-    assert capsys.readouterr().out == line1
-    assert "mean 0.0" in line1
+                    {"target": {"family": "tilted"}, "hypothesis": HYP, "n": 512,
+                     "trials": 7, "seed": 11, "epsilon": 0.05, "out": "o"})
+    proc = subprocess.run([sys.executable, "-m", "trigan.cli", "sampling-error",
+                           "--config", cfg], cwd=tmp_path, env=_env_importing_trigan(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    blob = json.loads(err[0])
+    assert blob["error"] == "ConfigInvalid" and "invalid choice" in blob["message"]
+    assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command,size", [("sampling-error", {"n": 32}),
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_one_size_rate_row_pinned(tmp_path, monkeypatch, threads):
+    """The rate.csv row of a one-size grid: tilted target, README 1D
+    hypothesis, epsilon 0.05, n 512, 7 trials, seed 11."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "r.json",
+                    {"target": {"family": "tilted"}, "hypothesis": HYP, "n_grid": [512],
+                     "trials": 7, "seed": 11, "epsilon": 0.05})
+    assert main(["rate", "--config", cfg, "--threads", threads, "--out", "r"]) == 0
+    row = (tmp_path / "r" / "rate.csv").read_text().splitlines()[1].split(",")
+    assert row[:7] == ["512", "7", "0.0027275045272530107", "0.0017691451302753538",
+                       "0.0006739821748227515", "0.0030003167320061808",
+                       "0.0051386633019794604"]
+
+
+@pytest.mark.parametrize("command,size", [("rate", {"n_grid": [32, 64]}),
                                           ("rate", {"n_grid": [64]})])
 def test_trials_past_stream_key(tmp_path, monkeypatch, capsys, command, size):
     # refused with the config, before the loss cube is built or a point drawn
@@ -552,7 +570,7 @@ def test_bounds_beta_overflow(tmp_path, monkeypatch, capsys, beta):
 
 @pytest.mark.parametrize("command,size", [
     ("fit", {"n": 10**8}),
-    ("sampling-error", {"n": 10**8, "trials": 1}),
+    ("rate", {"n_grid": [10**8], "trials": 1}),
     ("rate", {"n_grid": [64, 10**8], "trials": 1}),
 ])
 def test_trial_size_cap(tmp_path, monkeypatch, capsys, command, size):
@@ -585,7 +603,7 @@ def test_fit_net_over_matrix_cap(tmp_path, capsys):
 @pytest.mark.parametrize("epsilon", [1e-310, 5e-324])
 @pytest.mark.parametrize("command,extra", [
     ("fit", {"n": 16}),
-    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16], "trials": 2}),
     ("rate", {"n_grid": [16, 32], "trials": 2}),
 ])
 def test_subnormal_epsilon_net_too_large(tmp_path, monkeypatch, capsys, command, extra,
@@ -604,7 +622,7 @@ def test_subnormal_epsilon_net_too_large(tmp_path, monkeypatch, capsys, command,
 
 @pytest.mark.parametrize("command,extra", [
     ("fit", {"n": 16}),
-    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16], "trials": 2}),
     ("rate", {"n_grid": [16, 32], "trials": 2}),
 ])
 def test_cap_sized_net_refused_by_trial_size(tmp_path, monkeypatch, capsys, command, extra):
@@ -744,7 +762,7 @@ def test_nested_spec_rejected(tmp_path, monkeypatch, capsys, command, patch):
 
 @pytest.mark.parametrize("command,extra", [
     ("fit", {"n": 16}),
-    ("sampling-error", {"n": 16, "trials": 2}),
+    ("rate", {"n_grid": [16], "trials": 2}),
     ("rate", {"n_grid": [16, 32], "trials": 2}),
 ])
 def test_hypothesis_dim_must_match_target(tmp_path, capsys, monkeypatch, command, extra):

@@ -16,6 +16,7 @@ from trigan.errors import ConfigInvalid
 from trigan.rng import KIND_NOISE, stream_id, uniforms
 
 import two_pass_cube
+from box_params import random_box_params
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,9 @@ def test_training_sample_read_only(tilted):
 
 def test_loss_at_constant_half_is_exact(cfg1, uniform1):
     """D == 1/2 collapses both sums to -log 2, with no rounding residue."""
-    v = hyp.random_box_params(cfg1, 1, seed=3)[0]
+    v = random_box_params(cfg1, 1, seed=3)[0]
     half = hyp.make_discriminator(cfg1, v, v)
-    ident = hyp.make_generator(cfg1, hyp.neutral_params(cfg1))
+    ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     for n in (64, 100, 257):
         s = lr.make_training_sample(uniform1, n, seed=2)
         assert lr.empirical_loss(half, ident, s) == -math.log(2.0)
@@ -81,7 +82,7 @@ def test_loss_hand_value_n1(cfg1):
     # D(Y1) = 0.2 and D(phi(Z1)) = 0.8 give (log 0.2 + log 0.2) / 2
     s = lr.TrainingSample(n=1, real_points=np.array([[0.3]]),
                           noise_points=np.array([[0.7]]), seed=0)
-    ident = hyp.make_generator(cfg1, hyp.neutral_params(cfg1))
+    ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     step = dv.DiscriminatorFn(
         evaluator=lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8),
         lower=0.2, upper=0.8)
@@ -92,7 +93,7 @@ def test_loss_hand_value_n1(cfg1):
 def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
     bad = dv.DiscriminatorFn(evaluator=lambda p: np.ones(len(p)), lower=0.0,
                              upper=1.0)
-    ident = hyp.make_generator(cfg1, hyp.neutral_params(cfg1))
+    ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     s = lr.make_training_sample(uniform1, 4, seed=1)
     with pytest.raises(dv.DiscriminatorOutOfRange
                        if hasattr(dv, "DiscriminatorOutOfRange") else Exception):
@@ -141,7 +142,7 @@ def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, membe
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, degree=degree,
                           coupling_degree=coupling)
     target = tilted if dim == 1 else coupled
-    V = list(hyp.random_box_params(cfg, members, seed=seed))
+    V = list(random_box_params(cfg, members, seed=seed))
     # a copy of the first member with its first theta block recentred: the
     # same map up to the rounding of the centring
     theta = cfg.blocks()[0][0]
@@ -179,7 +180,7 @@ def test_one_pass_cube_matches_two_pass(tilted, coupled, dim, coupling, eps):
     points do not."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
     V = (hyp.build_eps_net(cfg, eps).vectors if eps
-         else hyp.random_box_params(cfg, 5, seed=dim + 2 * coupling))
+         else random_box_params(cfg, 5, seed=dim + 2 * coupling))
     maps, _ = hyp.distinct_maps(cfg, V)
     h, chunk = len(maps), ros._CHUNK
     assert h * (chunk // h) <= chunk < (h + 1) * (chunk // h)
@@ -309,11 +310,11 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     assert np.array_equal(res.best_params, net.vectors[best])
     assert np.array_equal(res.inner_pair[0], net.vectors[a])
     assert np.array_equal(res.inner_pair[1], net.vectors[b])
-    theo = lr.pair_loss_matrix(target, kept)[nominal]
+    losses = lr.pair_loss_matrix(target, kept)
     errors = [float(np.abs(lr.empirical_pair_matrix(
-        kept, lr.make_training_sample(target, 64, seed=12, trial=t))[nominal] - theo).max())
-        for t in range(3)]
-    assert lr.estimate_sampling_error(cfg, target, net, 64, 3, seed=12).values == tuple(errors)
+        kept, lr.make_training_sample(target, 64, seed=12, trial=t))[nominal]
+        - losses[nominal]).max()) for t in range(3)]
+    assert lr.sampling_error_grid(target, kept, losses, [64], 3, seed=12)[0].tolist() == errors
 
 
 def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
@@ -336,19 +337,29 @@ def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
 # sampling error
 
 
-def test_sampling_error_single_trial_bitwise(cfg1, uniform1, net):
-    a = lr.estimate_sampling_error(cfg1, uniform1, net, 200, 1, seed=5)
-    b = lr.estimate_sampling_error(cfg1, uniform1, net, 200, 1, seed=5)
-    assert a == b
-    assert a.trials == 1 and a.std == 0.0 and a.mean == a.values[0]
+@pytest.fixture(scope="module")
+def net_cube(cfg1, uniform1, net):
+    # the net's distinct maps and their theoretical loss cube against uniform1
+    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    return maps, lr.pair_loss_matrix(uniform1, maps)
 
 
-def test_sampling_error_decreases_over_decade(cfg1, uniform1, net):
-    lo = lr.estimate_sampling_error(cfg1, uniform1, net, 100, 12, seed=5)
-    hi = lr.estimate_sampling_error(cfg1, uniform1, net, 10**4, 12, seed=5)
-    assert hi.mean < lo.mean
-    assert lo.q05 <= lo.q50 <= lo.q95
-    assert all(v >= 0.0 for v in lo.values)
+def test_sampling_error_single_trial_bitwise(uniform1, net_cube):
+    maps, losses = net_cube
+    a = lr.sampling_error_grid(uniform1, maps, losses, [200], 1, seed=5)
+    b = lr.sampling_error_grid(uniform1, maps, losses, [200], 1, seed=5)
+    assert a.shape == (1, 1) and np.array_equal(a, b)
+    assert lr._summarize(a[0]) == dict(mean=a[0, 0], std=0.0, q05=a[0, 0], q50=a[0, 0],
+                                       q95=a[0, 0])
+
+
+def test_sampling_error_decreases_over_decade(uniform1, net_cube):
+    maps, losses = net_cube
+    lo, hi = lr.sampling_error_grid(uniform1, maps, losses, [100, 10**4], 12, seed=5)
+    assert hi.mean() < lo.mean()
+    summ = lr._summarize(lo)
+    assert summ["q05"] <= summ["q50"] <= summ["q95"]
+    assert np.all(lo >= 0.0)
 
 
 @settings(max_examples=100)
@@ -382,38 +393,35 @@ def test_worker_count_bounded(monkeypatch):
     assert lr._worker_count(8, 3) == 1
 
 
-def test_trials_fit_the_stream_key(cfg1, uniform1, net):
+def test_trials_fit_the_stream_key(uniform1, net_cube):
     # trial t keys its streams kind + (t << 8), which must stay below 2**64
     last = stream_id(KIND_NOISE, 2**56 - 1)
     assert last < 2**64 and uniforms(0, last, 0, 1, 1).shape == (1, 1)
     with pytest.raises(ValueError):
         stream_id(KIND_NOISE, 2**56)
     # rejected before any task is built or any pool is started
-    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
-    losses = lr.pair_loss_matrix(uniform1, maps)
+    maps, losses = net_cube
     with pytest.raises(ConfigInvalid, match=r"2\*\*56"):
-        lr.sampling_error_values(uniform1, maps, losses, 16, 2**56 + 1, seed=0)
+        lr.sampling_error_grid(uniform1, maps, losses, [16], 2**56 + 1, seed=0)
 
 
-def test_sampling_error_thread_count_invariant(cfg1, uniform1, net):
-    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
-    losses = lr.pair_loss_matrix(uniform1, maps)
-    one = lr.sampling_error_values(uniform1, maps, losses, 100, 12, seed=5)
-    two = lr.sampling_error_values(uniform1, maps, losses, 100, 12, seed=5,
-                                   threads=2)
+def test_sampling_error_thread_count_invariant(uniform1, net_cube):
+    maps, losses = net_cube
+    one = lr.sampling_error_grid(uniform1, maps, losses, [100], 12, seed=5)
+    two = lr.sampling_error_grid(uniform1, maps, losses, [100], 12, seed=5, threads=2)
     assert np.array_equal(one, two)
 
 
 def _check_prefixes(target, maps, n_grid, trials, seed, threads=1):
-    """sampling_error_grid row i is sampling_error_values at n_grid[i], and
+    """sampling_error_grid row i is the one-size grid at n_grid[i], and
     each prefix cube of a trial drawn at max(n_grid) is the cube of that
     trial freshly drawn at its size, bitwise."""
     losses = lr.pair_loss_matrix(target, maps)
     grid = lr.sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
     assert grid.shape == (len(n_grid), trials)
     for n, row in zip(n_grid, grid):
-        assert np.array_equal(row, lr.sampling_error_values(target, maps, losses, n,
-                                                            trials, seed))
+        assert np.array_equal(row, lr.sampling_error_grid(target, maps, losses, [n],
+                                                          trials, seed)[0])
     last = trials - 1
     cubes = lr.empirical_pair_matrix(
         maps, lr.make_training_sample(target, max(n_grid), seed, last), n_grid)
@@ -434,7 +442,7 @@ def test_grid_trials_are_prefixes(tilted, coupled, dim, coupling, n_grid, trials
     """One pass per trial at max(n_grid) gives every size's numbers, for
     unsorted and repeated sizes, across 1D and 2D families."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
-    maps, _ = hyp.distinct_maps(cfg, list(hyp.random_box_params(cfg, 3, seed=seed)))
+    maps, _ = hyp.distinct_maps(cfg, list(random_box_params(cfg, 3, seed=seed)))
     _check_prefixes(tilted if dim == 1 else coupled, maps, n_grid, trials, seed)
 
 
@@ -448,15 +456,15 @@ def test_grid_prefixes_past_numpy_buffer(cfg1, uniform1, net):
 # rate experiment
 
 
-def test_rate_singleton_grid(cfg1, uniform1, net):
-    rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3,
-                             net=hyp.build_eps_net(cfg1, 0.1))
+def test_rate_singleton_grid(cfg1, uniform1, net, net_cube):
+    rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3, net=net)
     assert not rep.slope_defined and math.isnan(rep.slope)
     assert "single n: slope undefined" in rep.warnings
-    summ = lr.estimate_sampling_error(cfg1, uniform1, net, 256, 6, seed=3)
+    vals = lr.sampling_error_grid(uniform1, *net_cube, [256], 6, seed=3)[0]
     r = rep.rows[0]
-    assert (r.mean, r.std, r.q05, r.q50, r.q95) == \
-        (summ.mean, summ.std, summ.q05, summ.q50, summ.q95)
+    assert (r.mean, r.std, r.q05, r.q50, r.q95) == (
+        float(np.mean(vals)), float(np.std(vals, ddof=1)),
+        *(float(np.quantile(vals, q)) for q in (0.05, 0.5, 0.95)))
     assert r.exceed_frac == 0.0 and r.thm54_threshold > r.mean
 
 

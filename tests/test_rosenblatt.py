@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from box_params import random_box_params
 from row_cdf import conditional_cdf
 from trigan import density as dn
 from trigan import divergence as dv
@@ -138,7 +139,7 @@ def test_table_component_matches_row_cdf(tilted, coupled, rough3):
 def test_solve_monotone_returns_closed_form(coupled, cfg2):
     # a closed-form inverse is returned as is: no Newton polish follows it
     table = rb.build_rosenblatt(coupled).components[1]
-    params = hyp.random_box_params(cfg2, 1, seed=5)[0]
+    params = random_box_params(cfg2, 1, seed=5)[0]
     quad = hyp.make_generator(cfg2, params).components[1]
     assert isinstance(quad, hyp._QuadBernstein)
     gen = np.random.default_rng(41)
@@ -179,7 +180,7 @@ def _generators(family, dim: int, count: int, gen) -> list:
     degree, coupling = family
     cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
     return [hyp.make_generator(cfg, v)
-            for v in hyp.random_box_params(cfg, count, seed=int(gen.integers(2**31)))]
+            for v in random_box_params(cfg, count, seed=int(gen.integers(2**31)))]
 
 
 # every family in every dimension, on both sides of each block boundary;
@@ -217,7 +218,7 @@ def test_degenerate_partial_raises_in_batch(cfg1):
     thin = hyp._QuadBernstein(degree=2, theta=np.array([1e-13 - 0.5, 0.5 - 1e-13]),
                               coupling=np.zeros((2, 0)))
     bad = rb.TriangularMap(dim=1, components=(thin,), direction="inverse")
-    good = hyp.make_generator(cfg1, hyp.neutral_params(cfg1))
+    good = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     pts = np.full((rb._CHUNK + 1, 1), 0.5)
     assert np.all(np.isfinite(rb.pushforward_densities([good, bad], pts)))
     pts[-1] = 0.0
@@ -259,73 +260,66 @@ def test_one_dim_point_convenience(tilted):
 
 
 def test_table_map_serialization(tmp_path, coupled, rng):
+    # a table map is stored as its density.json: the map rebuilt from the
+    # file is the map of the density, bit for bit
     psi = rb.build_rosenblatt(coupled)
-    path = str(tmp_path / "map.json")
-    rb.save_map(psi, path)
-    back = rb.load_map(path)
+    path = str(tmp_path / "density.json")
+    dn.save_density(coupled, path)
+    back = rb.build_rosenblatt(dn.load_density(path))
     pts = rng.random((64, 2))
     assert np.array_equal(back.apply(pts), psi.apply(pts))
-    assert "order" not in json.loads(open(path).read())
-
-
-def test_table_map_legacy_order(coupled, rng):
-    # older files carry the coordinate order; only the identity is a valid map
-    payload = rb.map_to_dict(rb.build_rosenblatt(coupled))
-    pts = rng.random((16, 2))
-    back = rb.map_from_dict({**payload, "order": [0, 1]})
-    assert np.array_equal(back.apply(pts), rb.map_from_dict(payload).apply(pts))
-    with pytest.raises(ConfigInvalid, match="order"):
-        rb.map_from_dict({**payload, "order": [1, 0]})
+    assert np.array_equal(back.invert(pts), psi.invert(pts))
 
 
 def _table_payload():
-    # a forward 2D table map on 3 knots: tables of 3 and 9 values
-    return {"kind": "rosenblatt_table", "dim": 2, "direction": "forward",
-            "components_direct": True, "resolution": 3,
-            "tables": [[1.0, 1.0, 1.0], [1.0] * 9]}
+    # the density.json of a 2D table map on 3 knots: 9 values
+    return {"dim": 2, "resolution": 3, "quad_rule": "trapezoid", "values": [1.0] * 9}
 
 
 @pytest.mark.parametrize("patch,error", [
-    ({"tables": [[1.0, 1.0, 1.0], [1.0] * 8]}, ConfigInvalid),
-    ({"tables": [[1.0, 1.0, 1.0]]}, ConfigInvalid),
-    ({"tables": [[1.0, 1.0, 1.0], [[1.0] * 3] * 3]}, ConfigInvalid),
-    ({"tables": [[1.0, True, 1.0], [1.0] * 9]}, ConfigInvalid),
-    ({"tables": [[1.0, 0.0, 1.0], [1.0] * 9]}, NonPositiveDensity),
-    ({"tables": [[1.0, 1.0, 1.0], [1.0] * 8 + [-2.0]]}, NonPositiveDensity),
-    ({"tables": [[1.0, 1e400, 1.0], [1.0] * 9]}, NonPositiveDensity),
-    ({"tables": [[1.0, 10**400, 1.0], [1.0] * 9]}, NonPositiveDensity),
+    ({"values": [1.0] * 8}, ConfigInvalid),
+    ({"values": [1.0, 1.0, 1.0]}, ConfigInvalid),
+    ({"values": [[1.0] * 3] * 3}, ConfigInvalid),
+    ({"values": [1.0, True] + [1.0] * 7}, ConfigInvalid),
+    ({"values": [1.0, 0.0] + [1.0] * 7}, NonPositiveDensity),
+    ({"values": [1.0] * 8 + [-2.0]}, NonPositiveDensity),
+    ({"values": [1.0, 1e400] + [1.0] * 7}, NonPositiveDensity),
+    ({"values": [1.0, 10**400] + [1.0] * 7}, NonPositiveDensity),
     ({"dim": 1.5}, ConfigInvalid),
     ({"resolution": 1}, ConfigInvalid),
     ({"resolution": True}, ConfigInvalid),
-    ({"tables": None}, ConfigInvalid),
+    ({"values": None}, ConfigInvalid),
 ], ids=["short-rank2", "missing-table", "nested", "bool", "zero", "negative", "overflow",
         "int-overflow", "dim-float", "resolution-1", "resolution-bool", "tables-null"])
 def test_table_map_payload_checked(patch, error):
-    assert rb.map_from_dict(_table_payload()).dim == 2
+    assert rb.build_rosenblatt(dn.density_from_dict(_table_payload())).dim == 2
     with pytest.raises(error):
-        rb.map_from_dict({**_table_payload(), **patch})
+        dn.density_from_dict({**_table_payload(), **patch})
 
 
 @pytest.mark.parametrize("raw", [
-    b'{"kind": "rosenblatt_table", "dim": 1, "direction": "forward", '
-    b'"components_direct": true, "resolution": 3, "tables": [[1.0, NaN, 1.0]]}',
-    b'{"kind": "rosenblatt_table", "dim": 1, "direction": "\xff"}',
-    b'{"kind": "rosenblatt_table", "dim": 1}',
+    b'{"dim": 1, "resolution": 3, "quad_rule": "trapezoid", "values": [1.0, NaN, 1.0]}',
+    b'{"dim": 1, "resolution": 3, "quad_rule": "\xff"}',
+    b'{"dim": 1, "resolution": 3}',
     b'[]',
 ], ids=["nan", "not-utf8", "missing-fields", "not-object"])
 def test_load_map_refuses_bad_json(tmp_path, raw):
-    path = tmp_path / "map.json"
+    # a table map is loaded from its density.json
+    path = tmp_path / "density.json"
     path.write_bytes(raw)
     with pytest.raises(ConfigInvalid):
-        rb.load_map(str(path))
+        dn.load_density(str(path))
 
 
-def test_bernstein_map_serialization(tmp_path, cfg1, rng):
-    params = hyp.random_box_params(cfg1, 1, seed=3)[0]
+def test_bernstein_map_serialization(cfg1, rng):
+    # a fitted map is stored as the run's hypothesis object and fit.json's
+    # best_params: the map rebuilt from their JSON is the member, bit for bit
+    params = random_box_params(cfg1, 1, seed=3)[0]
     gen = hyp.make_generator(cfg1, params)
-    path = str(tmp_path / "gen.json")
-    rb.save_map(gen, path)
-    back = rb.load_map(path)
+    stored = json.loads(json.dumps({"hypothesis": hyp.config_to_dict(cfg1),
+                                    "best_params": [float(v) for v in params]}))
+    back = hyp.make_generator(hyp.config_from_dict(stored["hypothesis"]),
+                              stored["best_params"])
     pts = rng.random((64, 1))
     assert np.array_equal(back.apply(pts), gen.apply(pts))
     assert back.direction == gen.direction

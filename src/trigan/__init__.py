@@ -31,7 +31,6 @@ from .divergence import (
     theoretical_loss,
 )
 from .errors import (
-    BoxOutOfDomain,
     ConfigInvalid,
     DegenerateJacobian,
     DiscriminatorOutOfRange,

@@ -58,6 +58,25 @@ def _require_convergent(d: int, alpha: float, k: int) -> None:
             f"entropy integral diverges: k = {k} <= 1 - alpha + d/2 = {1 - alpha + d / 2}")
 
 
+def _ratio_factor(d: int, K: float) -> float:
+    """d! K^{d+1}, the range factor of the paired-generator ratios."""
+    return factorial(d) * K ** (d + 1)
+
+
+def _delta1_bracket(d: int, alpha: float, k: int, delta1: float,
+                    exact_integral: bool = False) -> float:
+    """The chaining bracket delta1^{1-a} + delta1^{1-b}, with the
+    antiderivative denominators 1/(1-a), 1/(1-b) when exact_integral;
+    refuses an irregular (d, alpha, k) and a nonpositive delta1."""
+    _require_convergent(d, alpha, k)
+    if delta1 <= 0.0:
+        raise ConfigInvalid("delta1 must be positive")
+    a, b = _exponents(d, alpha, k)
+    if exact_integral:
+        return delta1 ** (1.0 - a) / (1.0 - a) + delta1 ** (1.0 - b) / (1.0 - b)
+    return delta1 ** (1.0 - a) + delta1 ** (1.0 - b)
+
+
 def c2_constant(d: int, alpha: float, k: int, c1_star: float = 1.0) -> float:
     """Combined entropy prefactor: the larger of the generator constant
     (maps into d dimensions, smoothness alpha+k) and the discriminator
@@ -74,7 +93,7 @@ def c3_constant(d: int, alpha: float, k: int, K: float,
     into the integrand exponents.
     """
     _require_convergent(d, alpha, k)
-    big = 1.0 + factorial(d) * K ** (d + 1)
+    big = 1.0 + _ratio_factor(d, K)
     a_fac = 2.0 * d**2 * factorial(d) ** 3 * K ** (3 * d + 3) * big
     b_fac = 2.0 * K * big
     c2 = c2_constant(d, alpha, k, c1_star)
@@ -88,7 +107,7 @@ def c3_constant(d: int, alpha: float, k: int, K: float,
 
 def discriminator_constants(dim: int, K: float) -> tuple[float, float]:
     """Range constants of paired-generator ratios: B1 = 1/(1 + d! K^{d+1})."""
-    b1 = 1.0 / (1.0 + factorial(dim) * K ** (dim + 1))
+    b1 = 1.0 / (1.0 + _ratio_factor(dim, K))
     return b1, 1.0 - b1
 
 
@@ -104,7 +123,7 @@ class RhoMetricParams:
 
     @property
     def disc_factor(self) -> float:
-        return 1.0 + factorial(self.d) * self.K ** (self.d + 1)
+        return 1.0 + _ratio_factor(self.d, self.K)
 
     @property
     def gen_factor(self) -> float:
@@ -129,14 +148,7 @@ def rho_metric(p: RhoMetricParams, d_disc: float, d_gen: float) -> float:
 
 def _dudley_base(d: int, alpha: float, k: int, K: float, delta1: float,
                  exact_integral: bool, c1_star: float) -> float:
-    _require_convergent(d, alpha, k)
-    if delta1 <= 0.0:
-        raise ConfigInvalid("delta1 must be positive")
-    a, b = _exponents(d, alpha, k)
-    if exact_integral:
-        bracket = delta1 ** (1.0 - a) / (1.0 - a) + delta1 ** (1.0 - b) / (1.0 - b)
-    else:
-        bracket = delta1 ** (1.0 - a) + delta1 ** (1.0 - b)
+    bracket = _delta1_bracket(d, alpha, k, delta1, exact_integral)
     return 12.0 * c3_constant(d, alpha, k, K, c1_star) * bracket
 
 
@@ -155,11 +167,7 @@ def dudley_bound(d: int, alpha: float, k: int, K: float, n: int, delta1: float,
 def gamma_constant(d: int, alpha: float, k: int, delta1: float,
                    c1_star: float = 1.0) -> float:
     """K-free expectation-bound constant 48 d^2 (d!)^4 sqrt(C2) [delta1 bracket]."""
-    _require_convergent(d, alpha, k)
-    if delta1 <= 0.0:
-        raise ConfigInvalid("delta1 must be positive")
-    a, b = _exponents(d, alpha, k)
-    bracket = delta1 ** (1.0 - a) + delta1 ** (1.0 - b)
+    bracket = _delta1_bracket(d, alpha, k, delta1)
     c2 = c2_constant(d, alpha, k, c1_star)
     return 48.0 * d**2 * factorial(d) ** 4 * math.sqrt(c2) * bracket
 
@@ -205,7 +213,7 @@ def thm54_threshold_and_prob(d: int, alpha: float, k: int, K: float, n: int,
         raise ConfigInvalid("n must be >= 1")
     gamma = gamma_constant(d, alpha, k, delta1, c1_star)
     threshold = 2.0 * gamma * K ** (4 * (d + 1)) * _pow(n, delta - 0.5)
-    log_sq = math.log1p(factorial(d) * K ** (d + 1)) ** 2
+    log_sq = math.log1p(_ratio_factor(d, K)) ** 2
     exponent = gamma * gamma * K ** (8 * (d + 1)) * _pow(n, 2.0 * delta) / log_sq
     return threshold, math.exp(-exponent)
 

@@ -2,14 +2,15 @@
 
 A density is represented by its values at the nodes of a uniform grid with
 ``resolution`` points per axis (endpoints included) and is interpreted as the
-multilinear interpolant of those values. Quadrature, marginals, the
-prefix-marginal tables and mollification all operate on that interpolant:
+multilinear interpolant of those values. Normalization, the prefix-marginal
+tables and mollification all operate on that interpolant:
 
-* composite trapezoid quadrature integrates the interpolant exactly, which
-  keeps storage and integration mutually consistent,
-* the prefix-marginal tables integrate out trailing axes with trapezoid
-  weights; the triangular maps of the rosenblatt module turn them into
-  piecewise-quadratic conditional CDFs,
+* the prefix-marginal tables are the one quadrature: they integrate out
+  trailing axes with trapezoid weights, which integrate the interpolant
+  exactly, so storage and integration agree; normalize takes its mass from
+  them, and the triangular maps of the rosenblatt module turn them into
+  piecewise-quadratic conditional CDFs, whose values are the integrals of
+  the interpolant over partial boxes,
 * mollification is a per-axis circular (mod 1) convolution with a wrapped
   Gaussian, truncated at eight standard deviations.
 
@@ -23,11 +24,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
+from .errors import ConfigInvalid, NonPositiveDensity
 
 # default dimension of each named family
 _FAMILY_DIM = {"uniform": 1, "tilted": 1, "product": 2, "coupled": 2,
@@ -36,6 +36,8 @@ _FAMILY_DIM = {"uniform": 1, "tilted": 1, "product": 2, "coupled": 2,
 # interpolation corners, and 2^22 nodes are 32 MB per array of floats
 _MAX_DIM = 8
 _MAX_GRID_NODES = 1 << 22
+# largest mollifier scale; see mollify
+_MAX_SIGMA = 1.0
 
 
 # default points per axis for freshly built named families
@@ -81,7 +83,11 @@ class GridDensity:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolant at an (N, dim) array of points."""
-        return _interp_multilinear(self.values, points)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if pts.shape[1] != self.dim:
+            raise ConfigInvalid(f"points have dim {pts.shape[1]}, "
+                                f"density has dim {self.dim}")
+        return _corner_sum(*_corners(pts, self.resolution))(self.values.ravel(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,27 +109,6 @@ def axis_weights(m: int, rule: str) -> np.ndarray:
         w[0] = w[-1] = h / 3.0
         return w
     raise ConfigInvalid(f"unknown quadrature rule {rule!r}")
-
-
-def _axis_weights_box(m: int, a: float, b: float) -> np.ndarray:
-    """Weights integrating the piecewise-linear interpolant over [a, b] exactly."""
-    h = 1.0 / (m - 1)
-    w = np.zeros(m)
-    for i in range(m - 1):
-        t0, t1 = i * h, (i + 1) * h
-        lo, hi = max(a, t0), min(b, t1)
-        if hi <= lo:
-            continue
-        s0, s1 = (lo - t0) / h, (hi - t0) / h
-        half_sq = 0.5 * (s1 * s1 - s0 * s0)
-        w[i] += h * ((s1 - s0) - half_sq)
-        w[i + 1] += h * half_sq
-    return w
-
-
-def _contract_trailing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Integrate out the last axis with the given 1D weights."""
-    return values @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +135,18 @@ def _corners(points: np.ndarray, m: int):
     return offsets, weights
 
 
+def _corner_sum(offsets, weights):
+    """at(flat, k) = sum_c weights[c] * flat[offsets[c] + k]: with the corners
+    of _corners, the multilinear interpolant of a flat (raveled) table, read
+    k entries past each corner."""
+    def at(flat: np.ndarray, k) -> np.ndarray:
+        out = weights[0] * flat[offsets[0] + k]
+        for off, w in zip(offsets[1:], weights[1:]):
+            out += w * flat[off + k]
+        return out
+    return at
+
+
 def grid_points(dim: int, m: int, trim: int = 0) -> np.ndarray:
     """(N, dim) nodes of the uniform grid with m points per axis, row-major
     (last axis fastest), without the first and last trim nodes of each axis."""
@@ -158,66 +155,15 @@ def grid_points(dim: int, m: int, trim: int = 0) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _interp_multilinear(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    d = values.ndim
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != d:
-        raise ConfigInvalid(f"points have dim {pts.shape[1]}, density has dim {d}")
-    flat = values.ravel()
-    out = np.zeros(pts.shape[0])
-    for off, weight in zip(*_corners(pts, values.shape[0])):
-        out += weight * flat[off]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 
 def normalize(density: GridDensity) -> GridDensity:
     """Rescale by one constant so the quadrature integral over the cube is 1."""
-    if np.any(density.values <= 0.0):
-        raise NonPositiveDensity("cannot normalize a density with nonpositive values")
-    mass = integrate(density, [(0.0, 1.0)] * density.dim)
-    return GridDensity(density.dim, density.resolution, density.values / mass)
-
-
-def integrate(density: GridDensity, box: Sequence) -> float:
-    """Integral of the density over an axis-aligned box.
-
-    Full axes use trapezoid weights and partial axes integrate the
-    piecewise-linear interpolant exactly, so every sub-box integral of the
-    multilinear interpolant is exact.
-    """
-    box = np.asarray(box, dtype=np.float64)
-    if box.shape != (density.dim, 2):
-        raise ConfigInvalid(f"box must have shape ({density.dim}, 2)")
-    if np.any(box < -1e-12) or np.any(box > 1.0 + 1e-12):
-        raise BoxOutOfDomain(f"box {box.tolist()} exceeds the unit cube")
-    if np.any(box[:, 0] > box[:, 1]):
-        raise ConfigInvalid("box must satisfy a <= b on every axis")
-    box = np.clip(box, 0.0, 1.0)
-    m = density.resolution
-    acc = density.values
-    for j in range(density.dim - 1, -1, -1):
-        a, b = box[j]
-        if a == 0.0 and b == 1.0:
-            w = axis_weights(m, "trapezoid")
-        else:
-            w = _axis_weights_box(m, a, b)
-        acc = _contract_trailing(acc, w)
-    return float(acc)
-
-
-def marginal(density: GridDensity, keep_axes: int) -> GridDensity:
-    """Density of the first keep_axes coordinates (quadrature over the rest)."""
-    if not 1 <= keep_axes <= density.dim:
-        raise ConfigInvalid(f"keep_axes must be in 1..{density.dim}")
-    acc = density.values
     w = axis_weights(density.resolution, "trapezoid")
-    for _ in range(density.dim - keep_axes):
-        acc = _contract_trailing(acc, w)
-    return GridDensity(keep_axes, density.resolution, acc)
+    mass = float(prefix_marginal_tables(density)[0] @ w)
+    return GridDensity(density.dim, density.resolution, density.values / mass)
 
 
 def prefix_marginal_tables(density: GridDensity) -> list[np.ndarray]:
@@ -231,7 +177,7 @@ def prefix_marginal_tables(density: GridDensity) -> list[np.ndarray]:
     w = axis_weights(density.resolution, "trapezoid")
     tables = [density.values]
     for _ in range(density.dim - 1):
-        tables.append(_contract_trailing(tables[-1], w))
+        tables.append(tables[-1] @ w)
     return tables[::-1]
 
 
@@ -243,13 +189,19 @@ def mollify(density: GridDensity, sigma: float) -> GridDensity:
     the output is 1-periodic per axis, strictly positive, and normalized.
     The kernel is truncated at 8 sigma (tail mass below 1e-15) and rescaled
     to sum exactly 1, so the uniform density is a fixed point.
+
+    sigma must lie in (0, 1]. The kernel wraps mod 1, so at sigma = 1 it is
+    already within 2 exp(-2 pi^2) (about 5e-9) of uniform, while its
+    truncated support grows as sigma / h.
     """
-    if sigma <= 0.0:
-        raise ConfigInvalid("sigma must be positive")
+    if not 0.0 < sigma <= _MAX_SIGMA:
+        raise ConfigInvalid(f"sigma must lie in (0, {_MAX_SIGMA}], got {sigma!r}")
     m = density.resolution
     length = m - 1
     h = 1.0 / length
-    reach = int(math.ceil(8.0 * sigma / h))
+    # below h/40 every neighbour's weight exp(-(h/sigma)^2/2) is 0.0 in
+    # float64, and h/sigma may overflow, so the kernel is the identity
+    reach = int(math.ceil(8.0 * sigma / h)) if sigma >= h / 40.0 else 0
     offsets = np.arange(-reach, reach + 1)
     weights = np.exp(-0.5 * (offsets * h / sigma) ** 2)
     kernel = np.zeros(length)

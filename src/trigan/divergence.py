@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .density import _MAX_GRID_NODES, GridDensity, axis_weights, grid_points
+from .density import (_MAX_GRID_NODES, GridDensity, axis_weights, default_resolution,
+                      grid_points)
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 from .rosenblatt import PushforwardDensity, pushforward_densities
 
@@ -65,7 +66,7 @@ class PairDiscriminator:
 
 def eval_resolution(dim: int) -> int:
     """Nodes per axis of the shared evaluation grid; refuses grids past the cap."""
-    resolution = 129 if dim <= 2 else 33
+    resolution = default_resolution(dim)
     if resolution ** dim > _MAX_GRID_NODES:
         raise ConfigInvalid(f"dim {dim} needs a {resolution}^{dim} evaluation grid, "
                             f"cap is {_MAX_GRID_NODES} nodes")

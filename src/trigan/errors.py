@@ -13,10 +13,6 @@ class NonPositiveDensity(TriganError):
     """A density value is zero or negative where strict positivity is required."""
 
 
-class BoxOutOfDomain(TriganError):
-    """An integration box exceeds the unit cube."""
-
-
 class InsufficientResolution(TriganError):
     """Grid too coarse for the requested finite-difference order."""
 

@@ -501,18 +501,6 @@ def family_delta1(config: HypothesisConfig) -> float:
 # serialization
 
 
-def config_to_dict(config: HypothesisConfig) -> dict:
-    return {
-        "dim": config.dim,
-        "k": config.k,
-        "alpha": config.alpha,
-        "K": config.K,
-        "family": config.family,
-        "degree": config.degree,
-        "coupling_degree": config.coupling_degree,
-    }
-
-
 def config_from_dict(payload: dict) -> HypothesisConfig:
     if not isinstance(payload, dict):
         raise ConfigInvalid("a hypothesis config must be a JSON object")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, rng
+from . import bounds, rng, rosenblatt
 from .density import GridDensity
 from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
@@ -64,8 +64,6 @@ class TrainingSample:
     n: int
     real_points: np.ndarray    # (n, d) draws from the target
     noise_points: np.ndarray   # (n, d) uniform noise
-    seed: int
-    trial: int = 0
 
     def __post_init__(self):
         for name in ("real_points", "noise_points"):
@@ -100,11 +98,9 @@ def make_training_sample(target, n: int, seed: int, trial: int = 0) -> TrainingS
 
 
 def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> TrainingSample:
-    d = sampler.dim
-    z_real = rng.uniforms(seed, rng.stream_id(rng.KIND_REAL, trial), 0, n, d)
-    noise = rng.uniforms(seed, rng.stream_id(rng.KIND_NOISE, trial), 0, n, d)
-    return TrainingSample(n=n, real_points=sampler.apply(z_real),
-                          noise_points=noise, seed=seed, trial=trial)
+    real = rosenblatt.sample(sampler, n, seed, rng.stream_id(rng.KIND_REAL, trial))
+    noise = rng.uniforms(seed, rng.stream_id(rng.KIND_NOISE, trial), 0, n, sampler.dim)
+    return TrainingSample(n=n, real_points=real, noise_points=noise)
 
 
 # ---------------------------------------------------------------------------

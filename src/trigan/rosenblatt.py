@@ -29,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .density import GridDensity, _corners, prefix_marginal_tables
+from .density import GridDensity, _corner_sum, _corners, prefix_marginal_tables
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -71,14 +71,7 @@ class TableComponent:
         flat (raveled) table, summed over the 2^(j-1) prefix corners."""
         m = self.knots.size
         rows, weights = _corners(np.asarray(prefix, dtype=np.float64), m)
-        offsets = [row * m for row in rows]
-
-        def at(flat: np.ndarray, k) -> np.ndarray:
-            out = weights[0] * flat[offsets[0] + k]
-            for off, w in zip(offsets[1:], weights[1:]):
-                out += w * flat[off + k]
-            return out
-        return at
+        return _corner_sum([row * m for row in rows], weights)
 
     def _cells(self, t: np.ndarray) -> np.ndarray:
         m = self.knots.size
@@ -257,10 +250,11 @@ def invert(tri_map: TriangularMap, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def sample(generator: TriangularMap, n: int, seed: int, trial: int = 0) -> np.ndarray:
-    """n points generator(Z_i) for Z_i uniform, Z_i keyed by (seed, index).
+def sample(generator: TriangularMap, n: int, seed: int,
+           stream: int = rng.stream_id(rng.KIND_NOISE)) -> np.ndarray:
+    """n points generator(Z_i) for Z_i uniform, Z_i keyed by (seed, stream, index).
 
-    The noise stream is counter-based, so any partition of the index range
+    The stream is counter-based, so any partition of the index range
     (and any worker count) yields the same points bitwise.
     """
     if generator.direction != "inverse":
@@ -268,7 +262,6 @@ def sample(generator: TriangularMap, n: int, seed: int, trial: int = 0) -> np.nd
     if n < 0:
         raise ConfigInvalid("n must be nonnegative")
     out = np.empty((n, generator.dim))
-    stream = rng.stream_id(rng.KIND_NOISE, trial)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         z = rng.uniforms(seed, stream, lo, hi - lo, generator.dim)

@@ -374,6 +374,27 @@ def test_density_file_value_past_float_range_refused(tmp_path, capsys):
     assert len(err) == 1 and json.loads(err[0])["error"] == "NonPositiveDensity"
 
 
+@pytest.mark.parametrize("sigma", [1e300, 1e6])
+def test_mollifier_scale_past_cap_refused(tmp_path, capsys, sigma):
+    # the kernel's support grows as sigma / h: 1e300 asked numpy for an
+    # impossible array, 1e6 for 15 GiB
+    cfg = write_cfg(tmp_path, "d.json", {"target": {"family": "bimodal-mollified",
+                                                    "params": {"sigma": sigma}}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+def test_tiny_mollifier_scale_runs(tmp_path, sigma):
+    # h / sigma overflows here; the suite turns that warning into an error
+    cfg = write_cfg(tmp_path, "d.json", {"target": {"family": "bimodal-mollified", "dim": 2,
+                                                    "params": {"sigma": sigma}}})
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert load_density(str(tmp_path / "o" / "density.json")).dim == 2
+
+
 # ---------------------------------------------------------------------------
 # fit
 

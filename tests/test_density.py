@@ -1,5 +1,6 @@
 """Grid densities: families, quadrature, marginals, conditionals, IO."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigan import density as dn
-from trigan.errors import BoxOutOfDomain, ConfigInvalid, NonPositiveDensity
+from trigan.errors import ConfigInvalid, NonPositiveDensity
 from trigan.rosenblatt import build_rosenblatt
+
+
+def _mass(f):
+    # the trapezoid integral over the cube, the mass normalize divides by
+    w = dn.axis_weights(f.resolution, "trapezoid")
+    return float(dn.prefix_marginal_tables(f)[0] @ w)
 
 
 def test_default_resolution():
@@ -23,7 +30,7 @@ def test_default_resolution():
 
 def test_uniform_mass_and_kappa():
     f = dn.make_density("uniform", dim=2)
-    assert dn.integrate(f, [(0.0, 1.0), (0.0, 1.0)]) == pytest.approx(1.0, abs=1e-14)
+    assert _mass(f) == pytest.approx(1.0, abs=1e-14)
     assert f.kappa == 1.0
 
 
@@ -31,9 +38,10 @@ def test_tilted_values_and_mass(tilted):
     # f(y) = (2/3)(1+y); trapezoid-normalized mass is exactly 1
     assert tilted.dim == 1
     assert float(tilted.evaluate(np.array([[0.0]]))[0]) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert dn.integrate(tilted, [(0.0, 1.0)]) == pytest.approx(1.0, abs=1e-13)
-    # half-box mass, frozen closed form (2t + t^2)/3 at t = 0.5
-    assert dn.integrate(tilted, [(0.0, 0.5)]) == pytest.approx(0.4166666666666667, abs=1e-12)
+    assert _mass(tilted) == pytest.approx(1.0, abs=1e-13)
+    # half-box mass, the CDF's frozen closed form (2t + t^2)/3 at t = 0.5
+    half = build_rosenblatt(tilted).apply([[0.5]])
+    assert float(half[0, 0]) == pytest.approx(0.4166666666666667, abs=1e-12)
 
 
 def test_product_factorizes(product2):
@@ -63,7 +71,7 @@ def test_unknown_family():
 def test_bimodal_mollified_positive_and_smooth():
     f = dn.make_density("bimodal-mollified", dim=1)
     assert f.kappa > 0.0
-    assert dn.integrate(f, [(0.0, 1.0)]) == pytest.approx(1.0, abs=1e-12)
+    assert _mass(f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_multilinear_interpolation(tilted):
@@ -72,11 +80,6 @@ def test_evaluate_multilinear_interpolation(tilted):
     expect = (2.0 / 3.0) * (1.0 + y[:, 0])
     got = tilted.evaluate(y)
     assert np.allclose(got, expect, rtol=1e-12)
-
-
-def test_integrate_rejects_outside_cube(tilted):
-    with pytest.raises(BoxOutOfDomain):
-        dn.integrate(tilted, [(0.0, 1.5)])
 
 
 def test_nonpositive_rejected():
@@ -99,9 +102,9 @@ def test_simpson_needs_odd_resolution():
 
 
 def test_marginal_of_product_is_tilted(product2, tilted):
-    m = dn.marginal(product2, keep_axes=1)
-    y = np.linspace(0.0, 1.0, 33).reshape(-1, 1)
-    assert np.allclose(m.evaluate(y), tilted.evaluate(y), atol=1e-10)
+    # node values of the first marginal: its interpolant is tilted's
+    marginal = dn.prefix_marginal_tables(product2)[0]
+    assert np.allclose(marginal, tilted.values, atol=1e-10)
 
 
 def test_conditional_cdf_monotone_and_endpoints(coupled):
@@ -127,13 +130,38 @@ def test_conditional_cdf_inverse_roundtrip(coupled):
 def test_mollify_preserves_mass_and_positivity():
     f = dn.make_density("tilted")
     g = dn.mollify(f, sigma=0.05)
-    assert dn.integrate(g, [(0.0, 1.0)]) == pytest.approx(1.0, abs=1e-12)
+    assert _mass(g) == pytest.approx(1.0, abs=1e-12)
     assert g.kappa > 0.0
 
 
-def test_marginal_axis_range_checked():
-    with pytest.raises(ConfigInvalid):
-        dn.marginal(dn.make_density("uniform", dim=1), keep_axes=0)
+@pytest.mark.parametrize("dim,digest", [
+    (1, "00c8c1d0b495c8ea038d07e392a8fb94a103aa86ac617e1d761e2af8ff9e4dbd"),
+    (2, "3bfe0dc34fd42b9c33ea05dcc006d877f80acde7d038ef463193209fdc89cc2b"),
+])
+def test_default_mollified_values_pinned(dim, digest):
+    f = dn.make_density("bimodal-mollified", dim=dim)
+    assert hashlib.sha256(f.values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e6, 1.0000000000000002, 0.0, -1.0])
+def test_mollify_refuses_sigma_outside_range(sigma):
+    with pytest.raises(ConfigInvalid, match="sigma"):
+        dn.mollify(dn.make_density("tilted"), sigma)
+
+
+def test_mollify_at_sigma_cap_is_near_uniform():
+    g = dn.mollify(dn.make_density("tilted"), 1.0)
+    assert np.abs(g.values - 1.0).max() < 5.4e-9
+
+
+@pytest.mark.parametrize("sigma", [1.0 / 128 / 50, 1e-300, 5e-324])
+def test_mollify_below_a_fortieth_cell_is_identity(sigma):
+    # every neighbour weight is 0.0 in float64 and h / sigma may overflow;
+    # the suite turns an overflow warning into an error
+    f = dn.make_density("tilted")
+    pinned = np.append(f.values[:-1], f.values[0])
+    expect = dn.normalize(dn.GridDensity(1, f.resolution, pinned))
+    assert np.array_equal(dn.mollify(f, sigma).values, expect.values)
 
 
 def test_save_load_roundtrip(tmp_path, coupled):

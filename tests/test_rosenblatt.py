@@ -13,6 +13,7 @@ from trigan import density as dn
 from trigan import divergence as dv
 from trigan import rosenblatt as rb
 from trigan.errors import ConfigInvalid, DegenerateJacobian, NonPositiveDensity
+from trigan.rng import KIND_NOISE, stream_id
 from trigan import hypothesis as hyp
 
 
@@ -87,7 +88,7 @@ def test_sampling_deterministic(tilted):
     assert np.array_equal(a, b)
     c = rb.sample(gen, 257, seed=12)
     assert not np.array_equal(a, c)
-    d = rb.sample(gen, 257, seed=11, trial=1)
+    d = rb.sample(gen, 257, seed=11, stream=stream_id(KIND_NOISE, 1))
     assert not np.array_equal(a, d)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -248,6 +249,30 @@ def test_roundtrip_and_telescoping_property(dens, seed):
     assert np.array_equal(rb.pushforward_density(psi.inverse()).evaluate(pts), jac)
 
 
+@given(dim=st.integers(1, 3), degree=st.sampled_from([2, 3]),
+       coupling=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_bernstein_roundtrip_and_telescoping_property(dim, degree, coupling, seed):
+    # a random member of the certified box: apply and invert are inverses,
+    # the diagonal partials are the derivatives of the components, and their
+    # product telescopes against the pushforward density at the image
+    cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
+    phi = hyp.make_generator(cfg, random_box_params(cfg, 1, seed=seed)[0])
+    z = 0.05 + 0.9 * np.random.default_rng(seed).random((16, dim))
+    x = phi.apply(z)
+    assert np.abs(rb.invert(phi, x) - z).max() < 1e-10
+    assert np.abs(phi.apply(phi.invert(z)) - z).max() < 1e-10
+    jac = phi.jacobian(z)
+    h = 1e-6
+    fd = np.ones(len(z))
+    for j in range(dim):
+        step = np.zeros(dim)
+        step[j] = h
+        fd *= (phi.apply(z + step)[:, j] - phi.apply(z - step)[:, j]) / (2.0 * h)
+    assert np.abs(jac / fd - 1.0).max() < 1e-6
+    push = rb.pushforward_density(phi).evaluate(x)
+    assert np.abs(push * jac - 1.0).max() < 1e-10
+
+
 @given(dens=grid_densities(), seed=st.integers(0, 2**32 - 1))
 def test_table_component_matches_row_cdf_property(dens, seed):
     _check_against_row_cdf(dens, np.random.default_rng(seed))
@@ -316,7 +341,9 @@ def test_bernstein_map_serialization(cfg1, rng):
     # best_params: the map rebuilt from their JSON is the member, bit for bit
     params = random_box_params(cfg1, 1, seed=3)[0]
     gen = hyp.make_generator(cfg1, params)
-    stored = json.loads(json.dumps({"hypothesis": hyp.config_to_dict(cfg1),
+    hypothesis = {"dim": 1, "k": 3, "alpha": 0.5, "K": 2.0,
+                  "family": "bernstein_triangular", "degree": 2, "coupling_degree": 1}
+    stored = json.loads(json.dumps({"hypothesis": hypothesis,
                                     "best_params": [float(v) for v in params]}))
     back = hyp.make_generator(hyp.config_from_dict(stored["hypothesis"]),
                               stored["best_params"])

@@ -23,8 +23,6 @@ from .bounds import (
 )
 from .density import GridDensity, load_density, make_density, save_density
 from .divergence import (
-    DiscriminatorFn,
-    PairDiscriminator,
     js_divergence,
     kl_divergence,
     optimal_discriminator,
@@ -47,7 +45,6 @@ from .hypothesis import (
     HypothesisConfig,
     build_eps_net,
     make_config,
-    make_discriminator,
     make_generator,
 )
 from .learning import (

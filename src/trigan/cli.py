@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -86,12 +85,9 @@ def _positive_int(raw, key: str, minimum: int = 1) -> int:
 
 
 def _positive_float(raw, key: str) -> float:
-    try:
-        val = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigInvalid(f"{key} must be a number") from None
-    if not 0.0 < val < math.inf:
-        raise ConfigInvalid(f"{key} must be positive and finite")
+    val = hyp_mod._finite_number(raw, key)
+    if not val > 0.0:
+        raise ConfigInvalid(f"{key} must be positive")
     return val
 
 
@@ -274,16 +270,15 @@ def _cmd_fit(rc: RunConfig) -> None:
 def _cmd_rate(rc: RunConfig) -> None:
     target, config, net = _build_model(rc)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
-                                      rc.seed, delta=rc.delta, threads=rc.threads, net=net)
+                                      rc.seed, delta=rc.delta, delta1=rc.delta1,
+                                      threads=rc.threads, net=net)
     csv_path = _out_path(rc, "rate.csv")
     density_mod.write_text_atomic(learning.rate_report_csv(report), csv_path)
     svg_path = _out_path(rc, "rate.svg")
     density_mod.write_text_atomic(render_rate_plot(report), svg_path)
     n_ref = max(rc.n_grid)
     brep = bounds_mod.bound_report(config.dim, config.alpha, config.k, config.K,
-                                   n_ref, delta=rc.delta,
-                                   delta1=rc.delta1 if rc.delta1 is not None
-                                   else report.delta1,
+                                   n_ref, delta=rc.delta, delta1=report.delta1,
                                    exact_integral=rc.exact_integral)
     bounds_path = _out_path(rc, "bounds.json")
     density_mod.write_json_atomic(bounds_mod.report_to_dict(brep), bounds_path)

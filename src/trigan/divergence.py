@@ -10,6 +10,10 @@ here (the JS-loss identity, the nonnegativity of KL, the dominance of the
 ratio discriminator) hold pointwise on the grid, i.e. to floating-point
 accuracy rather than quadrature accuracy.
 
+A discriminator is a plain function of (N, d) points. The ratio class
+D_ab = f_a / (f_a + f_b) of the generator family has one form only: the
+(a, b) axes of the pair_losses cube.
+
 Deterministic reductions only: weighted sums go through np.sum (pairwise
 tree order, independent of worker counts).
 """
@@ -17,8 +21,6 @@ tree order, independent of worker counts).
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -27,41 +29,7 @@ import numpy as np
 from .density import (_MAX_GRID_NODES, GridDensity, axis_weights, default_resolution,
                       grid_points)
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
-from .rosenblatt import PushforwardDensity, pushforward_densities
-
-
-@dataclass(frozen=True)
-class DiscriminatorFn:
-    """Function [0,1]^d -> (0,1) with recorded range bounds."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    lower: float
-    upper: float
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluator(points)
-
-
-@dataclass(frozen=True)
-class PairDiscriminator:
-    """Ratio discriminator f_a / (f_a + f_b) of two pushforward densities.
-
-    pushforwards holds f_a and f_b, or f_a alone when both members realize
-    the same map and the discriminator is the constant 1/2. Losses against
-    it are entries of pair_losses, the kernel of the loss cubes.
-    """
-
-    pushforwards: tuple
-    lower: float
-    upper: float
-
-    def densities(self, points: np.ndarray) -> np.ndarray:
-        """(h, N): row a is pushforwards[a] at the points, h = 1 or 2."""
-        return pushforward_densities([f.base_map for f in self.pushforwards], points)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        f = self.densities(points)
-        return f[0] / (f[0] + f[-1])
+from .rosenblatt import PushforwardDensity
 
 
 def eval_resolution(dim: int) -> int:
@@ -129,50 +97,23 @@ def js_divergence(f, g) -> float:
                         + np.sum(w * gv * np.log(gv / mid))))
 
 
-def optimal_discriminator(f_mu, f_phi) -> DiscriminatorFn:
-    """The pointwise loss maximizer f_mu / (f_mu + f_phi), mass-renormalized.
-
-    Recorded bounds come from certified density ranges when both inputs
-    carry them (grid node range for stored densities, the [1/(d! K^d), K]
-    range for certified generators), else from the observed grid range with
-    a small widening.
-    """
-    pts, _, _, _, (mass_f, mass_g) = _renormalized_pair(f_mu, f_phi)
+def optimal_discriminator(f_mu, f_phi) -> Callable[[np.ndarray], np.ndarray]:
+    """The pointwise loss maximizer x -> f_mu / (f_mu + f_phi), each density
+    divided by its own quadrature mass on the shared grid."""
+    _, _, _, _, (mass_f, mass_g) = _renormalized_pair(f_mu, f_phi)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         fv = _values_on(f_mu, x) / mass_f
         gv = _values_on(f_phi, x) / mass_g
         return fv / (fv + gv)
 
-    rng_f = _density_range(f_mu)
-    rng_g = _density_range(f_phi)
-    if rng_f is not None and rng_g is not None:
-        lo = (rng_f[0] / mass_f) / (rng_f[0] / mass_f + rng_g[1] / mass_g)
-        hi = (rng_f[1] / mass_f) / (rng_f[1] / mass_f + rng_g[0] / mass_g)
-    else:
-        observed = evaluator(pts)
-        lo = float(observed.min()) * (1.0 - 1e-9)
-        hi = 1.0 - (1.0 - float(observed.max())) * (1.0 - 1e-9)
-    return DiscriminatorFn(evaluator=evaluator, lower=float(lo), upper=float(hi))
+    return evaluator
 
 
-def _density_range(obj):
-    if isinstance(obj, GridDensity):
-        # multilinear interpolants attain their extremes at grid nodes
-        return (obj.kappa, float(obj.values.max()))
-    if isinstance(obj, PushforwardDensity):
-        return obj.density_bounds
-    return None
-
-
-def theoretical_loss(f_mu, f_phi,
-                     disc: DiscriminatorFn | PairDiscriminator | Callable) -> float:
-    """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid;
-    a pair discriminator's loss is its pair_losses entry."""
+def theoretical_loss(f_mu, f_phi, disc: Callable[[np.ndarray], np.ndarray]) -> float:
+    """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid,
+    for a discriminator D given as a function of (N, d) points."""
     pts, w, fv, gv, _ = _renormalized_pair(f_mu, f_phi)
-    if isinstance(disc, PairDiscriminator):
-        dens = disc.densities(pts)
-        return float(pair_losses(0.5, dens, w * fv, dens, (w * gv)[None])[0, 0, -1])
     dv = np.asarray(disc(pts), dtype=np.float64)
     if np.any(dv <= 0.0) or np.any(dv >= 1.0) or not np.all(np.isfinite(dv)):
         raise DiscriminatorOutOfRange("discriminator left the open interval (0, 1)")
@@ -184,7 +125,7 @@ def loss_terms(scale, wy, dy, wx, dx):
     the adversarial loss at discriminator values dy (real) and dx (fake);
     a leading axis on wx or dx gives one loss per generator. It serves
     every discriminator given by its values, and the constant-1/2 entries
-    of pair_losses; ratio discriminators otherwise go through pair_losses."""
+    of pair_losses; the ratio discriminators are pair_losses' (a, b) axes."""
     return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
 
 
@@ -257,5 +198,3 @@ def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
         cube[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
     return out[0] if single else out
 
-
-LOG2 = math.log(2.0)

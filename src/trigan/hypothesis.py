@@ -19,8 +19,10 @@ range lies in [1/K, K] and the C^{k,alpha} norm is at most K, both certified
 in closed form with a safety margin. The finite-difference estimate
 estimate_holder_norm in tests/holder.py is the tests' oracle for the bound.
 
-Discriminators are the paired-generator ratios f_a / (f_a + f_b); their
-range constants depend only on (d, K).
+The discriminators are the ratios f_a / (f_a + f_b) of two members'
+pushforwards; they live as the (a, b) axes of the loss cubes
+(divergence.pair_losses), and their range constants
+bounds.discriminator_constants depend only on (d, K).
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 from . import bounds
 from .bounds import RhoMetricParams, discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points
-from .divergence import PairDiscriminator
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
-from .rosenblatt import TriangularMap, pushforward_density
+from .rosenblatt import TriangularMap
 
 _SAFETY = 0.95          # certification margin for the box back-solve
 _BOX_TOL = 1e-9
@@ -355,8 +356,7 @@ def make_generator(config: HypothesisConfig, params) -> TriangularMap:
     comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
                   for theta_sl, coup_sl in config.blocks())
     return TriangularMap(dim=config.dim, components=comps,
-                         direction="inverse", components_direct=True,
-                         norm_bound_K=config.K)
+                         direction="inverse", components_direct=True)
 
 
 def bound_constants_finite(dim: int, K: float) -> bool:
@@ -369,19 +369,6 @@ def bound_constants_finite(dim: int, K: float) -> bool:
     log_top = (math.log(16.0) + 4.0 * math.log(dim) + 8.0 * math.lgamma(dim + 1.0)
                + 8.0 * (dim + 1) * math.log(K))
     return log_top < math.log(np.finfo(np.float64).max)
-
-
-def make_discriminator(config: HypothesisConfig, params_a, params_b) -> PairDiscriminator:
-    """Ratio discriminator f_a / (f_a + f_b) of two member pushforwards.
-
-    Two members that realize the same map give the constant-1/2
-    discriminator bitwise, since x/(x + x) rounds to exactly 0.5 for every
-    positive float x; it keeps one pushforward.
-    """
-    maps, _ = distinct_maps(config, (params_a, params_b))
-    b1, b2 = discriminator_constants(config.dim, config.K)
-    return PairDiscriminator(pushforwards=tuple(pushforward_density(g) for g in maps),
-                             lower=b1, upper=b2)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,8 @@ def config_from_dict(payload: dict) -> HypothesisConfig:
 
 
 def _finite_number(raw, key: str) -> float:
-    """raw as a float; ConfigInvalid unless it is a finite number (not a bool)."""
+    """raw as a float; ConfigInvalid unless it is a finite int or float
+    (a bool or a numeric string is refused)."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             val = float(raw)
@@ -530,4 +518,4 @@ def _finite_number(raw, key: str) -> float:
             val = math.inf
         if math.isfinite(val):
             return val
-    raise ConfigInvalid(f"{key} must be a finite number")
+    raise ConfigInvalid(f"{key} must be a number: finite, not a boolean or a string")

@@ -17,9 +17,9 @@ each map's density into its row of one (h, N) array.
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
 log(f_a + f_b), the loss is a sum of per-map and per-pair sums of logs,
-each computed once. A single loss against a pair discriminator
-(hypothesis.make_discriminator) is the same kernel on a cube of its one or
-two maps, so it equals the cube entry bitwise.
+each computed once. The ratio discriminators exist only as the cubes'
+(a, b) axes: one map's loss against one pair is the entry of the cube over
+their distinct maps, bitwise the entry of any cube holding those maps.
 
 Trials are independent by construction: trial t draws its real and noise
 points from counter-RNG streams keyed (seed, stream(kind, t)), so any
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bounds, rng, rosenblatt
 from .density import GridDensity
-from .divergence import PairDiscriminator, eval_grid, js_divergence, loss_terms, pair_losses
+from .divergence import eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
 from .hypothesis import EpsNet, HypothesisConfig, distinct_maps, family_delta1, make_generator
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
@@ -61,7 +61,6 @@ _TRIAL_CAP = 1 << 26
 
 @dataclass(frozen=True)
 class TrainingSample:
-    n: int
     real_points: np.ndarray    # (n, d) draws from the target
     noise_points: np.ndarray   # (n, d) uniform noise
 
@@ -70,6 +69,14 @@ class TrainingSample:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        shape = self.real_points.shape
+        if len(shape) != 2 or shape != self.noise_points.shape or shape[0] < 1:
+            raise ConfigInvalid(f"real and noise points must be (n, d) arrays of one "
+                                f"shape, n >= 1: {shape}, {self.noise_points.shape}")
+
+    @property
+    def n(self) -> int:
+        return len(self.real_points)
 
 
 def target_sampler(target) -> TriangularMap:
@@ -100,7 +107,7 @@ def make_training_sample(target, n: int, seed: int, trial: int = 0) -> TrainingS
 def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> TrainingSample:
     real = rosenblatt.sample(sampler, n, seed, rng.stream_id(rng.KIND_REAL, trial))
     noise = rng.uniforms(seed, rng.stream_id(rng.KIND_NOISE, trial), 0, n, sampler.dim)
-    return TrainingSample(n=n, real_points=real, noise_points=noise)
+    return TrainingSample(real_points=real, noise_points=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +115,9 @@ def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> Train
 
 
 def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> float:
-    """(1/2n) sum log D(Y_i) + (1/2n) sum log(1 - D(phi(Z_i))); a pair
-    discriminator's loss is its pair_losses entry."""
+    """(1/2n) sum log D(Y_i) + (1/2n) sum log(1 - D(phi(Z_i))), for a
+    discriminator D given as a function of (N, d) points."""
     fake = generator.apply(sample.noise_points)
-    if isinstance(disc, PairDiscriminator):
-        fy, fx = disc.densities(sample.real_points), disc.densities(fake)[:, None]
-        return float(pair_losses(1.0 / (2.0 * sample.n), fy, 1.0, fx, 1.0)[0, 0, -1])
     dy = np.asarray(disc(sample.real_points), dtype=np.float64)
     dx = np.asarray(disc(fake), dtype=np.float64)
     for vals in (dy, dx):
@@ -304,9 +308,10 @@ class RateReport:
 
 def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
                     seed: int, *, net: EpsNet, delta: float = 0.1,
-                    threads: int = 1) -> RateReport:
+                    delta1: float | None = None, threads: int = 1) -> RateReport:
     """Mean sampling error across n, with the theoretical envelope and the
-    concentration threshold for the configured delta."""
+    concentration threshold for the configured delta and delta1 (by
+    default family_delta1, or nan when the config is not regular)."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
@@ -314,11 +319,11 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     losses = pair_loss_matrix(target, maps)
 
     warnings = []
+    if delta1 is None:
+        delta1 = family_delta1(config) if config.regular else float("nan")
     if config.regular:
-        delta1 = family_delta1(config)
         full_c = bounds.full_C(config.dim, config.alpha, config.k, config.K, delta1)
     else:
-        delta1 = float("nan")
         full_c = float("nan")
         warnings.append("regularity k > 1 - alpha + d/2 fails; bound columns are nan")
 

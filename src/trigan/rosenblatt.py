@@ -24,7 +24,6 @@ kernel write into the row or array they are given, so nothing is concatenated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import factorial
 
 import numpy as np
 
@@ -135,7 +134,6 @@ class TriangularMap:
     components: tuple
     direction: str
     components_direct: bool = True
-    norm_bound_K: float | None = None
 
     def __post_init__(self):
         if self.direction not in ("forward", "inverse"):
@@ -215,15 +213,6 @@ class PushforwardDensity:
             if gen.components_direct:
                 np.divide(1.0, dens, out=dens)
         return out
-
-    @property
-    def density_bounds(self) -> tuple[float, float] | None:
-        """Certified range [1/(d! K^d), K] when the generator records K."""
-        k_bound = self.base_map.norm_bound_K
-        if k_bound is None:
-            return None
-        d = self.base_map.dim
-        return (1.0 / (factorial(d) * k_bound**d), k_bound)
 
 
 # ---------------------------------------------------------------------------

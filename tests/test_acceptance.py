@@ -142,11 +142,13 @@ def test_criterion_05_discriminator_bounds(cfg1, cfg2):
         b1 = 1.0 / (1.0 + math.factorial(cfg.dim) * cfg.K ** (cfg.dim + 1))
         vecs = random_box_params(cfg, 12, seed=55)
         pts = rng.random((10**4, cfg.dim))
+        # D_ab = f_a / (f_a + f_b) on the 6 pairs (2i, 2i + 1)
+        f = rb.pushforward_densities([hyp.make_generator(cfg, v) for v in vecs], pts)
         for i in range(6):
-            disc = hyp.make_discriminator(cfg, vecs[2 * i], vecs[2 * i + 1])
-            vals = disc(pts)
+            vals = f[2 * i] / (f[2 * i] + f[2 * i + 1])
             ok &= bool((vals >= b1).all() and (vals <= 1.0 - b1).all())
-            ok &= disc.lower == b1 and disc.lower + disc.upper == 1.0
+        lower, upper = bd.discriminator_constants(cfg.dim, cfg.K)
+        ok &= lower == b1 and lower + upper == 1.0
     _verdict(5, "discriminator-bounds", ok,
              "12 pairs x 1e4 points inside [B1, 1 - B1], B1 + B2 == 1")
 
@@ -159,12 +161,11 @@ def test_criterion_06_empirical_loss_unbiased(tilted, cfg1):
     theo = ln.pair_loss_matrix(tilted, maps)[np.ix_(group, group, group)]
     worst = 0.0
     for gi, pair in combos:
-        gen = hyp.make_generator(cfg1, vecs[gi])
-        disc = hyp.make_discriminator(cfg1, vecs[pair[0]], vecs[pair[1]])
+        # the loss of gi against D_pair: its entry in the cube over their maps
+        triple, at = hyp.distinct_maps(cfg1, [vecs[gi], vecs[pair[0]], vecs[pair[1]]])
         vals = np.array([
-            ln.empirical_loss(disc, gen,
-                              ln.make_training_sample(tilted, 1000,
-                                                      seed=909, trial=t))
+            ln.empirical_pair_matrix(
+                triple, ln.make_training_sample(tilted, 1000, seed=909, trial=t))[tuple(at)]
             for t in range(200)])
         dev = abs(float(vals.mean()) - float(theo[gi, pair[0], pair[1]]))
         lim = 3.0 * float(vals.std(ddof=1)) / math.sqrt(200.0)

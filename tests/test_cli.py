@@ -84,6 +84,8 @@ def test_override_merges_over_file():
     ({"epsilon": float("inf")}, "epsilon"),
     ({"delta": float("nan")}, "delta"),
     ({"epsilon": "x"}, "epsilon must be a number"),
+    ({"epsilon": True}, "epsilon must be a number"),
+    ({"epsilon": "2"}, "epsilon must be a number"),
 ])
 def test_scalar_validation(patch, msg):
     base = {"target": {"family": "uniform"}, "hypothesis": HYP,
@@ -91,6 +93,13 @@ def test_scalar_validation(patch, msg):
     base.update(patch)
     with pytest.raises(ConfigInvalid, match=msg):
         build_run_config("fit", base, {})
+
+
+@pytest.mark.parametrize("key", ["delta", "delta1", "beta"])
+@pytest.mark.parametrize("raw", [True, "2"])
+def test_bounds_scalars_refuse_booleans_and_strings(key, raw):
+    with pytest.raises(ConfigInvalid, match=f"{key} must be a number"):
+        build_run_config("bounds", {"hypothesis": HYP, "n": 4, key: raw}, {})
 
 
 def test_n_grid_validation():
@@ -525,6 +534,25 @@ def test_rate_artifacts(tmp_path, monkeypatch, capsys):
     bj = json.loads((tmp_path / "rate" / "bounds.json").read_text())
     assert bj["regularity_ok"] is True
     assert bj["delta1"] == hyp.family_delta1(hyp.config_from_dict(HYP))
+
+
+@pytest.mark.parametrize("extra", [{}, {"delta1": 0.5}])
+def test_rate_csv_and_bounds_json_share_delta1(tmp_path, monkeypatch, extra):
+    """rate.csv's last row and bounds.json use one delta1: the config key's
+    value, else the family diameter."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "r.json",
+                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+                     "n_grid": [64, 256], "trials": 2, "seed": 1, "epsilon": 0.1,
+                     "out": "rate", **extra})
+    assert main(["rate", "--config", cfg]) == 0
+    lines = (tmp_path / "rate" / "rate.csv").read_text().splitlines()
+    last = dict(zip(lines[0].split(","), map(float, lines[-1].split(","))))
+    bj = json.loads((tmp_path / "rate" / "bounds.json").read_text())
+    assert last["n"] == bj["n"] == 256
+    assert last["thm54_threshold"] == bj["thm54_threshold"]
+    assert last["bound_C_over_sqrt_n"] == bj["dudley_value"]
+    assert bj["delta1"] == extra.get("delta1", hyp.family_delta1(hyp.config_from_dict(HYP)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigan import density as dn
 from trigan import divergence as dv
+from trigan import hypothesis as hyp
+from trigan import learning as lr
 from trigan import rosenblatt as rb
 from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
+
+from box_params import random_box_params
 
 # mpmath oracle, 30 digits, frozen
 KL_UNIFORM_TILTED = 0.019170746988273763
@@ -61,7 +67,6 @@ def test_optimal_discriminator_values(uniform1, tilted):
     # frozen: D(0) = 1/(1 + 2/3) for uniform vs tilted
     val = disc(np.array([[0.0]]))
     assert val[0] == pytest.approx(0.6, abs=1e-9)
-    assert disc.lower > 0.0 and disc.upper < 1.0
 
 
 def test_optimal_discriminator_evaluates_each_density_once(monkeypatch, uniform1, tilted):
@@ -115,17 +120,34 @@ def test_optimal_discriminator_dominates(uniform1, tilted, rng):
             raw = d0(points) + s * np.sin(math.pi * points[:, 0])
             return np.clip(raw, 1e-9, 1.0 - 1e-9)
 
-        worse = dv.theoretical_loss(
-            uniform1, tilted,
-            dv.DiscriminatorFn(evaluator=bent, lower=1e-9, upper=1.0 - 1e-9))
+        worse = dv.theoretical_loss(uniform1, tilted, bent)
         assert worse <= base + 1e-15
 
 
+@settings(max_examples=24)
+@given(dim_degree=st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (1, 4)]),
+       coupling=st.sampled_from([0, 1]), members=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_js_identities_on_box_members_property(dim_degree, coupling, members, seed):
+    """On random box members, JS = L(D_opt) + log 2, and with member a as the
+    target every map's inner maximum over the ratio class is JS - log 2: the
+    optimal discriminator f_a / (f_a + f_g) is the class member D_ag."""
+    dim, degree = dim_degree
+    cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
+    maps, _ = hyp.distinct_maps(cfg, random_box_params(cfg, members, seed=seed))
+    dens = [rb.pushforward_density(gen) for gen in maps]
+    target = dens[seed % len(maps)]
+    inner = lr.pair_loss_matrix(target, maps).max(axis=(1, 2))
+    for f_g, top in zip(dens, inner):
+        js = dv.js_divergence(target, f_g)
+        loss = dv.theoretical_loss(target, f_g, dv.optimal_discriminator(target, f_g))
+        assert abs(js - (loss + math.log(2.0))) < 1e-12
+        assert abs(top - (js - math.log(2.0))) < 1e-12
+
+
 def test_loss_rejects_out_of_range(uniform1, tilted):
-    bad = dv.DiscriminatorFn(evaluator=lambda p: np.full(p.shape[0], 1.5),
-                             lower=0.0, upper=2.0)
     with pytest.raises(DiscriminatorOutOfRange):
-        dv.theoretical_loss(uniform1, tilted, bad)
+        dv.theoretical_loss(uniform1, tilted, lambda p: np.full(p.shape[0], 1.5))
 
 
 def test_dim_mismatch_rejected(uniform1, coupled):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from box_params import random_box_params
 from holder import estimate_holder_norm
+import trigan.divergence as dv
 import trigan.hypothesis as hyp
+import trigan.learning as lr
 import trigan.rosenblatt as ros
 from trigan.density import read_json
 from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
@@ -292,21 +295,31 @@ def test_discriminator_constants_sum_exact(dim, K):
     assert 0.0 < b1 < 0.5 < b2 < 1.0
 
 
-def test_discriminator_equal_params_is_half(cfg1, rng):
+def test_discriminator_equal_params_is_half(cfg1, uniform1, rng):
+    def half(points):
+        return np.full(len(points), 0.5)
+
     v = random_box_params(cfg1, 1, seed=3)[0]
-    disc = hyp.make_discriminator(cfg1, v, v)
-    pts = rng.random((200, 1))
-    assert np.all(disc(pts) == 0.5)
+    maps, at = hyp.distinct_maps(cfg1, [v, v, v])
+    assert len(maps) == 1
+    f = ros.pushforward_densities(maps, rng.random((200, 1)))[0]
+    assert np.all(f / (f + f) == 0.5)
+    # D_vv's cube entry is the loss of the constant 1/2: -log 2 on these 64 points
+    s = lr.make_training_sample(uniform1, 64, seed=3)
+    entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
+    assert entry == -math.log(2.0) == lr.empirical_loss(half, maps[0], s)
+    assert (lr.pair_loss_matrix(uniform1, maps)[tuple(at)]
+            == dv.theoretical_loss(uniform1, ros.pushforward_density(maps[0]), half))
 
 
 def test_discriminator_range(cfg1, cfg2, rng):
     for cfg in (cfg1, cfg2):
         b1, b2 = hyp.discriminator_constants(cfg.dim, cfg.K)
         pa, pb = random_box_params(cfg, 2, seed=9)
-        disc = hyp.make_discriminator(cfg, pa, pb)
-        vals = disc(rng.random((1000, cfg.dim)))
+        f = ros.pushforward_densities([hyp.make_generator(cfg, v) for v in (pa, pb)],
+                                      rng.random((1000, cfg.dim)))
+        vals = f[0] / (f[0] + f[1])
         assert vals.min() >= b1 - 1e-12 and vals.max() <= b2 + 1e-12
-        assert (disc.lower, disc.upper) == (b1, b2)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_trial_size_cap_boundary():
     lr.check_trial_size(256, 2, 81)
 
 
+def test_training_sample_size_is_its_row_count(tilted):
+    """n is len(real_points); arrays that are not (n, d) of one shape with
+    n >= 1 are refused, and n cannot be passed apart from them."""
+    s = lr.make_training_sample(tilted, 8, seed=4)
+    assert lr.TrainingSample(real_points=s.real_points, noise_points=s.noise_points).n == 8
+    with pytest.raises(TypeError):
+        lr.TrainingSample(n=5, real_points=s.real_points, noise_points=s.noise_points)
+    bad = [(s.real_points[:3], s.noise_points), (s.real_points[:0], s.noise_points[:0]),
+           (s.real_points.ravel(), s.noise_points.ravel()),
+           (s.real_points, np.hstack([s.noise_points, s.noise_points]))]
+    for real, noise in bad:
+        with pytest.raises(ConfigInvalid, match="one shape"):
+            lr.TrainingSample(real_points=real, noise_points=noise)
+
+
 def test_training_sample_read_only(tilted):
     s = lr.make_training_sample(tilted, 8, seed=1)
     assert s.real_points.shape == (8, 1)
@@ -79,31 +94,35 @@ def test_training_sample_read_only(tilted):
 # empirical loss
 
 
+def _half(points):
+    return np.full(len(points), 0.5)
+
+
 def test_loss_at_constant_half_is_exact(cfg1, uniform1):
     """D == 1/2 collapses both sums to -log 2, with no rounding residue."""
     v = random_box_params(cfg1, 1, seed=3)[0]
-    half = hyp.make_discriminator(cfg1, v, v)
-    ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
+    assert len(hyp.distinct_maps(cfg1, [v, v])[0]) == 1
+    # the identity map against D_vv, in the cube over the triple's maps
+    maps, at = hyp.distinct_maps(cfg1, [np.zeros(cfg1.n_params), v, v])
     for n in (64, 100, 257):
         s = lr.make_training_sample(uniform1, n, seed=2)
-        assert lr.empirical_loss(half, ident, s) == -math.log(2.0)
+        entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
+        assert entry == -math.log(2.0)
+        assert entry == lr.empirical_loss(_half, maps[0], s)
 
 
 def test_loss_hand_value_n1(cfg1):
     # D(Y1) = 0.2 and D(phi(Z1)) = 0.8 give (log 0.2 + log 0.2) / 2
-    s = lr.TrainingSample(n=1, real_points=np.array([[0.3]]),
-                          noise_points=np.array([[0.7]]))
+    s = lr.TrainingSample(real_points=np.array([[0.3]]), noise_points=np.array([[0.7]]))
     ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
-    step = dv.DiscriminatorFn(
-        evaluator=lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8),
-        lower=0.2, upper=0.8)
-    val = lr.empirical_loss(step, ident, s)
+    val = lr.empirical_loss(lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8), ident, s)
     assert val == pytest.approx(-1.6094379124341003, abs=5e-16)
 
 
 def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
-    bad = dv.DiscriminatorFn(evaluator=lambda p: np.ones(len(p)), lower=0.0,
-                             upper=1.0)
+    def bad(points):
+        return np.ones(len(points))
+
     ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     s = lr.make_training_sample(uniform1, 4, seed=1)
     with pytest.raises(dv.DiscriminatorOutOfRange
@@ -113,6 +132,21 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 
 # ---------------------------------------------------------------------------
 # pair matrices
+
+
+def _triple_entries(cfg, V, group, cube_of, triples=None):
+    """{(g, a, b): member g's loss against D_ab, read off cube_of(maps) over
+    the distinct maps of members g, a and b}, for every triple or the given
+    ones. Members in one net group realize one map bit for bit, so triples
+    with equal groups share one cube."""
+    cubes, out = {}, {}
+    for gab in np.ndindex(len(V), len(V), len(V)) if triples is None else triples:
+        maps, at = hyp.distinct_maps(cfg, [V[i] for i in gab])
+        key = tuple(group[list(gab)])
+        if key not in cubes:
+            cubes[key] = cube_of(maps)
+        out[gab] = cubes[key][tuple(at)]
+    return out
 
 
 @pytest.mark.parametrize("eps,n", [
@@ -130,14 +164,11 @@ def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
     E = lr.empirical_pair_matrix(maps, s)[nominal]
     c = len(V)
     assert L.shape == E.shape == (c, c, c)
-    gens = [hyp.make_generator(cfg1, v) for v in V]
-    for a in range(c):
-        for b in range(c):
-            disc = hyp.make_discriminator(cfg1, V[a], V[b])
-            for g, gen in enumerate(gens):
-                pf = ros.pushforward_density(gen)
-                assert L[g, a, b] == dv.theoretical_loss(uniform1, pf, disc)
-                assert E[g, a, b] == lr.empirical_loss(disc, gen, s)
+    theo = _triple_entries(cfg1, V, group, lambda m: lr.pair_loss_matrix(uniform1, m))
+    emp = _triple_entries(cfg1, V, group, lambda m: lr.empirical_pair_matrix(m, s))
+    for gab in np.ndindex(c, c, c):
+        assert L[gab] == theo[gab]
+        assert E[gab] == emp[gab]
 
 
 @settings(max_examples=16)
@@ -146,10 +177,10 @@ def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
        seed=st.integers(0, 2**16))
 def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, members, n,
                                    seed):
-    """Every cube entry equals its single theoretical_loss/empirical_loss,
-    bitwise, across families, small nets and odd n. A 2D degree-3 member
-    solves its grid by bisection (about 0.3 s a map), so there one drawn
-    theoretical entry is checked."""
+    """Every net-cube entry equals, bitwise, the entry of the cube over the
+    distinct maps of its (g, a, b) triple, across families, small nets and
+    odd n. A 2D degree-3 member solves its grid by bisection (about 0.3 s a
+    map), so there one drawn theoretical entry is checked."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, degree=degree,
                           coupling_degree=coupling)
     target = tilted if dim == 1 else coupled
@@ -166,18 +197,14 @@ def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, membe
     E = lr.empirical_pair_matrix(maps, s)[nominal]
     c = len(V)
     assert L.shape == E.shape == (c, c, c)
-    gens = [hyp.make_generator(cfg, v) for v in V]
-    for a in range(c):
-        for b in range(c):
-            disc = hyp.make_discriminator(cfg, V[a], V[b])
-            for g in range(c):
-                assert E[g, a, b] == lr.empirical_loss(disc, gens[g], s)
-    entries = (list(np.ndindex(c, c, c)) if dim == 1 or degree == 2
+    emp = _triple_entries(cfg, V, group, lambda m: lr.empirical_pair_matrix(m, s))
+    for gab in np.ndindex(c, c, c):
+        assert E[gab] == emp[gab]
+    entries = (None if dim == 1 or degree == 2
                else [tuple(np.random.default_rng(seed).integers(c, size=3))])
-    for g, a, b in entries:
-        disc = hyp.make_discriminator(cfg, V[a], V[b])
-        pf = ros.pushforward_density(gens[g])
-        assert L[g, a, b] == dv.theoretical_loss(target, pf, disc)
+    theo = _triple_entries(cfg, V, group, lambda m: lr.pair_loss_matrix(target, m), entries)
+    for gab, entry in theo.items():
+        assert L[gab] == entry
 
 
 @pytest.mark.parametrize("dim,coupling,eps", [
@@ -207,7 +234,8 @@ def test_one_pass_cube_matches_two_pass(tilted, coupled, dim, coupling, eps):
 @given(dim=st.integers(1, 2), coupling=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
 def test_same_map_pair_is_constant_half(uniform1, product2, dim, coupling, seed):
     """Two different vectors that realize one map give exactly the
-    constant-1/2 discriminator, and exactly its losses."""
+    constant-1/2 discriminator, and its cube entries are exactly the losses
+    of the constant 1/2."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
     gen = np.random.default_rng(seed)
     # dyadic entries, so centring a degree-2 block is exact before and after
@@ -221,17 +249,19 @@ def test_same_map_pair_is_constant_half(uniform1, product2, dim, coupling, seed)
         cols = w[coup].reshape(2, -1)
         w[coup] = (cols + step * gen.integers(-k, k + 1, cols.shape[1])).ravel()
     assume(not np.array_equal(v, w))
-    disc = hyp.make_discriminator(cfg, v, w)
-    assert len(disc.pushforwards) == 1
+    pair, _ = hyp.distinct_maps(cfg, [v, w])
+    assert len(pair) == 1
     target = uniform1 if dim == 1 else product2
     s = lr.make_training_sample(target, 33, seed=seed % 1000)
-    assert np.all(disc(s.real_points) == 0.5)
-    half = dv.DiscriminatorFn(evaluator=lambda p: np.full(len(p), 0.5), lower=0.5,
-                              upper=0.5)
-    g = hyp.make_generator(cfg, gen.permutation([v, w])[0])
-    pf = ros.pushforward_density(g)
-    assert lr.empirical_loss(disc, g, s) == lr.empirical_loss(half, g, s)
-    assert dv.theoretical_loss(target, pf, disc) == dv.theoretical_loss(target, pf, half)
+    f = ros.pushforward_densities(pair, s.real_points)[0]
+    assert np.all(f / (f + f) == 0.5)
+    maps, at = hyp.distinct_maps(cfg, [gen.permutation([v, w])[0], v, w])
+    g, pf = maps[0], ros.pushforward_density(maps[0])
+    entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
+    assert entry == -math.log(2.0)
+    assert entry == lr.empirical_loss(_half, g, s)
+    assert (lr.pair_loss_matrix(target, maps)[tuple(at)]
+            == dv.theoretical_loss(target, pf, _half))
 
 
 def test_net_pair_at_matrix_cap(cfg1, uniform1):
@@ -281,9 +311,8 @@ def test_minimax_realizable_target(cfg1, realizable_target):
 def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**9, seed=13)
     res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
-    disc = hyp.make_discriminator(cfg1, *res.inner_pair)
-    gen = hyp.make_generator(cfg1, res.best_params)
-    assert abs(lr.empirical_loss(disc, gen, s) - res.achieved_value) < 1e-12
+    maps, at = hyp.distinct_maps(cfg1, [res.best_params, *res.inner_pair])
+    assert abs(lr.empirical_pair_matrix(maps, s)[tuple(at)] - res.achieved_value) < 1e-12
     assert res.inner_values[int(np.argmin(list(res.inner_values.values())))] \
         == pytest.approx(res.achieved_value, abs=0)
     assert len(res.trace) == len(res.inner_values)

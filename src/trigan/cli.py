@@ -230,7 +230,7 @@ def _samples_csv(points: np.ndarray):
 
 def _cmd_sample(rc: RunConfig) -> None:
     target = _build_target(rc.target, rc.resolution)
-    gen = rosenblatt.build_rosenblatt(target).inverse()
+    gen = learning.target_sampler(target)
     pts = rosenblatt.sample(gen, rc.n, rc.seed)
     path = _out_path(rc, "samples.csv")
     density_mod.write_chunks_atomic(_samples_csv(pts), path)

@@ -349,14 +349,14 @@ def jacobian_range(config: HypothesisConfig, vector) -> tuple[float, float]:
 
 
 def make_generator(config: HypothesisConfig, params) -> TriangularMap:
-    """Member of the family in the generator role (noise -> target)."""
+    """Member of the family as a map that evaluates its components: noise z
+    goes to apply(z), so PushforwardDensity of the member is its law."""
     v = _box_vector(config, params)
     p = config.degree
     cls = _QuadBernstein if p == 2 else BernsteinComponent
     comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
                   for theta_sl, coup_sl in config.blocks())
-    return TriangularMap(dim=config.dim, components=comps,
-                         direction="inverse", components_direct=True)
+    return TriangularMap(components=comps)
 
 
 def bound_constants_finite(dim: int, K: float) -> bool:

@@ -45,7 +45,7 @@ from .divergence import eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
 from .hypothesis import EpsNet, HypothesisConfig, distinct_maps, family_delta1, make_generator
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
-                         pushforward_densities, pushforward_density)
+                         pushforward_densities)
 
 # entries of a nominal (c, c, c) loss cube over c members, 8 MB of
 # floats; admits nets of up to 100 members
@@ -66,7 +66,8 @@ class TrainingSample:
 
     def __post_init__(self):
         for name in ("real_points", "noise_points"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            # a view, so freezing it leaves the caller's array writeable
+            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         shape = self.real_points.shape
@@ -80,10 +81,10 @@ class TrainingSample:
 
 
 def target_sampler(target) -> TriangularMap:
-    """A generator-role map whose pushforward is the target density."""
+    """The map whose pushforward of uniform noise is the target: a
+    PushforwardDensity's own map, a grid density's inverse Rosenblatt map."""
     if isinstance(target, PushforwardDensity):
-        base = target.base_map
-        return base if base.direction == "inverse" else base.inverse()
+        return target.base_map
     if isinstance(target, GridDensity):
         return build_rosenblatt(target).inverse()
     raise ConfigInvalid(f"cannot sample from {type(target).__name__}")
@@ -200,7 +201,7 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
     pairs = emp[group[best]][np.ix_(group, group)]
     top = np.unravel_index(np.argmax(pairs), pairs.shape)
     gen = make_generator(config, vectors[best])
-    js = js_divergence(target, pushforward_density(gen))
+    js = js_divergence(target, PushforwardDensity(gen))
     trace = tuple(f"member {g}: inner max {float(inner[g])!r}"
                   for g in range(len(vectors)))
     return MinimaxResult(best_params=vectors[best],

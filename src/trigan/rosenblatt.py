@@ -3,12 +3,12 @@
 The forward Rosenblatt map sends a target density to the uniform through
 successive conditional CDFs: component j is the CDF of coordinate j given
 the first j-1 coordinates. Its inverse is the generator that pushes uniform
-noise to the target. Both directions share one immutable object: a
-TriangularMap stores the components of ONE realization and a direction tag
-saying which role (forward / inverse) this object plays; applying the map
-either evaluates the components directly or solves them coordinate by
-coordinate, depending on whether the stored components realize this
-object's own direction.
+noise to the target. A map and its inverse share one immutable object: a
+TriangularMap is the components of ONE triangular map T and a flag saying
+whether the object is T (apply evaluates the components) or its inverse
+(apply solves them coordinate by coordinate). A map's law is what it does
+to uniform noise: PushforwardDensity(m) is the density of m.apply(Z), and
+sample(m, ...) draws from it, whichever way the components are read.
 
 Conditional CDFs are exact piecewise-quadratic antiderivatives of the
 piecewise-linear conditional densities, so forward evaluation, inversion
@@ -33,7 +33,6 @@ from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
 _JAC_FLOOR = 1e-12
-_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,52 +122,35 @@ class TableComponent:
 class TriangularMap:
     """Lower-triangular monotone bijection of the unit cube.
 
-    direction is the role of THIS object: "forward" sends the target
-    distribution to uniform, "inverse" is the generator role. components
-    always realize one fixed triangular map T; components_direct says
-    whether T is this object (apply evaluates T) or its inverse (apply
-    solves T coordinate-wise).
+    components always realize one fixed triangular map T, one component per
+    axis; components_direct says whether T is this object (apply evaluates
+    T) or its inverse (apply solves T coordinate-wise).
     """
 
-    dim: int
     components: tuple
-    direction: str
     components_direct: bool = True
 
-    def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise ConfigInvalid("direction must be 'forward' or 'inverse'")
-        if len(self.components) != self.dim:
-            raise ConfigInvalid("need one component per axis")
+    @property
+    def dim(self) -> int:
+        return len(self.components)
 
     def inverse(self) -> "TriangularMap":
-        flipped = "inverse" if self.direction == "forward" else "forward"
-        return replace(self, direction=flipped,
-                       components_direct=not self.components_direct)
+        return replace(self, components_direct=not self.components_direct)
 
     def apply(self, points: np.ndarray, out=None) -> np.ndarray:
         """The map at (N, d) points, written into out when it is given."""
-        return self._transport(points, self.components_direct, out)
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return self._transport(points, not self.components_direct, None)
-
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """Product of this map's diagonal partials: its inverse's pushforward density."""
-        return PushforwardDensity(self.inverse()).evaluate(points)
-
-    def _transport(self, points: np.ndarray, direct: bool, out) -> np.ndarray:
-        """Evaluate (direct) or solve the components at points, into out."""
         pts = _as_points(points, self.dim)
         out = np.empty(pts.shape) if out is None else out
         scratch = np.empty(min(len(pts), _CHUNK))
         for lo in range(0, len(pts), _CHUNK):
             block = pts[lo:lo + _CHUNK]
-            self._transport_block(block, direct, out[lo:lo + _CHUNK], scratch[:len(block)])
+            self._transport_block(block, self.components_direct, out[lo:lo + _CHUNK],
+                                  scratch[:len(block)])
         return out
 
     def _transport_block(self, pts: np.ndarray, direct: bool, out, scratch) -> None:
-        """One block of _transport; scratch holds each solve's clipped targets."""
+        """Evaluate (direct) or solve the components at one block of points,
+        into out; scratch holds each solve's clipped targets."""
         for j, comp in enumerate(self.components):
             if direct:
                 comp.value(pts[:, :j], pts[:, j], out=out[:, j])
@@ -179,7 +161,7 @@ class TriangularMap:
 
 @dataclass(frozen=True)
 class PushforwardDensity:
-    """Density of generator(Z) for Z uniform: f(x) = 1/|J(generator^{-1}(x))|."""
+    """Density of base_map.apply(Z) for Z uniform: f(x) = 1/|J(base_map^{-1}(x))|."""
 
     base_map: TriangularMap
 
@@ -189,10 +171,10 @@ class PushforwardDensity:
 
     def evaluate(self, points: np.ndarray, out=None) -> np.ndarray:
         """The density at (N, d) points, written into out when it is given:
-        the Jacobian of the generator's inverse. That is the reciprocal of the
+        the Jacobian of the map's inverse. That is the reciprocal of the
         diagonal partials' product at the solved preimage when the components
-        realize the generator, else the product at the points; each partial
-        must clear _JAC_FLOOR."""
+        realize the map, else the product at the points; each partial must
+        clear _JAC_FLOOR."""
         gen = self.base_map
         pts = _as_points(points, gen.dim)
         out = np.empty(len(pts)) if out is None else out
@@ -225,29 +207,17 @@ def build_rosenblatt(density: GridDensity) -> TriangularMap:
     knots = density.knots
     comps = tuple(TableComponent(table=t, knots=knots)
                   for t in prefix_marginal_tables(density))
-    return TriangularMap(dim=density.dim, components=comps,
-                         direction="forward", components_direct=True)
-
-
-def invert(tri_map: TriangularMap, x: np.ndarray) -> np.ndarray:
-    """Solve the triangular system; residual below 1e-10 in sup norm."""
-    x = _as_points(x, tri_map.dim)
-    y = tri_map.invert(x)
-    residual = np.abs(tri_map.apply(y) - x).max() if x.size else 0.0
-    if residual > _RESIDUAL_TOL:
-        raise RootNotBracketed(f"inverse residual {residual:.3e} exceeds 1e-10")
-    return y
+    return TriangularMap(components=comps)
 
 
 def sample(generator: TriangularMap, n: int, seed: int,
            stream: int = rng.stream_id(rng.KIND_NOISE)) -> np.ndarray:
-    """n points generator(Z_i) for Z_i uniform, Z_i keyed by (seed, stream, index).
+    """n points generator.apply(Z_i) for Z_i uniform, Z_i keyed by (seed, stream,
+    index): a draw from PushforwardDensity(generator).
 
     The stream is counter-based, so any partition of the index range
     (and any worker count) yields the same points bitwise.
     """
-    if generator.direction != "inverse":
-        raise ConfigInvalid("sampling requires a map in the generator (inverse) role")
     if n < 0:
         raise ConfigInvalid("n must be nonnegative")
     out = np.empty((n, generator.dim))
@@ -258,19 +228,13 @@ def sample(generator: TriangularMap, n: int, seed: int,
     return out
 
 
-def pushforward_density(generator: TriangularMap) -> PushforwardDensity:
-    if generator.direction != "inverse":
-        raise ConfigInvalid("pushforward density needs a generator-role map")
-    return PushforwardDensity(base_map=generator)
-
-
 def pushforward_densities(generators, points: np.ndarray) -> np.ndarray:
     """(h, N) array whose row a is the pushforward density of generators[a]
     at the (N, d) points; each density is evaluated into its own row."""
     pts = _as_points(points, generators[0].dim)
     out = np.empty((len(generators), len(pts)))
     for gen, row in zip(generators, out):
-        pushforward_density(gen).evaluate(pts, out=row)
+        PushforwardDensity(gen).evaluate(pts, out=row)
     return out
 
 

@@ -55,7 +55,7 @@ def test_criterion_01_rosenblatt_roundtrip(tilted, product2, coupled):
                        float(np.abs(phi.apply(psi.apply(pts)) - pts).max()))
         grid = _cube_grid(dens.dim, 17)
         worst_jac = max(worst_jac, float(
-            np.abs(psi.jacobian(grid) - dens.evaluate(grid)).max()))
+            np.abs(rb.PushforwardDensity(phi).evaluate(grid) - dens.evaluate(grid)).max()))
     secs = time.perf_counter() - t0
     ok = worst_rt < 1e-8 and worst_jac < 1e-5 and secs < 10.0
     _verdict(1, "rosenblatt-roundtrip", ok,
@@ -93,7 +93,7 @@ def test_criterion_03_js_identity(tilted, product2, coupled, cfg1, cfg2):
     worst = 0.0
     for dens, cfg in ((tilted, cfg1), (product2, cfg2), (coupled, cfg2)):
         for row in random_box_params(cfg, 20, seed=303):
-            fphi = rb.pushforward_density(hyp.make_generator(cfg, row))
+            fphi = rb.PushforwardDensity(hyp.make_generator(cfg, row))
             js = dv.js_divergence(dens, fphi)
             loss = dv.theoretical_loss(dens, fphi,
                                        dv.optimal_discriminator(dens, fphi))
@@ -109,7 +109,7 @@ def test_criterion_04_optimal_discriminator(tilted, product2, coupled,
     for dens, cfg in ((tilted, cfg1), (product2, cfg2), (coupled, cfg2)):
         pts, _ = dv.eval_grid(cfg.dim)
         for row in random_box_params(cfg, 3, seed=7):
-            fphi = rb.pushforward_density(hyp.make_generator(cfg, row))
+            fphi = rb.PushforwardDensity(hyp.make_generator(cfg, row))
             dopt = dv.optimal_discriminator(dens, fphi)
             lopt = dv.theoretical_loss(dens, fphi, dopt)
             base = dopt(pts)

@@ -99,7 +99,7 @@ def test_loss_identity_with_js(uniform1, tilted):
 
 def test_loss_identity_for_pushforward(coupled, rng):
     gen = rb.build_rosenblatt(coupled).inverse()
-    push = rb.pushforward_density(gen)
+    push = rb.PushforwardDensity(gen)
     disc = dv.optimal_discriminator(coupled, push)
     loss = dv.theoretical_loss(coupled, push, disc)
     js = dv.js_divergence(coupled, push)
@@ -135,7 +135,7 @@ def test_js_identities_on_box_members_property(dim_degree, coupling, members, se
     dim, degree = dim_degree
     cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
     maps, _ = hyp.distinct_maps(cfg, random_box_params(cfg, members, seed=seed))
-    dens = [rb.pushforward_density(gen) for gen in maps]
+    dens = [rb.PushforwardDensity(gen) for gen in maps]
     target = dens[seed % len(maps)]
     inner = lr.pair_loss_matrix(target, maps).max(axis=(1, 2))
     for f_g, top in zip(dens, inner):

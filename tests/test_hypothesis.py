@@ -229,7 +229,7 @@ def test_quadratic_closed_form_and_inverse(cfg1, rng):
         t = rng.random((257, 1))
         x = gen.apply(t)
         assert np.abs(x - (2 * w1 * t + (w2 - w1) * t * t)).max() < 1e-15
-        back = gen.invert(x)
+        back = gen.inverse().apply(x)
         assert np.abs(back - t).max() < 1e-14
         ends = gen.apply(np.array([[0.0], [1.0]]))
         assert ends[0, 0] == 0.0 and ends[1, 0] == 1.0
@@ -309,7 +309,7 @@ def test_discriminator_equal_params_is_half(cfg1, uniform1, rng):
     entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
     assert entry == -math.log(2.0) == lr.empirical_loss(half, maps[0], s)
     assert (lr.pair_loss_matrix(uniform1, maps)[tuple(at)]
-            == dv.theoretical_loss(uniform1, ros.pushforward_density(maps[0]), half))
+            == dv.theoretical_loss(uniform1, ros.PushforwardDensity(maps[0]), half))
 
 
 def test_discriminator_range(cfg1, cfg2, rng):
@@ -419,10 +419,10 @@ def test_distinct_members(dim, coupling, eps, members, maps):
     assert [raw(gen) for gen in kept] == [raw(gens[i]) for i in keep]
     pts = np.random.default_rng(31).random((257, dim))
     kept_apply = [gen.apply(pts) for gen in kept]
-    kept_dens = [ros.pushforward_density(gen).evaluate(pts) for gen in kept]
+    kept_dens = [ros.PushforwardDensity(gen).evaluate(pts) for gen in kept]
     for m, gen in enumerate(gens):
         assert np.array_equal(gen.apply(pts), kept_apply[group[m]])
-        assert np.array_equal(ros.pushforward_density(gen).evaluate(pts),
+        assert np.array_equal(ros.PushforwardDensity(gen).evaluate(pts),
                               kept_dens[group[m]])
     for i in range(maps):
         for j in range(i):

@@ -28,7 +28,7 @@ def net(cfg1):
 def realizable_target(cfg1, net):
     # pushforward of a fixed net member: phi_mu lies inside the family
     vec = net.vectors[1]
-    return ros.pushforward_density(hyp.make_generator(cfg1, vec))
+    return ros.PushforwardDensity(hyp.make_generator(cfg1, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,29 @@ def test_real_points_are_the_one_shot_draw(request, family, n):
     s = lr.make_training_sample(target, n, seed=3, trial=2)
     z = uniforms(3, stream_id(KIND_REAL, 2), 0, n, target.dim)
     assert np.array_equal(s.real_points, ros.build_rosenblatt(target).inverse().apply(z))
+
+
+@pytest.mark.parametrize("kind", ["tilted", "tilted-inverse", "member", "member-inverse",
+                                  "coupled"])
+def test_pushforward_target_draws_its_own_law(tilted, coupled, cfg1, kind):
+    """A PushforwardDensity(m) target is sampled by m.apply, whichever way m
+    reads its components: its real points are m of the REAL-stream uniforms
+    bitwise, and their mean lies within 5 standard errors of the density's
+    quadrature mean on every axis."""
+    name, _, flip = kind.partition("-")
+    corner = np.array([cfg1.box_half, -cfg1.box_half])   # the box's steepest member
+    m = {"tilted": ros.build_rosenblatt(tilted), "coupled": ros.build_rosenblatt(coupled),
+         "member": hyp.make_generator(cfg1, corner)}[name]
+    m = m.inverse() if flip else m
+    target, n = ros.PushforwardDensity(m), 40000
+    s = lr.make_training_sample(target, n, seed=3, trial=2)
+    z = uniforms(3, stream_id(KIND_REAL, 2), 0, n, m.dim)
+    assert np.array_equal(s.real_points, m.apply(z))
+    pts, w = dv.eval_grid(m.dim)
+    f = w * target.evaluate(pts)
+    quad_mean = f @ pts / f.sum()
+    stderr = s.real_points.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(s.real_points.mean(axis=0) - quad_mean) < 5.0 * stderr)
 
 
 def test_trial_size_cap_boundary():
@@ -88,6 +111,16 @@ def test_training_sample_read_only(tilted):
         s.real_points[0, 0] = 0.5
     with pytest.raises(ConfigInvalid):
         lr.make_training_sample(tilted, 0, seed=1)
+
+
+def test_training_sample_leaves_caller_arrays_writeable():
+    # the sample freezes its own views, not the arrays it was given
+    a, b = np.full((4, 1), 0.25), np.full((4, 1), 0.75)
+    s = lr.TrainingSample(real_points=a, noise_points=b)
+    assert a.flags.writeable and b.flags.writeable
+    assert s.real_points is not a and s.noise_points is not b
+    assert not s.real_points.flags.writeable and not s.noise_points.flags.writeable
+    assert np.array_equal(s.real_points, a) and np.array_equal(s.noise_points, b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +289,7 @@ def test_same_map_pair_is_constant_half(uniform1, product2, dim, coupling, seed)
     f = ros.pushforward_densities(pair, s.real_points)[0]
     assert np.all(f / (f + f) == 0.5)
     maps, at = hyp.distinct_maps(cfg, [gen.permutation([v, w])[0], v, w])
-    g, pf = maps[0], ros.pushforward_density(maps[0])
+    g, pf = maps[0], ros.PushforwardDensity(maps[0])
     entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
     assert entry == -math.log(2.0)
     assert entry == lr.empirical_loss(_half, g, s)

@@ -20,7 +20,7 @@ from trigan import hypothesis as hyp
 def test_forward_component_is_cdf(tilted):
     # psi_1 is the CDF (2t + t^2)/3 of the tilted density; 0.5 is a knot
     psi = rb.build_rosenblatt(tilted)
-    assert psi.direction == "forward"
+    assert psi.components_direct
     out = psi.apply(np.array([[0.0], [0.5], [1.0]]))
     assert out[0, 0] == 0.0
     assert out[2, 0] == pytest.approx(1.0, abs=1e-12)
@@ -47,8 +47,8 @@ def test_roundtrip_both_directions(tilted, coupled, rough3, rng):
         psi = rb.build_rosenblatt(f)
         pts = rng.random((200, f.dim))
         u = psi.apply(pts)
-        assert np.abs(psi.invert(u) - pts).max() < 1e-10
-        v = psi.invert(pts)
+        assert np.abs(psi.inverse().apply(u) - pts).max() < 1e-10
+        v = psi.inverse().apply(pts)
         assert np.abs(psi.apply(v) - pts).max() < 1e-10
 
 
@@ -57,12 +57,13 @@ def test_jacobian_matches_density(tilted, coupled, rough3, rng):
     for f in (tilted, coupled, rough3):
         psi = rb.build_rosenblatt(f)
         pts = rng.random((300, f.dim))
-        assert np.abs(psi.jacobian(pts) - f.evaluate(pts)).max() < 1e-10
+        jac = rb.PushforwardDensity(psi.inverse()).evaluate(pts)
+        assert np.abs(jac - f.evaluate(pts)).max() < 1e-10
 
 
 def test_pushforward_reproduces_density(coupled, rng):
     gen = rb.build_rosenblatt(coupled).inverse()
-    push = rb.pushforward_density(gen)
+    push = rb.PushforwardDensity(gen)
     pts = rng.random((100, 2))
     assert np.abs(push.evaluate(pts) - coupled.evaluate(pts)).max() < 1e-8
     # trapezoid quadrature integrates the multilinear interpolant exactly
@@ -75,10 +76,10 @@ def test_pushforward_reproduces_density(coupled, rng):
 def test_inverse_flips_roles(tilted):
     psi = rb.build_rosenblatt(tilted)
     phi = psi.inverse()
-    assert phi.direction == "inverse"
+    assert not phi.components_direct
     pts = np.linspace(0.05, 0.95, 7).reshape(-1, 1)
     assert np.allclose(phi.apply(psi.apply(pts)), pts, atol=1e-10)
-    assert phi.inverse().direction == "forward"
+    assert phi.inverse().components_direct
 
 
 def test_sampling_deterministic(tilted):
@@ -99,12 +100,6 @@ def test_sampling_prefix_stable(tilted):
     small = rb.sample(gen, 50, seed=5)
     big = rb.sample(gen, 200, seed=5)
     assert np.array_equal(big[:50], small)
-
-
-def test_sampling_requires_generator_role(tilted):
-    psi = rb.build_rosenblatt(tilted)
-    with pytest.raises(ConfigInvalid):
-        rb.sample(psi, 10, seed=0)
 
 
 def test_chunked_apply_matches_split(coupled, rng):
@@ -203,13 +198,13 @@ def test_batched_kernels_match_reference(family, dim, n):
     pts[-1], pts[0] = 1.0, 0.0
     dens = rb.pushforward_densities(maps, pts)
     assert dens.shape == (2, n)
-    assert np.array_equal(dens[0], rb.pushforward_density(maps[0]).evaluate(pts))
+    assert np.array_equal(dens[0], rb.PushforwardDensity(maps[0]).evaluate(pts))
     for gen_map, row in zip(maps, dens):
         assert np.array_equal(row, _reference_density(gen_map, pts))
         buf = np.full_like(pts, np.nan)
         assert gen_map.apply(pts, out=buf) is buf
         assert np.array_equal(buf, _reference_transport(gen_map, pts, gen_map.components_direct))
-    assert np.array_equal(maps[0].invert(pts),
+    assert np.array_equal(maps[0].inverse().apply(pts),
                           _reference_transport(maps[0], pts, not maps[0].components_direct))
 
 
@@ -218,7 +213,7 @@ def test_degenerate_partial_raises_in_batch(cfg1):
     # below the floor only near t = 0, the preimage of x = 0
     thin = hyp._QuadBernstein(degree=2, theta=np.array([1e-13 - 0.5, 0.5 - 1e-13]),
                               coupling=np.zeros((2, 0)))
-    bad = rb.TriangularMap(dim=1, components=(thin,), direction="inverse")
+    bad = rb.TriangularMap(components=(thin,))
     good = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     pts = np.full((rb._CHUNK + 1, 1), 0.5)
     assert np.all(np.isfinite(rb.pushforward_densities([good, bad], pts)))
@@ -226,7 +221,7 @@ def test_degenerate_partial_raises_in_batch(cfg1):
     with pytest.raises(DegenerateJacobian):
         rb.pushforward_densities([good, bad], pts)
     with pytest.raises(DegenerateJacobian):
-        rb.pushforward_density(bad).evaluate(pts)
+        rb.PushforwardDensity(bad).evaluate(pts)
 
 
 @st.composite
@@ -241,12 +236,10 @@ def grid_densities(draw):
 def test_roundtrip_and_telescoping_property(dens, seed):
     psi = rb.build_rosenblatt(dens)
     pts = np.random.default_rng(seed).random((64, dens.dim))
-    assert np.abs(psi.invert(psi.apply(pts)) - pts).max() < 1e-10
-    assert np.abs(psi.apply(psi.invert(pts)) - pts).max() < 1e-10
-    jac = psi.jacobian(pts)
+    assert np.abs(psi.inverse().apply(psi.apply(pts)) - pts).max() < 1e-10
+    assert np.abs(psi.apply(psi.inverse().apply(pts)) - pts).max() < 1e-10
+    jac = rb.PushforwardDensity(psi.inverse()).evaluate(pts)
     assert np.abs(jac - dens.evaluate(pts)).max() < 1e-10
-    # the generator's pushforward density is the same Jacobian, bit for bit
-    assert np.array_equal(rb.pushforward_density(psi.inverse()).evaluate(pts), jac)
 
 
 @given(dim=st.integers(1, 3), degree=st.sampled_from([2, 3]),
@@ -259,9 +252,9 @@ def test_bernstein_roundtrip_and_telescoping_property(dim, degree, coupling, see
     phi = hyp.make_generator(cfg, random_box_params(cfg, 1, seed=seed)[0])
     z = 0.05 + 0.9 * np.random.default_rng(seed).random((16, dim))
     x = phi.apply(z)
-    assert np.abs(rb.invert(phi, x) - z).max() < 1e-10
-    assert np.abs(phi.apply(phi.invert(z)) - z).max() < 1e-10
-    jac = phi.jacobian(z)
+    assert np.abs(phi.inverse().apply(x) - z).max() < 1e-10
+    assert np.abs(phi.apply(phi.inverse().apply(z)) - z).max() < 1e-10
+    jac = rb.PushforwardDensity(phi.inverse()).evaluate(z)
     h = 1e-6
     fd = np.ones(len(z))
     for j in range(dim):
@@ -269,7 +262,7 @@ def test_bernstein_roundtrip_and_telescoping_property(dim, degree, coupling, see
         step[j] = h
         fd *= (phi.apply(z + step)[:, j] - phi.apply(z - step)[:, j]) / (2.0 * h)
     assert np.abs(jac / fd - 1.0).max() < 1e-6
-    push = rb.pushforward_density(phi).evaluate(x)
+    push = rb.PushforwardDensity(phi).evaluate(x)
     assert np.abs(push * jac - 1.0).max() < 1e-10
 
 
@@ -293,7 +286,7 @@ def test_table_map_serialization(tmp_path, coupled, rng):
     back = rb.build_rosenblatt(dn.load_density(path))
     pts = rng.random((64, 2))
     assert np.array_equal(back.apply(pts), psi.apply(pts))
-    assert np.array_equal(back.invert(pts), psi.invert(pts))
+    assert np.array_equal(back.inverse().apply(pts), psi.inverse().apply(pts))
 
 
 def _table_payload():
@@ -349,11 +342,4 @@ def test_bernstein_map_serialization(cfg1, rng):
                               stored["best_params"])
     pts = rng.random((64, 1))
     assert np.array_equal(back.apply(pts), gen.apply(pts))
-    assert back.direction == gen.direction
-
-
-def test_invert_wrapper_checks_residual(tilted, rng):
-    psi = rb.build_rosenblatt(tilted)
-    pts = rng.random((40, 1))
-    y = rb.invert(psi, psi.apply(pts))
-    assert np.abs(y - pts).max() < 1e-10
+    assert back.components_direct == gen.components_direct

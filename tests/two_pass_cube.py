@@ -14,11 +14,11 @@ import numpy as np
 
 from trigan.divergence import pair_losses
 from trigan.learning import TrainingSample
-from trigan.rosenblatt import pushforward_density
+from trigan.rosenblatt import PushforwardDensity
 
 
 def _densities_at(maps, points: np.ndarray) -> np.ndarray:
-    return np.stack([pushforward_density(gen).evaluate(points) for gen in maps])
+    return np.stack([PushforwardDensity(gen).evaluate(points) for gen in maps])
 
 
 def empirical_pair_matrix(maps, sample: TrainingSample) -> np.ndarray:

@@ -20,7 +20,6 @@ tree order, independent of worker counts).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable
 
@@ -30,6 +29,10 @@ from .density import (_MAX_GRID_NODES, GridDensity, axis_weights, default_resolu
                       grid_points)
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 from .rosenblatt import PushforwardDensity
+
+# floats of pair_losses' one scratch array (512 KB): each numpy call fills
+# as many partner maps' rows as fit, and at least one
+_SCRATCH_FLOATS = 1 << 16
 
 
 def eval_resolution(dim: int) -> int:
@@ -142,12 +145,16 @@ def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
         L[g, a, b] = scale ((S[a] - T[a, b]) + (U[g, b] - V[g, a, b])),
 
     where S and U are the weighted sums of log f, and T and V those of
-    log(f_a + f_b), which are symmetric in (a, b) and summed once per pair
-    a < b. Each row is reduced by np.sum along the sample axis in buffers
-    reused across rows, so one pair's entry is the same number in any cube
-    that holds the pair. D_aa is the constant 1/2, and L[g, a, a] is
-    loss_terms at 1/2. Raises NonPositiveDensity unless every density is
-    positive and finite.
+    log(f_a + f_b), which are symmetric in (a, b): they are summed for
+    a < b only and mirrored once. Each numpy call works on a block of rows,
+    for T and V the rows of map a with a block of its partners b > a, in
+    one scratch array of at most _SCRATCH_FLOATS floats (or one partner's
+    rows, when those alone are more): about h + h^2 / (2 block) passes of
+    numpy calls, not one per pair. Every entry is np.sum along
+    the sample axis of one contiguous row, so it is the same number for any
+    block size and in any cube that holds its maps. D_aa is the constant
+    1/2, and L[g, a, a] is loss_terms at 1/2. Raises NonPositiveDensity
+    unless every density is positive and finite.
 
     With ends, one cube per prefix is stacked into (len(ends), G, h, h):
     cube p sums each row over its first ends[p] samples only, on both
@@ -157,40 +164,13 @@ def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
     single = ends is None
     scales, ends = ([scale], [None]) if single else (scale, ends)
     h, p = fy.shape[0], len(ends)
-    ybuf, xbuf = np.empty(fy.shape[1:]), np.empty(fx.shape[1:])
-    # shared fake-side points: each log row is weighted by every generator's wx
-    wbuf = np.empty((len(wx), fx.shape[-1])) if fx.ndim == 2 else xbuf
-    # x * 1.0 == x bit for bit, so unit weights skip the multiply
-    unit_y = np.ndim(wy) == 0 and wy == 1.0
-    unit_x = np.ndim(wx) == 0 and wx == 1.0
-
-    def y_sums(logs, out):
-        if not unit_y:
-            logs *= wy
-        for i, end in enumerate(ends):
-            out[i] = np.sum(logs[:end])
-
-    def x_sums(logs, out):
-        rows = logs if unit_x else np.multiply(logs, wx, out=wbuf)
-        for i, end in enumerate(ends):
-            np.sum(rows[..., :end], axis=-1, out=out[i])
-
-    g = wbuf.shape[0]
-    s_sum, t_sum = np.empty((p, h)), np.zeros((p, h, h))
-    u_sum, v_sum = np.empty((p, g, h)), np.zeros((p, g, h, h))
-    # log f is finite for every f exactly when S and U are finite
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(h):
-            y_sums(np.log(fy[a], out=ybuf), s_sum[:, a])
-            x_sums(np.log(fx[a], out=xbuf), u_sum[:, :, a])
-    if not (np.all(np.isfinite(s_sum)) and np.all(np.isfinite(u_sum))):
-        raise NonPositiveDensity("a density is not positive and finite at a sample point")
-    for a, b in itertools.combinations(range(h), 2):
-        y_sums(np.log(np.add(fy[a], fy[b], out=ybuf), out=ybuf), t_sum[:, a, b])
-        x_sums(np.log(np.add(fx[a], fx[b], out=xbuf), out=xbuf), v_sum[:, :, a, b])
-        t_sum[:, b, a], v_sum[:, :, b, a] = t_sum[:, a, b], v_sum[:, :, a, b]
-    out = (np.reshape(scales, (p, 1, 1, 1))
-           * ((s_sum[:, None, :, None] - t_sum[:, None]) + (u_sum[:, :, None, :] - v_sum)))
+    s_sum, t_sum, u_sum, v_sum = _log_sums(fy, wy, fx, wx, ends)
+    # x + 0.0 == x, so adding the zero lower triangle's transpose mirrors it
+    t_sum += np.swapaxes(t_sum, -1, -2)
+    v_sum += np.swapaxes(v_sum, -1, -2)
+    out = np.subtract(u_sum[:, :, None, :], v_sum, out=v_sum)
+    out += s_sum[:, None, :, None] - t_sum[:, None]
+    out *= np.reshape(scales, (p, 1, 1, 1))
     half_y, half_x = np.full(fy.shape[-1], 0.5), np.full(fx.shape[-1], 0.5)
     for cube, s, end in zip(out, scales, ends):
         wy_p, wx_p = (w if np.ndim(w) == 0 else w[..., :end] for w in (wy, wx))
@@ -198,3 +178,65 @@ def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
         cube[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
     return out[0] if single else out
 
+
+def _log_sums(fy, wy, fx, wx, ends):
+    """pair_losses' weighted log sums over each prefix end: S (p, h) and U
+    (p, G, h) of log f_a, and the upper triangles (a < b) of T (p, h, h) and
+    V (p, G, h, h) of log(f_a + f_b), zero elsewhere."""
+    h, p, n_y, n_x = fy.shape[0], len(ends), fy.shape[-1], fx.shape[-1]
+    shared = fx.ndim == 2
+    g = len(wx) if shared else fx.shape[1]
+    # floats of one row block per map: its real-side row, or its fake-side
+    # rows (shared points: its log row, then that row under each weight row)
+    x_width = (g + 1) * n_x if shared else g * n_x
+    width = max(n_y, x_width)
+    block = max(1, min(h - 1, _SCRATCH_FLOATS // width))
+    scratch = np.empty(block * width)
+    # x * 1.0 == x bit for bit, so unit weights skip the multiply
+    unit_y = np.ndim(wy) == 0 and wy == 1.0
+    unit_x = np.ndim(wx) == 0 and wx == 1.0
+
+    def y_rows(k):
+        return scratch[:k * n_y].reshape(k, n_y)
+
+    def x_rows(k):
+        if shared:
+            return scratch[:k * n_x].reshape(k, n_x)
+        return scratch[:k * x_width].reshape(k, g, n_x)
+
+    def y_sums(logs, out):
+        if not unit_y:
+            logs *= wy
+        for i, end in enumerate(ends):
+            np.sum(logs[:, :end], axis=-1, out=out[i])
+
+    def x_sums(logs, out):
+        k = len(logs)
+        if shared:
+            weighted = scratch[k * n_x:k * x_width].reshape(k, g, n_x)
+            logs = np.multiply(logs[:, None, :], wx, out=weighted)
+        elif not unit_x:
+            logs *= wx
+        for i, end in enumerate(ends):
+            np.sum(logs[..., :end], axis=-1, out=out[i].T)
+
+    s_sum, t_sum = np.empty((p, h)), np.zeros((p, h, h))
+    u_sum, v_sum = np.empty((p, g, h)), np.zeros((p, g, h, h))
+    # log f is finite for every f exactly when S and U are finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, h, block):
+            rows = slice(lo, min(lo + block, h))
+            k = rows.stop - lo
+            y_sums(np.log(fy[rows], out=y_rows(k)), s_sum[:, rows])
+            x_sums(np.log(fx[rows], out=x_rows(k)), u_sum[:, :, rows])
+    if not (np.all(np.isfinite(s_sum)) and np.all(np.isfinite(u_sum))):
+        raise NonPositiveDensity("a density is not positive and finite at a sample point")
+    for a in range(h - 1):
+        for lo in range(a + 1, h, block):
+            rows = slice(lo, min(lo + block, h))
+            k = rows.stop - lo
+            logs = np.add(fy[a], fy[rows], out=y_rows(k))
+            y_sums(np.log(logs, out=logs), t_sum[:, a, rows])
+            logs = np.add(fx[a], fx[rows], out=x_rows(k))
+            x_sums(np.log(logs, out=logs), v_sum[:, :, a, rows])
+    return s_sum, t_sum, u_sum, v_sum

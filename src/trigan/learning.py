@@ -17,9 +17,11 @@ each map's density into its row of one (h, N) array.
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
 log(f_a + f_b), the loss is a sum of per-map and per-pair sums of logs,
-each computed once. The ratio discriminators exist only as the cubes'
-(a, b) axes: one map's loss against one pair is the entry of the cube over
-their distinct maps, bitwise the entry of any cube holding those maps.
+each computed once; each numpy call sums map a against a block of its
+partners b > a, in one scratch array of bounded size. The ratio
+discriminators exist only as the cubes' (a, b) axes: one map's loss
+against one pair is the entry of the cube over their distinct maps,
+bitwise the entry of any cube holding those maps, whatever the block.
 
 Trials are independent by construction: trial t draws its real and noise
 points from counter-RNG streams keyed (seed, stream(kind, t)), so any

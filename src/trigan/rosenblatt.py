@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .density import GridDensity, _corner_sum, _corners, prefix_marginal_tables
+from .density import (GridDensity, _corner_sum, _corners, prefix_marginal_tables,
+                      require_finite)
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
@@ -248,6 +249,7 @@ def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
         pts = pts[:, None] if dim == 1 else pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ConfigInvalid(f"points must have shape (N, {dim})")
+    require_finite(pts)
     return pts
 
 

@@ -214,7 +214,9 @@ def test_samples_csv_bytes_pinned(tmp_path, cfg, digest):
 
 
 # SHA-256 of every artifact and of stdout of the bench's rate1d and fit2d_net
-# invocations at seed 7; the out directory is relative, so stdout is fixed too
+# invocations at seed 7, and of a 2D rate whose theoretical cube (25 maps on
+# the 129^2 grid) fills one partner per block; the out directory is
+# relative, so stdout is fixed too
 _RATE1D = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
            "n_grid": [64, 256, 1024, 4096], "trials": 3, "seed": 7, "epsilon": 0.03,
            "threads": 1}
@@ -222,6 +224,8 @@ _FIT2D_NET = {"target": {"family": "coupled", "dim": 2, "params": {"a": 0.8}},
               "resolution": 129, "n": 256, "seed": 7, "epsilon": 0.07, "strategy": "net",
               "threads": 1,
               "hypothesis": {**HYP, "dim": 2, "K": 3.0, "coupling_degree": 0}}
+_RATE2D = {"target": {"family": "uniform", "dim": 2}, "hypothesis": _FIT2D_NET["hypothesis"],
+           "n_grid": [64, 256], "trials": 2, "seed": 7, "epsilon": 0.07, "threads": 1}
 
 
 @pytest.mark.parametrize("command,cfg,digests", [
@@ -233,7 +237,12 @@ _FIT2D_NET = {"target": {"family": "coupled", "dim": 2, "params": {"a": 0.8}},
     ("fit", _FIT2D_NET, {
         "stdout": "e7b7a73ef279c5123a3ef61363a48124f3e65d1fcbd2a632fa11ebfd32e6f2e7",
         "fit.json": "9882f34a31e01f245ecad12bc4dfc3ba07516bd18d176d6eb671b758f0a2b11d"}),
-], ids=["rate1d", "fit2d_net"])
+    ("rate", _RATE2D, {
+        "stdout": "79a2725c9531ce2b9a9b1a0ed8e9640c30b5ce48a46d07c4eef0ff6aa497a20c",
+        "rate.csv": "80cafd52a091d27e3f8ece4c9b27f80de7e9008f52bfb4488643a84c9b893a37",
+        "rate.svg": "906e165a29aaa5743621ce843a50327c8c81ccb0796938d6c5add92eb0ce4dae",
+        "bounds.json": "a58f02b3a800a0a4bc7de7a4c750acd0e127e39e65ee5ac699dd9b636443cdb8"}),
+], ids=["rate1d", "fit2d_net", "rate2d"])
 def test_bench_artifact_bytes_pinned(tmp_path, monkeypatch, capsys, command, cfg, digests):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, "c.json", cfg)

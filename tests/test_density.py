@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,25 @@ def test_evaluate_multilinear_interpolation(tilted):
     expect = (2.0 / 3.0) * (1.0 + y[:, 0])
     got = tilted.evaluate(y)
     assert np.allclose(got, expect, rtol=1e-12)
+
+
+def test_evaluate_blocks_match_one_shot(coupled):
+    # values across _EVAL_BLOCK boundaries are the unblocked interpolant's
+    pts = np.random.default_rng(5).random((2 * dn._EVAL_BLOCK + 3, 2))
+    one_shot = dn._corner_sum(*dn._corners(pts, coupled.resolution))(coupled.values.ravel(), 0)
+    assert np.array_equal(coupled.evaluate(pts), one_shot)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_evaluate_refuses_nonfinite_points(coupled, axis, bad):
+    # a NaN coordinate used to reach the corner index cast: IndexError
+    pts = np.full((5, 2), 0.5)
+    pts[3, axis] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigInvalid, match="finite"):
+            coupled.evaluate(pts)
 
 
 def test_nonpositive_rejected():

@@ -7,6 +7,7 @@ instead of to quadrature error.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from trigan import rosenblatt as rb
 from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
 
 from box_params import random_box_params
+from pair_loop_cube import pair_losses as pair_loop_losses
 
 # mpmath oracle, 30 digits, frozen
 KL_UNIFORM_TILTED = 0.019170746988273763
@@ -204,6 +206,46 @@ def test_pair_losses_prefix_cubes_are_truncated_cubes(shared):
         wy_m, wx_m = (w if np.ndim(w) == 0 else w[..., :m] for w in (wy, wx))
         assert np.array_equal(cube, dv.pair_losses(0.5 / m, fy[:, :m], wy_m,
                                                    fx[..., :m], wx_m))
+
+
+@pytest.mark.parametrize("prefixes", [False, True])
+@pytest.mark.parametrize("per_block", [1, 2, "h-1"])
+@pytest.mark.parametrize("h", [2, 5, 6])
+@pytest.mark.parametrize("shared", [False, True])
+def test_blocked_pair_losses_match_pair_loop(monkeypatch, shared, h, per_block, prefixes):
+    """The blocked kernel is the one-pair-at-a-time loop bit for bit, with
+    blocks of 1, 2 and h - 1 partners (h = 5 and 6 leave a short last block),
+    on both layouts, with and without prefix ends past numpy's 8192-float
+    reduction buffer."""
+    gen = np.random.default_rng(74 + h)
+    count, n = 3, 9001
+    fy, wy, fx, wx = _random_pair_inputs(gen, h, count, n, shared)
+    # scratch floats per partner: its real-side row, or its fake-side rows
+    # (shared points: its log row, then that row under each weight row)
+    width = max(n, (count + 1) * n if shared else count * n)
+    monkeypatch.setattr(dv, "_SCRATCH_FLOATS", (h - 1 if per_block == "h-1" else per_block) * width)
+    ends = [9001, 17, 8193, 17] if prefixes else None
+    scale = [0.5 / m for m in ends] if prefixes else 0.25
+    assert np.array_equal(dv.pair_losses(scale, fy, wy, fx, wx, ends),
+                          pair_loop_losses(scale, fy, wy, fx, wx, ends))
+
+
+def test_pair_losses_allocate_output_plus_budget():
+    """On a rate1d trial's shapes (7 maps, 4096 samples, 4 prefixes) one call
+    allocates at most its output, the scratch budget and one numpy iterator
+    buffer; a log of the whole (h, h, n) input at once would be 1.6 MB more."""
+    gen = np.random.default_rng(75)
+    fy, wy, fx, wx = _random_pair_inputs(gen, 7, 7, 4096, False)
+    ends = [64, 256, 1024, 4096]
+    scale = [0.5 / m for m in ends]
+    dv.pair_losses(scale, fy, wy, fx, wx, ends)
+    tracemalloc.start()
+    try:
+        out = dv.pair_losses(scale, fy, wy, fx, wx, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * (dv._SCRATCH_FLOATS + np.getbufsize())
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])

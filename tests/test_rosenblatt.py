@@ -1,6 +1,7 @@
 """Triangular transport maps built from grid densities."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ def test_batched_kernels_match_reference(family, dim, n):
         assert np.array_equal(buf, _reference_transport(gen_map, pts, gen_map.components_direct))
     assert np.array_equal(maps[0].inverse().apply(pts),
                           _reference_transport(maps[0], pts, not maps[0].components_direct))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("kernel", ["table-apply", "table-inverse-apply", "table-density",
+                                    "bernstein-apply", "bernstein-density", "densities"])
+def test_kernels_refuse_nonfinite_points(coupled, cfg2, kernel, axis, bad):
+    # a NaN in the first coordinate used to raise IndexError from the corner
+    # index cast, and one in the last to come back as a NaN value
+    table = rb.build_rosenblatt(coupled)
+    bern = hyp.make_generator(cfg2, np.zeros(cfg2.n_params))
+    run = {"table-apply": table.apply, "table-inverse-apply": table.inverse().apply,
+           "table-density": rb.PushforwardDensity(table).evaluate,
+           "bernstein-apply": bern.apply,
+           "bernstein-density": rb.PushforwardDensity(bern).evaluate,
+           "densities": lambda pts: rb.pushforward_densities([bern, table], pts)}[kernel]
+    pts = np.full((5, 2), 0.5)
+    pts[3, axis] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigInvalid, match="finite"):
+            run(pts)
 
 
 def test_degenerate_partial_raises_in_batch(cfg1):

@@ -41,7 +41,7 @@ _ALLOWED = {
 _MAX_N = 2**53
 # samples.csv holds at most 2^20 points: its file stays within about 20 MB per axis
 _MAX_SAMPLE = 1 << 20
-# rows per repr call and per chunk streamed to samples.csv
+# rows per orjson call and per chunk streamed to samples.csv
 _CSV_BLOCK = 1024
 _REQUIRED = {
     "sample": {"target", "n", "seed"},
@@ -216,12 +216,28 @@ def _out_path(rc: RunConfig, name: str) -> str:
 
 
 def _samples_csv(points: np.ndarray):
-    # repr of a float list is float.__repr__ of each item: per-value repr bytes
+    # imported here: orjson loads uuid and zoneinfo, which only sample pays for
+    import orjson
+
     d = points.shape[1]
     yield ",".join(f"y{i + 1}" for i in range(d)) + "\n"
     for lo in range(0, len(points), _CSV_BLOCK):
-        tokens = repr(points[lo:lo + _CSV_BLOCK].ravel().tolist())[1:-1].split(", ")
-        yield "\n".join(map(",".join, zip(*[iter(tokens)] * d))) + "\n"
+        block = np.ascontiguousarray(points[lo:lo + _CSV_BLOCK], dtype=np.float64)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+        text = text.replace(b"],[", b"\n").decode() + "\n"
+        # orjson prints repr's shortest digits, but in its own notation below
+        # 1e-4 (0.00001 for 1e-05), at 1e16 and above (1e16 for 1e+16), and for
+        # NaN and infinities (null): a row holding any value other than 0 or
+        # 1e-4 <= |v| <= 1 is rebuilt from repr
+        mag = np.abs(block)
+        fast = (block == 0) | ((mag >= 1e-4) & (mag <= 1))
+        bad = np.flatnonzero(~fast.all(axis=1))
+        if bad.size:
+            lines = text.split("\n")
+            for i in bad.tolist():
+                lines[i] = ",".join(map(repr, block[i].tolist()))
+            text = "\n".join(lines)
+        yield text
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import trigan
 import trigan.bounds as bd
+import trigan.cli
 import trigan.hypothesis as hyp
 import trigan.learning as lr
 from trigan import rng
@@ -157,7 +159,14 @@ def _samples_csv_oracle(points):
     return "\n".join(lines) + "\n"
 
 
-_CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17]
+# the fast domain is 0 and 1e-4 <= |v| <= 1; the edges on both sides of it
+_CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17,
+               1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1.0, 2)), -1e-4, 1e16]
+
+
+def _off_domain_rows(points) -> int:
+    mag = np.abs(points)
+    return int((~((points == 0) | ((mag >= 1e-4) & (mag <= 1))).all(axis=1)).sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,15 +177,39 @@ _CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17]
                        min_size=1, max_size=64))
 @example(rows=3000, dim=4, values=_CSV_VALUES)
 @example(rows=_CSV_BLOCK + 1, dim=3, values=_CSV_VALUES)
+# one sub-1e-4 value in the middle of a block: its row alone takes repr
+@example(rows=_CSV_BLOCK, dim=2, values=[0.5] * _CSV_BLOCK + [1e-5] + [0.5] * (_CSV_BLOCK - 1))
 def test_samples_csv_matches_per_value_repr(rows, dim, values):
     points = np.resize(np.asarray(values, dtype=np.float64), (rows, dim))
-    chunks = list(_samples_csv(points))
+    reprs = []
+
+    def counted_repr(v):
+        reprs.append(v)
+        return repr(v)
+
+    with mock.patch.object(trigan.cli, "repr", counted_repr, create=True):
+        chunks = list(_samples_csv(points))
+    # only rows with a value off the fast domain are rebuilt from repr
+    assert len(reprs) <= dim * _off_domain_rows(points)
     # the writer streams one block of rows at a time
     assert max(chunk.count("\n") for chunk in chunks) <= _CSV_BLOCK
     got, want = "".join(chunks), _samples_csv_oracle(points)
     # a plain bool keeps pytest from diffing megabyte strings on failure
     same = got == want
     assert same, next((g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w)
+
+
+def test_samples_csv_matches_repr_in_bulk():
+    # 2^17 random bit patterns with 1e-4 <= |v| <= 1, and 2^17 uniforms
+    gen = np.random.default_rng(17)
+    lo, hi = np.array([1e-4, 1.0]).view(np.int64)
+    bits = gen.integers(lo, hi, size=1 << 17, endpoint=True)
+    signs = gen.integers(0, 2, size=1 << 17) << 63
+    patterns = (bits | signs).view(np.float64).reshape(-1, 2)
+    uniforms = gen.random((1 << 16, 2))
+    for points in (patterns, uniforms):
+        same = "".join(_samples_csv(points)) == _samples_csv_oracle(points)
+        assert same
 
 
 def test_samples_csv_streams_in_blocks(tmp_path):
@@ -261,10 +294,11 @@ def _env_importing_trigan() -> dict:
 
 
 def test_cli_import_loads_no_process_pool():
-    # single-worker runs never pay for the pool's modules
+    # single-worker runs never pay for the pool's modules; the CSV encoder
+    # loads only when sample writes
     env = _env_importing_trigan()
     code = ("import sys, trigan.cli; print([m for m in sys.modules "
-            "if m.startswith(('concurrent', 'multiprocessing'))])")
+            "if m.startswith(('concurrent', 'multiprocessing', 'orjson'))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -275,7 +275,6 @@ def _cmd_fit(rc: RunConfig) -> None:
         "jac_lower": jac_lower,
         "c1_upper": c1_upper,
         "inner_values": {str(key): val for key, val in result.inner_values.items()},
-        "trace": list(result.trace),
     }
     path = _out_path(rc, "fit.json")
     density_mod.write_json_atomic(payload, path)

@@ -120,6 +120,11 @@ class BernsteinComponent:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def reads(self) -> int:
+        """Leading coordinates the weights read: one per coupling column."""
+        return self.centered.shape[1]
+
     def weights(self, prefix: np.ndarray) -> np.ndarray:
         """(N, p) per-point weights, or the constant (p,) base when uncoupled."""
         if self.centered.size:
@@ -141,7 +146,9 @@ class BernsteinComponent:
 
 @dataclass(frozen=True)
 class _QuadBernstein(BernsteinComponent):
-    """Degree-2 component: phi(t) = 2 w1 t + (w2 - w1) t^2 inverts in closed form."""
+    """Degree-2 component psi(t) = 2 w1 t + a t^2, a = w2 - w1: its inverse
+    and its partial at the root are closed forms of one discriminant, since
+    psi'(t) = 2 w1 + 2 a t at the root of psi(t) = x is 2 sqrt(w1^2 + a x)."""
 
     def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -164,16 +171,27 @@ class _QuadBernstein(BernsteinComponent):
         out += right
         return out
 
-    def inverse_exact(self, prefix: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-        """Root in [0, 1] of a t^2 + 2 w1 t - x, a = w2 - w1, for targets x in
-        [0, 1]: x / (w1 + sqrt(max(w1 w1 + a x, 0))), stable for either sign of a."""
-        x = np.asarray(x, dtype=np.float64)
+    def _root_disc(self, prefix: np.ndarray, x: np.ndarray, out):
+        """w1, and sqrt(max(w1 w1 + a x, 0)) written into out (which may be x)."""
         w = self.weights(np.asarray(prefix, dtype=np.float64))
         w1 = w[..., 0]
         out = np.multiply(w[..., 1] - w1, x, out=out)
         out += w1 * w1
         np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
+        return w1, np.sqrt(out, out=out)
+
+    def root_partial(self, prefix: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        """psi'(psi^{-1}(x)) = 2 sqrt(max(w1 w1 + a x, 0)) for targets x in
+        [0, 1], with no root solved."""
+        _, out = self._root_disc(prefix, np.asarray(x, dtype=np.float64), out)
+        out *= 2.0
+        return out
+
+    def inverse_exact(self, prefix: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        """Root in [0, 1] of a t^2 + 2 w1 t - x for targets x in [0, 1]:
+        x / (w1 + sqrt(max(w1 w1 + a x, 0))), stable for either sign of a."""
+        x = np.asarray(x, dtype=np.float64)
+        w1, out = self._root_disc(prefix, x, out)
         out += w1
         np.divide(x, out, out=out)
         return np.clip(out, 0.0, 1.0, out=out)

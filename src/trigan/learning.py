@@ -185,7 +185,6 @@ class MinimaxResult:
     inner_values: dict
     achieved_value: float
     js_to_target: float
-    trace: tuple
     # the inner maximizer: parameter vectors (a, b) of D_{ab}, so
     # achieved_value can be re-evaluated from the result alone
     inner_pair: tuple = ()
@@ -204,12 +203,10 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
     top = np.unravel_index(np.argmax(pairs), pairs.shape)
     gen = make_generator(config, vectors[best])
     js = js_divergence(target, PushforwardDensity(gen))
-    trace = tuple(f"member {g}: inner max {float(inner[g])!r}"
-                  for g in range(len(vectors)))
     return MinimaxResult(best_params=vectors[best],
                          inner_values={g: float(inner[g]) for g in range(len(vectors))},
                          achieved_value=float(inner[best]), js_to_target=float(js),
-                         trace=trace, inner_pair=(vectors[top[0]], vectors[top[1]]))
+                         inner_pair=(vectors[top[0]], vectors[top[1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ kernel evaluates every component, whatever its rank, and one kernel,
 PushforwardDensity.evaluate, gives every density and Jacobian in _CHUNK-point
 blocks with its scratch allocated once per call. It, apply and every component
 kernel write into the row or array they are given, so nothing is concatenated.
+
+A density solves only the preimage coordinates it reads. A degree-2 Bernstein
+component psi(t) = 2 w1 t + a t^2 has its partial at the root in closed form,
+psi'(psi^{-1}(x)) = 2 sqrt(w1^2 + a x) (root_partial), so a member's density
+solves coordinate j only when a later component's coupling reads it: none
+in 1D or uncoupled, the first d - 1 when coupled. Table and higher-degree
+components solve every coordinate and take the partial there.
 """
 
 from __future__ import annotations
@@ -64,6 +71,11 @@ class TableComponent:
         zero = np.zeros(self.table.shape[:-1] + (1,))
         object.__setattr__(self, "cumulative",
                            np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1))
+
+    @property
+    def reads(self) -> int:
+        """Leading coordinates the component reads: every earlier one."""
+        return self.table.ndim - 1
 
     def _corner_rows(self, prefix: np.ndarray):
         """at(flat, k): entry k of each point's prefix-interpolated row of a
@@ -139,25 +151,20 @@ class TriangularMap:
         return replace(self, components_direct=not self.components_direct)
 
     def apply(self, points: np.ndarray, out=None) -> np.ndarray:
-        """The map at (N, d) points, written into out when it is given."""
+        """The map at (N, d) points, written into out when it is given: each
+        component evaluated (direct) or solved coordinate by coordinate."""
         pts = _as_points(points, self.dim)
         out = np.empty(pts.shape) if out is None else out
-        scratch = np.empty(min(len(pts), _CHUNK))
+        scratch = np.empty(min(len(pts), _CHUNK))   # clipped solve targets
         for lo in range(0, len(pts), _CHUNK):
-            block = pts[lo:lo + _CHUNK]
-            self._transport_block(block, self.components_direct, out[lo:lo + _CHUNK],
-                                  scratch[:len(block)])
+            block, res = pts[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+            for j, comp in enumerate(self.components):
+                if self.components_direct:
+                    comp.value(block[:, :j], block[:, j], out=res[:, j])
+                else:
+                    target = np.clip(block[:, j], 0.0, 1.0, out=scratch[:len(block)])
+                    _solve_monotone(comp, res[:, :j], target, out=res[:, j])
         return out
-
-    def _transport_block(self, pts: np.ndarray, direct: bool, out, scratch) -> None:
-        """Evaluate (direct) or solve the components at one block of points,
-        into out; scratch holds each solve's clipped targets."""
-        for j, comp in enumerate(self.components):
-            if direct:
-                comp.value(pts[:, :j], pts[:, j], out=out[:, j])
-            else:
-                target = np.clip(pts[:, j], 0.0, 1.0, out=scratch)
-                _solve_monotone(comp, out[:, :j], target, out=out[:, j])
 
 
 @dataclass(frozen=True)
@@ -172,28 +179,39 @@ class PushforwardDensity:
 
     def evaluate(self, points: np.ndarray, out=None) -> np.ndarray:
         """The density at (N, d) points, written into out when it is given:
-        the Jacobian of the map's inverse. That is the reciprocal of the
-        diagonal partials' product at the solved preimage when the components
-        realize the map, else the product at the points; each partial must
-        clear _JAC_FLOOR."""
+        the Jacobian of the map's inverse. When the components realize the
+        map, that is 1 / prod_j partial_j at the preimage y of the point x;
+        a component with a root_partial reads its partial off x_j, so y_j is
+        solved only when a later component reads it or component j has no
+        root_partial. Else it is the product at the points. Each partial
+        must clear _JAC_FLOOR."""
         gen = self.base_map
+        direct, comps = gen.components_direct, gen.components
         pts = _as_points(points, gen.dim)
         out = np.empty(len(pts)) if out is None else out
+        # the preimage coordinates the components read are a prefix of it
+        read = max(comp.reads for comp in comps)
         pre = np.empty((min(len(pts), _CHUNK), gen.dim))   # block preimages
         scratch = np.empty(len(pre))   # clipped solve targets, then partials
         for lo in range(0, len(pts), _CHUNK):
             block, dens = pts[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-            at, row = block, scratch[:len(block)]
-            if gen.components_direct:
-                at = pre[:len(block)]
-                gen._transport_block(block, False, at, row)
-            for j, comp in enumerate(gen.components):
-                part = comp.partial(at[:, :j], at[:, j], out=row if j else dens)
+            at, row = (pre[:len(block)] if direct else block), scratch[:len(block)]
+            for j, comp in enumerate(comps):
+                part = row if j else dens
+                closed = direct and hasattr(comp, "root_partial")
+                if direct:
+                    x = np.clip(block[:, j], 0.0, 1.0, out=row)
+                    if j < read or not closed:
+                        _solve_monotone(comp, at[:, :j], x, out=at[:, j])
+                if closed:
+                    comp.root_partial(at[:, :j], x, out=part)
+                else:
+                    comp.partial(at[:, :j], at[:, j], out=part)
                 if np.any(part < _JAC_FLOOR):
                     raise DegenerateJacobian("diagonal partial below positivity floor")
                 if j:
                     dens *= part
-            if gen.components_direct:
+            if direct:
                 np.divide(1.0, dens, out=dens)
         return out
 

@@ -348,7 +348,8 @@ def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     assert abs(lr.empirical_pair_matrix(maps, s)[tuple(at)] - res.achieved_value) < 1e-12
     assert res.inner_values[int(np.argmin(list(res.inner_values.values())))] \
         == pytest.approx(res.achieved_value, abs=0)
-    assert len(res.trace) == len(res.inner_values)
+    assert len(res.inner_values) == hyp.build_eps_net(cfg1, 0.1).cardinality
+    assert all(type(v) is float for v in res.inner_values.values())
 
 
 def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net):

@@ -159,12 +159,18 @@ def _reference_transport(tri, pts, direct):
 
 def _reference_density(gen, pts):
     """A generator's pushforward density by the definition: the Jacobian of
-    its inverse, as a product started from ones over whole arrays."""
-    at = _reference_transport(gen, pts, False) if gen.components_direct else pts
+    its inverse, as a product started from ones over whole arrays. A
+    component with a closed-form partial at the root (root_partial) reads
+    it off the clipped target; the rest read the partial at the preimage."""
+    direct = gen.components_direct
+    at = _reference_transport(gen, pts, False) if direct else pts
     jac = np.ones(len(pts))
     for j, comp in enumerate(gen.components):
-        jac = jac * comp.partial(at[:, :j], at[:, j])
-    return 1.0 / jac if gen.components_direct else jac
+        if direct and hasattr(comp, "root_partial"):
+            jac = jac * comp.root_partial(at[:, :j], np.clip(pts[:, j], 0.0, 1.0))
+        else:
+            jac = jac * comp.partial(at[:, :j], at[:, j])
+    return 1.0 / jac if direct else jac
 
 
 def _generators(family, dim: int, count: int, gen) -> list:
@@ -231,12 +237,58 @@ def test_kernels_refuse_nonfinite_points(coupled, cfg2, kernel, axis, bad):
             run(pts)
 
 
+def _count_solves(monkeypatch) -> list:
+    """Record the component of every preimage solve: every _solve_monotone
+    call, and every inverse_exact call of a table or degree-2 component."""
+    calls = []
+    solve = rb._solve_monotone
+    monkeypatch.setattr(rb, "_solve_monotone",
+                        lambda comp, *a, **k: calls.append(("solve", comp)) or solve(comp, *a, **k))
+    for cls in (rb.TableComponent, hyp._QuadBernstein):
+        exact = cls.inverse_exact
+        monkeypatch.setattr(cls, "inverse_exact", lambda self, *a, _f=exact, **k:
+                            calls.append(("exact", self)) or _f(self, *a, **k))
+    return calls
+
+
+# solves per block: a coordinate is solved when a later component reads it
+# (a Bernstein component its coupling columns, a table component every
+# earlier coordinate) or when its own component has no closed-form partial
+@pytest.mark.parametrize("family,dim,per_block", [
+    ((2, 0), 1, 0), ((2, 0), 2, 0), ((2, 0), 3, 0), ((2, 1), 1, 0),
+    ((2, 1), 2, 1), ((2, 1), 3, 2), ((3, 0), 2, 2), ((3, 1), 2, 2),
+    ("table", 1, 1), ("table", 2, 2), ("table", 3, 3),
+])
+def test_density_solves_only_read_coordinates(monkeypatch, family, dim, per_block):
+    gen = np.random.default_rng(dim)
+    maps = _generators(family, dim, 1, gen)
+    if family == "table":
+        # the forward map, whose density reads its partials at the preimage
+        maps = [maps[0].inverse()]
+    n = 3 if family in ((3, 0), (3, 1)) else rb._CHUNK + 1
+    pts = gen.random((n, dim))
+    want = rb.PushforwardDensity(maps[0]).evaluate(pts)
+    calls = _count_solves(monkeypatch)
+    assert np.array_equal(rb.pushforward_densities(maps, pts)[0], want)
+    blocks = -(-n // rb._CHUNK)
+    solves = [c for kind, c in calls if kind == "solve"]
+    assert len(solves) == per_block * blocks
+    if family == "table" or family[0] == 2:
+        # every solve is the closed form, once per solved coordinate
+        assert [c for kind, c in calls if kind == "exact"] == solves
+        assert solves == [comp for _ in range(blocks)
+                          for comp in maps[0].components[:per_block]]
+
+
+def _thin_quad(reads: int):
+    # base weights (1e-13, 1 - 1e-13): the partial at the root of psi(t) = x
+    # is 2 sqrt(1e-26 + a x), below the floor only at x = 0
+    return hyp._QuadBernstein(degree=2, theta=np.array([1e-13 - 0.5, 0.5 - 1e-13]),
+                              coupling=np.zeros((2, reads)))
+
+
 def test_degenerate_partial_raises_in_batch(cfg1):
-    # base weights (1e-13, 1 - 1e-13): the partial 2 (w1 (1 - t) + w2 t) is
-    # below the floor only near t = 0, the preimage of x = 0
-    thin = hyp._QuadBernstein(degree=2, theta=np.array([1e-13 - 0.5, 0.5 - 1e-13]),
-                              coupling=np.zeros((2, 0)))
-    bad = rb.TriangularMap(components=(thin,))
+    bad = rb.TriangularMap(components=(_thin_quad(0),))
     good = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     pts = np.full((rb._CHUNK + 1, 1), 0.5)
     assert np.all(np.isfinite(rb.pushforward_densities([good, bad], pts)))
@@ -245,6 +297,40 @@ def test_degenerate_partial_raises_in_batch(cfg1):
         rb.pushforward_densities([good, bad], pts)
     with pytest.raises(DegenerateJacobian):
         rb.PushforwardDensity(bad).evaluate(pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_degenerate_root_partial_raises(monkeypatch, cfg2, dim):
+    # through the closed path alone: no partial at a solved preimage is taken
+    lead = hyp.make_generator(cfg2, np.zeros(cfg2.n_params)).components[:dim - 1]
+    bad = rb.TriangularMap(components=(*lead, _thin_quad(dim - 1)))
+
+    def no_partial(*args, **kwargs):
+        raise AssertionError("partial at a solved preimage")
+    monkeypatch.setattr(hyp._QuadBernstein, "partial", no_partial)
+    pts = np.full((rb._CHUNK + 1, dim), 0.5)
+    assert np.all(np.isfinite(rb.PushforwardDensity(bad).evaluate(pts)))
+    pts[-1, -1] = 0.0
+    with pytest.raises(DegenerateJacobian):
+        rb.PushforwardDensity(bad).evaluate(pts)
+
+
+@given(dim=st.integers(1, 3), coupling=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_quad_density_matches_definition_property(dim, coupling, seed):
+    # the closed-form partials against 1 / prod partial(solved preimage), at
+    # random box members and at points with coordinates 0 and 1
+    cfg = hyp.make_config(dim, K=3.0, degree=2, coupling_degree=coupling)
+    phi = hyp.make_generator(cfg, random_box_params(cfg, 1, seed=seed)[0])
+    gen = np.random.default_rng(seed)
+    pts = gen.random((64, dim))
+    pts[:16] = gen.integers(0, 2, (16, dim))
+    pts[16:32, gen.integers(dim)] = gen.integers(0, 2, 16)
+    pre = phi.inverse().apply(pts)
+    jac = np.ones(len(pts))
+    for j, comp in enumerate(phi.components):
+        jac *= comp.partial(pre[:, :j], pre[:, j])
+    assert np.abs(rb.PushforwardDensity(phi).evaluate(pts) * jac - 1.0).max() <= 1e-14
 
 
 @st.composite

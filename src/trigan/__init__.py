@@ -32,7 +32,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateJacobian,
     DiscriminatorOutOfRange,
-    InsufficientResolution,
     IntegralDivergent,
     NetTooLarge,
     NonPositiveDensity,

@@ -268,7 +268,6 @@ def _cmd_fit(rc: RunConfig) -> None:
     jac_lower, c1_upper = hyp_mod.jacobian_range(config, result.best_params)
     payload = {
         "strategy": "net_exhaustive",
-        "converged": True,
         "achieved_value": result.achieved_value,
         "js_to_target": result.js_to_target,
         "best_params": [float(v) for v in result.best_params],

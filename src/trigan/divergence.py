@@ -12,7 +12,10 @@ accuracy rather than quadrature accuracy.
 
 A discriminator is a plain function of (N, d) points. The ratio class
 D_ab = f_a / (f_a + f_b) of the generator family has one form only: the
-(a, b) axes of the pair_losses cube.
+(a, b) axes of the pair_losses cube. The loss's real-data term and each
+generator's term are one weighted sum of log D over a sample, so
+pair_losses takes the real points as the last row group after the
+generators' fakes and computes every term by one formula.
 
 Deterministic reductions only: weighted sums go through np.sum (pairwise
 tree order, independent of worker counts).
@@ -132,111 +135,91 @@ def loss_terms(scale, wy, dy, wx, dx):
     return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
 
 
-def pair_losses(scale, fy, wy, fx, wx, ends=None) -> np.ndarray:
+def pair_losses(scale, f, w=None, ends=None) -> np.ndarray:
     """Cube L[g, a, b]: the loss of generator g against D_ab = f_a / (f_a + f_b),
     over h distinct maps.
 
-    fy (h, N) holds f_a at the real-side points, with weights wy (a scalar
-    or (N,)). fx[a] is f_a at the fake-side points: (G, M), each generator's
-    own points, with a scalar wx, or (M,), points shared by the G = len(wx)
-    generators, with wx of shape (G, M). As log D_ab = log f_a - log(f_a +
-    f_b) and log(1 - D_ab) = log f_b - log(f_a + f_b),
+    f holds each map's density at G + 1 row groups of M points: the G
+    generators' fakes, then the real points. With w None, f is (h, G + 1, M),
+    each group its own points with unit weights; else f is (h, M), points
+    shared by every group, and row r of w (G + 1, M) weights group r (its
+    last row, the target's). With U[r, a] the weighted sum of log f_a over
+    group r, and V[r, a, b] that of log(f_a + f_b), which is symmetric in
+    (a, b) and summed for a < b only, then mirrored once: as log D_ab =
+    log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b - log(f_a + f_b),
 
-        L[g, a, b] = scale ((S[a] - T[a, b]) + (U[g, b] - V[g, a, b])),
+        L[g, a, b] = scale ((U[G, a] - V[G, a, b]) + (U[g, b] - V[g, a, b])).
 
-    where S and U are the weighted sums of log f, and T and V those of
-    log(f_a + f_b), which are symmetric in (a, b): they are summed for
-    a < b only and mirrored once. Each numpy call works on a block of rows,
-    for T and V the rows of map a with a block of its partners b > a, in
-    one scratch array of at most _SCRATCH_FLOATS floats (or one partner's
-    rows, when those alone are more): about h + h^2 / (2 block) passes of
-    numpy calls, not one per pair. Every entry is np.sum along
-    the sample axis of one contiguous row, so it is the same number for any
-    block size and in any cube that holds its maps. D_aa is the constant
-    1/2, and L[g, a, a] is loss_terms at 1/2. Raises NonPositiveDensity
-    unless every density is positive and finite.
+    Each numpy call works on a block of rows, for V the rows of map a with
+    a block of its partners b > a, in one scratch array of at most
+    _SCRATCH_FLOATS floats (or one partner's rows, when those alone are
+    more): about h + h^2 / (2 block) passes of numpy calls, not one per
+    pair. Every entry is np.sum along the sample axis of one contiguous
+    row, so it is the same number for any block size and in any cube that
+    holds its maps. D_aa is the constant 1/2, and L[g, a, a] is loss_terms
+    at 1/2. Raises NonPositiveDensity unless every density is positive and
+    finite.
 
     With ends, one cube per prefix is stacked into (len(ends), G, h, h):
-    cube p sums each row over its first ends[p] samples only, on both
-    sides, with scale[p]. Each log row is still taken once, over the whole
-    sample axis, so cube p is bitwise the cube of those samples alone.
+    cube p sums each row over its first ends[p] points only, in every
+    group, with scale[p]. Each log row is still taken once, over all M
+    points, so cube p is bitwise the cube of those points alone.
     """
     single = ends is None
     scales, ends = ([scale], [None]) if single else (scale, ends)
-    h, p = fy.shape[0], len(ends)
-    s_sum, t_sum, u_sum, v_sum = _log_sums(fy, wy, fx, wx, ends)
+    h, p = f.shape[0], len(ends)
+    u_sum, v_sum = _log_sums(f, w, ends)
+    n_gen = u_sum.shape[1] - 1
     # x + 0.0 == x, so adding the zero lower triangle's transpose mirrors it
-    t_sum += np.swapaxes(t_sum, -1, -2)
     v_sum += np.swapaxes(v_sum, -1, -2)
-    out = np.subtract(u_sum[:, :, None, :], v_sum, out=v_sum)
-    out += s_sum[:, None, :, None] - t_sum[:, None]
+    real = np.subtract(u_sum[:, n_gen, :, None], v_sum[:, n_gen], out=v_sum[:, n_gen])
+    out = np.subtract(u_sum[:, :n_gen, None, :], v_sum[:, :n_gen], out=v_sum[:, :n_gen])
+    out += real[:, None]
     out *= np.reshape(scales, (p, 1, 1, 1))
-    half_y, half_x = np.full(fy.shape[-1], 0.5), np.full(fx.shape[-1], 0.5)
+    half = np.full(f.shape[-1], 0.5)
     for cube, s, end in zip(out, scales, ends):
-        wy_p, wx_p = (w if np.ndim(w) == 0 else w[..., :end] for w in (wy, wx))
-        half = loss_terms(s, wy_p, half_y[:end], wx_p, half_x[:end])
-        cube[:, np.arange(h), np.arange(h)] = np.reshape(half, (-1, 1))
+        wy, wx = (1.0, 1.0) if w is None else (w[-1, :end], w[:-1, :end])
+        cube[:, np.arange(h), np.arange(h)] = np.reshape(
+            loss_terms(s, wy, half[:end], wx, half[:end]), (-1, 1))
     return out[0] if single else out
 
 
-def _log_sums(fy, wy, fx, wx, ends):
-    """pair_losses' weighted log sums over each prefix end: S (p, h) and U
-    (p, G, h) of log f_a, and the upper triangles (a < b) of T (p, h, h) and
-    V (p, G, h, h) of log(f_a + f_b), zero elsewhere."""
-    h, p, n_y, n_x = fy.shape[0], len(ends), fy.shape[-1], fx.shape[-1]
-    shared = fx.ndim == 2
-    g = len(wx) if shared else fx.shape[1]
-    # floats of one row block per map: its real-side row, or its fake-side
-    # rows (shared points: its log row, then that row under each weight row)
-    x_width = (g + 1) * n_x if shared else g * n_x
-    width = max(n_y, x_width)
+def _log_sums(f, w, ends):
+    """pair_losses' weighted log sums over each prefix end and row group: U
+    (p, G + 1, h) of log f_a, and the upper triangle (a < b) of V (p, G + 1,
+    h, h) of log(f_a + f_b), zero elsewhere."""
+    h, p, m = f.shape[0], len(ends), f.shape[-1]
+    groups = f.shape[1] if w is None else len(w)
+    # floats of one map's rows: its row groups' log rows, or (shared
+    # points) its log row, then that row under each weight row
+    width = groups * m if w is None else (groups + 1) * m
     block = max(1, min(h - 1, _SCRATCH_FLOATS // width))
     scratch = np.empty(block * width)
-    # x * 1.0 == x bit for bit, so unit weights skip the multiply
-    unit_y = np.ndim(wy) == 0 and wy == 1.0
-    unit_x = np.ndim(wx) == 0 and wx == 1.0
 
-    def y_rows(k):
-        return scratch[:k * n_y].reshape(k, n_y)
+    def rows(k):
+        if w is None:
+            return scratch[:k * width].reshape(k, groups, m)
+        return scratch[:k * m].reshape(k, m)
 
-    def x_rows(k):
-        if shared:
-            return scratch[:k * n_x].reshape(k, n_x)
-        return scratch[:k * x_width].reshape(k, g, n_x)
-
-    def y_sums(logs, out):
-        if not unit_y:
-            logs *= wy
-        for i, end in enumerate(ends):
-            np.sum(logs[:, :end], axis=-1, out=out[i])
-
-    def x_sums(logs, out):
-        k = len(logs)
-        if shared:
-            weighted = scratch[k * n_x:k * x_width].reshape(k, g, n_x)
-            logs = np.multiply(logs[:, None, :], wx, out=weighted)
-        elif not unit_x:
-            logs *= wx
+    def sums(logs, out):
+        if w is not None:
+            k = len(logs)
+            weighted = scratch[k * m:k * width].reshape(k, groups, m)
+            logs = np.multiply(logs[:, None, :], w, out=weighted)
         for i, end in enumerate(ends):
             np.sum(logs[..., :end], axis=-1, out=out[i].T)
 
-    s_sum, t_sum = np.empty((p, h)), np.zeros((p, h, h))
-    u_sum, v_sum = np.empty((p, g, h)), np.zeros((p, g, h, h))
-    # log f is finite for every f exactly when S and U are finite
+    u_sum, v_sum = np.empty((p, groups, h)), np.zeros((p, groups, h, h))
+    # log f is finite for every f exactly when U is finite
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, h, block):
-            rows = slice(lo, min(lo + block, h))
-            k = rows.stop - lo
-            y_sums(np.log(fy[rows], out=y_rows(k)), s_sum[:, rows])
-            x_sums(np.log(fx[rows], out=x_rows(k)), u_sum[:, :, rows])
-    if not (np.all(np.isfinite(s_sum)) and np.all(np.isfinite(u_sum))):
+            part = slice(lo, min(lo + block, h))
+            sums(np.log(f[part], out=rows(part.stop - lo)), u_sum[:, :, part])
+    if not np.all(np.isfinite(u_sum)):
         raise NonPositiveDensity("a density is not positive and finite at a sample point")
     for a in range(h - 1):
         for lo in range(a + 1, h, block):
-            rows = slice(lo, min(lo + block, h))
-            k = rows.stop - lo
-            logs = np.add(fy[a], fy[rows], out=y_rows(k))
-            y_sums(np.log(logs, out=logs), t_sum[:, a, rows])
-            logs = np.add(fx[a], fx[rows], out=x_rows(k))
-            x_sums(np.log(logs, out=logs), v_sum[:, :, a, rows])
-    return s_sum, t_sum, u_sum, v_sum
+            part = slice(lo, min(lo + block, h))
+            logs = np.add(f[a], f[part], out=rows(part.stop - lo))
+            sums(np.log(logs, out=logs), v_sum[:, :, a, part])
+    return u_sum, v_sum

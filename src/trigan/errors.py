@@ -13,10 +13,6 @@ class NonPositiveDensity(TriganError):
     """A density value is zero or negative where strict positivity is required."""
 
 
-class InsufficientResolution(TriganError):
-    """Grid too coarse for the requested finite-difference order."""
-
-
 class DegenerateJacobian(TriganError):
     """A Jacobian (or diagonal partial) is at or below the positivity floor."""
 

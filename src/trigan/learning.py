@@ -17,9 +17,12 @@ each map's density into its row of one (h, N) array.
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
 log(f_a + f_b), the loss is a sum of per-map and per-pair sums of logs,
-each computed once; each numpy call sums map a against a block of its
-partners b > a, in one scratch array of bounded size. The ratio
-discriminators exist only as the cubes' (a, b) axes: one map's loss
+each computed once over G + 1 row groups, the real points being the
+last: the empirical cube's densities at the merged points are that layout
+as they stand, and the theoretical cube's grid is one shared group under
+G + 1 weight rows, the target's last. Each numpy call sums map a against
+a block of its partners b > a, in one scratch array of bounded size. The
+ratio discriminators exist only as the cubes' (a, b) axes: one map's loss
 against one pair is the entry of the cube over their distinct maps,
 bitwise the entry of any cube holding those maps, whatever the block.
 
@@ -147,9 +150,11 @@ def pair_loss_matrix(target, maps) -> np.ndarray:
     tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
     if np.any(tgt <= 0.0):
         raise ConfigInvalid("target density must be positive on the grid")
-    w_gen = dens / np.sum(w * dens, axis=-1, keepdims=True)
-    w_gen *= w
-    return pair_losses(0.5, dens, w * (tgt / np.sum(w * tgt)), dens, w_gen)
+    # row g weights generator g's density, the last row the target's
+    weights = np.concatenate([dens, tgt[None]])
+    weights /= np.sum(w * weights, axis=-1, keepdims=True)
+    weights *= w
+    return pair_losses(0.5, dens, weights)
 
 
 def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
@@ -167,11 +172,10 @@ def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
     for g, gen in enumerate(maps):
         gen.apply(sample.noise_points, out=points[g * n:(g + 1) * n])
     points[c * n:] = sample.real_points
-    dens = pushforward_densities(maps, points)
-    # fx[a, g] is f_a at generator g's fakes; fy[a] is f_a at the real points
-    fx = dens[:, :c * n].reshape(c, c, n)
+    # row group g of map a's densities is generator g's fakes, the last the real points
+    dens = pushforward_densities(maps, points).reshape(c, c + 1, n)
     ends = [n] if ns is None else ns
-    cubes = pair_losses([1.0 / (2.0 * m) for m in ends], dens[:, c * n:], 1.0, fx, 1.0, ends)
+    cubes = pair_losses([1.0 / (2.0 * m) for m in ends], dens, ends=ends)
     return cubes[0] if ns is None else cubes
 
 
@@ -185,9 +189,6 @@ class MinimaxResult:
     inner_values: dict
     achieved_value: float
     js_to_target: float
-    # the inner maximizer: parameter vectors (a, b) of D_{ab}, so
-    # achieved_value can be re-evaluated from the result alone
-    inner_pair: tuple = ()
 
 
 def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
@@ -198,15 +199,11 @@ def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
     emp = empirical_pair_matrix(maps, sample)
     inner = emp.max(axis=(1, 2))[group]
     best = int(np.argmin(inner))
-    # the nominal (c, c) slice, so a tie picks the same members as the full cube
-    pairs = emp[group[best]][np.ix_(group, group)]
-    top = np.unravel_index(np.argmax(pairs), pairs.shape)
     gen = make_generator(config, vectors[best])
     js = js_divergence(target, PushforwardDensity(gen))
     return MinimaxResult(best_params=vectors[best],
                          inner_values={g: float(inner[g]) for g in range(len(vectors))},
-                         achieved_value=float(inner[best]), js_to_target=float(js),
-                         inner_pair=(vectors[top[0]], vectors[top[1]]))
+                         achieved_value=float(inner[best]), js_to_target=float(js))
 
 
 # ---------------------------------------------------------------------------

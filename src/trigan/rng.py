@@ -51,6 +51,4 @@ def stream_id(kind: int, trial: int = 0) -> int:
 # kind tags; keep distinct so independent uses never share a stream
 KIND_NOISE = 0x01       # Z_i, the generator inputs
 KIND_REAL = 0x02        # U_i feeding the exact target sampler for Y_i
-KIND_PROBE = 0x03       # test probes (roundtrip points, random pairs)
-KIND_PERTURB = 0x04     # discriminator perturbations
 KIND_MEMBER = 0x05      # random certified family members

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from trigan.density import grid_points
-from trigan.errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
+from trigan.errors import ConfigInvalid, DegenerateJacobian
 
 # all-pairs quotients stay below ~17M distance evaluations; 1D/2D oracle
 # grids (257, 33^2) fall under this, larger grids switch to strides
@@ -64,7 +64,7 @@ def estimate_holder_norm(values: np.ndarray | Callable, k: int, alpha: float,
     if any(c.shape != (m,) * d for c in comps):
         raise ConfigInvalid("component grids must be uniform cubes")
     if m < k + 2:
-        raise InsufficientResolution(f"resolution {m} < k + 2 = {k + 2}")
+        raise ConfigInvalid(f"resolution {m} < k + 2 = {k + 2}")
     h = 1.0 / (m - 1)
 
     ck = 0.0

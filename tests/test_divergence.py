@@ -167,11 +167,15 @@ def test_eval_grid_weights_sum_to_one():
 
 
 def _random_pair_inputs(gen, h, count, n, shared):
-    fy = gen.uniform(0.2, 3.0, (h, n))
+    """pair_losses' f and w over h maps and count generators, and the
+    two-sided pair loop's (fy, wy, fx, wx) of the same data: the last row
+    group is the real side. Shared points are read by both sides (fy is
+    fx), the only shared layout a cube is built from."""
     if shared:
-        fx = gen.uniform(0.2, 3.0, (h, n))
-        return fy, gen.random(n), fx, gen.random((count, n))
-    return fy, 1.0, gen.uniform(0.2, 3.0, (h, count, n)), 1.0
+        f, w = gen.uniform(0.2, 3.0, (h, n)), gen.random((count + 1, n))
+        return f, w, (f, w[-1], f, w[:-1])
+    f = gen.uniform(0.2, 3.0, (h, count + 1, n))
+    return f, None, (f[:, -1], 1.0, f[:, :-1], 1.0)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -180,8 +184,8 @@ def test_pair_losses_match_ratio_formula(shared):
     rounding, and exactly loss_terms at 1/2 on the diagonal."""
     gen = np.random.default_rng(71)
     h, count, n = 4, 3, 257
-    fy, wy, fx, wx = _random_pair_inputs(gen, h, count, n, shared)
-    cube = dv.pair_losses(0.25, fy, wy, fx, wx)
+    f, w, (fy, wy, fx, wx) = _random_pair_inputs(gen, h, count, n, shared)
+    cube = dv.pair_losses(0.25, f, w)
     assert cube.shape == (count, h, h)
     for a in range(h):
         for b in range(h):
@@ -198,14 +202,13 @@ def test_pair_losses_prefix_cubes_are_truncated_cubes(shared):
     """Cube p over prefix ends[p] is bitwise the cube of the truncated
     inputs, for unsorted, repeated and past-buffer (> 8192) ends."""
     gen = np.random.default_rng(73)
-    fy, wy, fx, wx = _random_pair_inputs(gen, 4, 3, 9001, shared)
+    f, w, _ = _random_pair_inputs(gen, 4, 3, 9001, shared)
     ends = [9001, 17, 8193, 17]
-    cubes = dv.pair_losses([0.5 / m for m in ends], fy, wy, fx, wx, ends)
+    cubes = dv.pair_losses([0.5 / m for m in ends], f, w, ends)
     assert cubes.shape == (4, 3, 4, 4)
     for cube, m in zip(cubes, ends):
-        wy_m, wx_m = (w if np.ndim(w) == 0 else w[..., :m] for w in (wy, wx))
-        assert np.array_equal(cube, dv.pair_losses(0.5 / m, fy[:, :m], wy_m,
-                                                   fx[..., :m], wx_m))
+        assert np.array_equal(cube, dv.pair_losses(0.5 / m, f[..., :m],
+                                                   None if w is None else w[:, :m]))
 
 
 @pytest.mark.parametrize("prefixes", [False, True])
@@ -213,35 +216,35 @@ def test_pair_losses_prefix_cubes_are_truncated_cubes(shared):
 @pytest.mark.parametrize("h", [2, 5, 6])
 @pytest.mark.parametrize("shared", [False, True])
 def test_blocked_pair_losses_match_pair_loop(monkeypatch, shared, h, per_block, prefixes):
-    """The blocked kernel is the one-pair-at-a-time loop bit for bit, with
-    blocks of 1, 2 and h - 1 partners (h = 5 and 6 leave a short last block),
-    on both layouts, with and without prefix ends past numpy's 8192-float
-    reduction buffer."""
+    """The blocked one-sided kernel is the two-sided one-pair-at-a-time loop
+    bit for bit, with blocks of 1, 2 and h - 1 partners (h = 5 and 6 leave a
+    short last block), on both layouts, with and without prefix ends past
+    numpy's 8192-float reduction buffer."""
     gen = np.random.default_rng(74 + h)
     count, n = 3, 9001
-    fy, wy, fx, wx = _random_pair_inputs(gen, h, count, n, shared)
-    # scratch floats per partner: its real-side row, or its fake-side rows
-    # (shared points: its log row, then that row under each weight row)
-    width = max(n, (count + 1) * n if shared else count * n)
+    f, w, two_sided = _random_pair_inputs(gen, h, count, n, shared)
+    # scratch floats per partner: its row groups' log rows (own points), or
+    # its log row, then that row under each weight row (shared points)
+    width = (count + 2) * n if shared else (count + 1) * n
     monkeypatch.setattr(dv, "_SCRATCH_FLOATS", (h - 1 if per_block == "h-1" else per_block) * width)
     ends = [9001, 17, 8193, 17] if prefixes else None
     scale = [0.5 / m for m in ends] if prefixes else 0.25
-    assert np.array_equal(dv.pair_losses(scale, fy, wy, fx, wx, ends),
-                          pair_loop_losses(scale, fy, wy, fx, wx, ends))
+    assert np.array_equal(dv.pair_losses(scale, f, w, ends),
+                          pair_loop_losses(scale, *two_sided, ends))
 
 
 def test_pair_losses_allocate_output_plus_budget():
     """On a rate1d trial's shapes (7 maps, 4096 samples, 4 prefixes) one call
     allocates at most its output, the scratch budget and one numpy iterator
-    buffer; a log of the whole (h, h, n) input at once would be 1.6 MB more."""
+    buffer; a log of the whole (h, h + 1, n) input at once would be 1.8 MB more."""
     gen = np.random.default_rng(75)
-    fy, wy, fx, wx = _random_pair_inputs(gen, 7, 7, 4096, False)
+    f, w, _ = _random_pair_inputs(gen, 7, 7, 4096, False)
     ends = [64, 256, 1024, 4096]
     scale = [0.5 / m for m in ends]
-    dv.pair_losses(scale, fy, wy, fx, wx, ends)
+    dv.pair_losses(scale, f, w, ends)
     tracemalloc.start()
     try:
-        out = dv.pair_losses(scale, fy, wy, fx, wx, ends)
+        out = dv.pair_losses(scale, f, w, ends)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,12 +255,19 @@ def test_pair_losses_allocate_output_plus_budget():
 @pytest.mark.parametrize("side", ["real", "fake"])
 @pytest.mark.parametrize("shared", [False, True])
 def test_pair_losses_reject_bad_density(bad, side, shared):
+    """A bad density is refused on either side: in the real points' row group
+    or a generator's (own points), or at a shared point that only the
+    target's weight row or only the generators' rows weight (shared points)."""
     gen = np.random.default_rng(72)
-    fy, wy, fx, wx = _random_pair_inputs(gen, 3, 2, 9, shared)
-    (fy if side == "real" else fx)[1, ..., 4] = bad
+    f, w, _ = _random_pair_inputs(gen, 3, 2, 9, shared)
+    if shared:
+        f[1, 4] = bad
+        w[:-1 if side == "real" else -1, 4] = 0.0
+    else:
+        f[1, -1 if side == "real" else 0, 4] = bad
     # with prefix ends, the bad point lies past the first end only
     for scale, ends in ((0.5, None), ([0.5, 0.25, 0.5], [3, 9, 3])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPositiveDensity):
-                dv.pair_losses(scale, fy, wy, fx, wx, ends)
+                dv.pair_losses(scale, f, w, ends)

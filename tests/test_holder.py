@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holder
-from trigan.errors import ConfigInvalid, DegenerateJacobian, InsufficientResolution
+from trigan.errors import ConfigInvalid, DegenerateJacobian
 
 
 def test_quadratic_exact():
@@ -56,7 +56,7 @@ def test_callable_input_needs_geometry():
 
 
 def test_resolution_floor():
-    with pytest.raises(InsufficientResolution):
+    with pytest.raises(ConfigInvalid, match=r"resolution 3 < k \+ 2 = 4"):
         holder.estimate_holder_norm(np.array([0.0, 1.0, 2.0]), k=2, alpha=0.5)
 
 

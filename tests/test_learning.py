@@ -343,8 +343,14 @@ def test_minimax_realizable_target(cfg1, realizable_target):
 
 def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     s = lr.make_training_sample(uniform1, 2**9, seed=13)
-    res = lr.minimax_fit(cfg1, uniform1, s, net=hyp.build_eps_net(cfg1, 0.1))
-    maps, at = hyp.distinct_maps(cfg1, [res.best_params, *res.inner_pair])
+    net = hyp.build_eps_net(cfg1, 0.1)
+    res = lr.minimax_fit(cfg1, uniform1, s, net=net)
+    # the inner maximizer (a, b) of the winner, read off the nominal cube
+    kept, group = hyp.distinct_maps(cfg1, net.vectors)
+    emp = lr.empirical_pair_matrix(kept, s)[np.ix_(group, group, group)]
+    best = next(i for i, v in enumerate(net.vectors) if np.array_equal(v, res.best_params))
+    a, b = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
+    maps, at = hyp.distinct_maps(cfg1, [res.best_params, net.vectors[a], net.vectors[b]])
     assert abs(lr.empirical_pair_matrix(maps, s)[tuple(at)] - res.achieved_value) < 1e-12
     assert res.inner_values[int(np.argmin(list(res.inner_values.values())))] \
         == pytest.approx(res.achieved_value, abs=0)
@@ -382,8 +388,7 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     res = lr.minimax_fit(cfg, target, s, net=net)
     assert res.inner_values == {g: float(v) for g, v in enumerate(inner)}
     assert np.array_equal(res.best_params, net.vectors[best])
-    assert np.array_equal(res.inner_pair[0], net.vectors[a])
-    assert np.array_equal(res.inner_pair[1], net.vectors[b])
+    assert res.achieved_value == emp[best, a, b]
     losses = lr.pair_loss_matrix(target, kept)
     errors = [float(np.abs(lr.empirical_pair_matrix(
         kept, lr.make_training_sample(target, 64, seed=12, trial=t))[nominal]

@@ -5,16 +5,20 @@ Each map's density is evaluated on its own, once at all maps' fakes and
 once, in a separate call, at the real points. The one-pass kernel evaluates
 every map in a single call over the merged points, so the two agree bit for
 bit exactly when the density kernels are pointwise, whatever the chunking
-and however many maps share a call.
+and however many maps share a call. The cube itself comes from the
+two-sided pair loop of pair_loop_cube, which takes the real points and the
+fakes as separate arrays, so the one-sided kernel is checked against that
+formula on real densities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from trigan.divergence import pair_losses
 from trigan.learning import TrainingSample
 from trigan.rosenblatt import PushforwardDensity
+
+from pair_loop_cube import pair_losses
 
 
 def _densities_at(maps, points: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundReport,
-    RhoMetricParams,
     bound_report,
     covering_bound,
     dudley_bound,
@@ -24,7 +23,6 @@ from .bounds import (
 from .density import GridDensity, load_density, make_density, save_density
 from .divergence import (
     js_divergence,
-    kl_divergence,
     optimal_discriminator,
     theoretical_loss,
 )
@@ -40,7 +38,6 @@ from .errors import (
     TriganError,
 )
 from .hypothesis import (
-    EpsNet,
     HypothesisConfig,
     build_eps_net,
     make_config,

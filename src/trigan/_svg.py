@@ -23,14 +23,16 @@ def _decades(lo: float, hi: float) -> list[int]:
 def render_rate_plot(report) -> str:
     """Mean sampling error vs n with q05-q95 bars and the C n^{-1/2} envelope."""
     rows = report.rows
+    # the bound columns are nan exactly when the config is irregular
+    envelope = not math.isnan(rows[0].bound_C_over_sqrt_n)
     xs = [math.log10(r.n) for r in rows]
     positives = [v for r in rows for v in (r.mean, r.q05, r.q95) if v > 0.0]
-    if report.regular:
+    if envelope:
         positives += [r.bound_C_over_sqrt_n for r in rows if r.bound_C_over_sqrt_n > 0.0]
     floor = min(positives) if positives else 1e-3
     ys = [math.log10(max(v, 0.5 * floor)) for r in rows for v in (r.q05, r.q95)]
     ys += [math.log10(max(r.mean, 0.5 * floor)) for r in rows]
-    if report.regular:
+    if envelope:
         ys += [math.log10(r.bound_C_over_sqrt_n) for r in rows]
     x_lo, x_hi = min(xs) - 0.15, max(xs) + 0.15
     y_lo, y_hi = min(ys) - 0.25, max(ys) + 0.25
@@ -69,7 +71,7 @@ def render_rate_plot(report) -> str:
                f'height="{_H - _MT - _MB}" fill="none" stroke="#444444"/>')
 
     # theoretical envelope
-    if report.regular:
+    if envelope:
         pts = " ".join(f"{_fmt(px(math.log10(r.n)))},"
                        f"{_fmt(py(math.log10(r.bound_C_over_sqrt_n)))}" for r in rows)
         out.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '
@@ -91,10 +93,10 @@ def render_rate_plot(report) -> str:
         cx, cy = p.split(",")
         out.append(f'<circle cx="{cx}" cy="{cy}" r="3.5" fill="#1f77b4"/>')
 
-    slope_txt = f"slope {report.slope:.4f}" if report.slope_defined else "slope undefined"
+    slope_txt = f"slope {report.slope:.4f}" if math.isfinite(report.slope) else "slope undefined"
     out.append(f'<text x="{_ML + 10}" y="{_MT + 18}" font-size="13" '
                f'fill="#222222">mean sampling error, {slope_txt}</text>')
-    if report.regular:
+    if envelope:
         out.append(f'<text x="{_ML + 10}" y="{_MT + 36}" font-size="13" '
                    f'fill="#d62728">envelope C / sqrt(n)</text>')
     out.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" font-size="13" '

@@ -111,35 +111,20 @@ def discriminator_constants(dim: int, K: float) -> tuple[float, float]:
     return b1, 1.0 - b1
 
 
-@dataclass(frozen=True)
-class RhoMetricParams:
-    d: int
-    K: float
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1 or self.K <= 0.0:
-            raise ConfigInvalid("need d >= 1, n >= 1, K > 0")
-
-    @property
-    def disc_factor(self) -> float:
-        return 1.0 + _ratio_factor(self.d, self.K)
-
-    @property
-    def gen_factor(self) -> float:
-        return self.d**2 * factorial(self.d) ** 3 * self.K ** (3 * self.d + 2)
-
-
-def rho_metric(p: RhoMetricParams, d_disc: float, d_gen: float) -> float:
-    """Subgaussian pseudometric of the empirical loss process.
+def rho_metric(d: int, K: float, n: int, d_disc: float, d_gen: float) -> float:
+    """Subgaussian pseudometric of the empirical loss process, for
+    discriminator distance d_disc and generator distance d_gen.
 
     rho_n = (1 + d! K^{d+1}) [dD + d^2 (d!)^3 K^{3d+2} dPhi] / sqrt(n);
     dividing the fixed n=1 value by sqrt(n) keeps the scaling law exact.
     """
+    if d < 1 or n < 1 or K <= 0.0:
+        raise ConfigInvalid("need d >= 1, n >= 1, K > 0")
     if d_disc < 0.0 or d_gen < 0.0:
         raise ConfigInvalid("distances must be nonnegative")
-    rho_1 = p.disc_factor * (d_disc + p.gen_factor * d_gen)
-    return rho_1 / math.sqrt(p.n)
+    gen_factor = d**2 * factorial(d) ** 3 * K ** (3 * d + 2)
+    rho_1 = (1.0 + _ratio_factor(d, K)) * (d_disc + gen_factor * d_gen)
+    return rho_1 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

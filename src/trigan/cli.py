@@ -206,7 +206,7 @@ def _build_model(rc: RunConfig) -> tuple:
     config = _build_hypothesis(rc.hypothesis)
     divergence.eval_resolution(config.dim)
     net = hyp_mod.build_eps_net(config, rc.epsilon)
-    learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim, net.cardinality)
+    learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim, len(net))
     return target, config, net
 
 
@@ -299,7 +299,7 @@ def _cmd_rate(rc: RunConfig) -> None:
     for warning in report.warnings:
         print(f"rate: warning: {warning}")
     print(f"rate: slope {report.slope!r}, net {report.net_size} members "
-          f"x {report.pair_count} pairs -> {csv_path} {svg_path} {bounds_path}")
+          f"x {report.net_size ** 2} pairs -> {csv_path} {svg_path} {bounds_path}")
 
 
 def _cmd_bounds(rc: RunConfig) -> None:

@@ -6,9 +6,9 @@ and that no caller can change, so every loss and divergence of one
 dimension is computed on the same nodes. Every density is renormalized by
 ITS OWN quadrature mass on that grid before any formula is applied. That
 convention makes the algebraic relations between the quantities computed
-here (the JS-loss identity, the nonnegativity of KL, the dominance of the
-ratio discriminator) hold pointwise on the grid, i.e. to floating-point
-accuracy rather than quadrature accuracy.
+here (the JS-loss identity, the dominance of the ratio discriminator)
+hold pointwise on the grid, i.e. to floating-point accuracy rather than
+quadrature accuracy.
 
 A discriminator is a plain function of (N, d) points. The ratio class
 D_ab = f_a / (f_a + f_b) of the generator family has one form only: the
@@ -83,16 +83,6 @@ def _renormalized_pair(f, g):
     gv = _values_on(g, pts)
     mass_f, mass_g = float(np.sum(w * fv)), float(np.sum(w * gv))
     return pts, w, fv / mass_f, gv / mass_g, (mass_f, mass_g)
-
-
-def kl_divergence(f, g) -> float:
-    """Quadrature of f log(f/g), both renormalized on the shared grid.
-
-    With nonnegative weights the renormalized weighted sum is a discrete KL,
-    so the result is nonnegative up to rounding of the masses.
-    """
-    _, w, fv, gv, _ = _renormalized_pair(f, g)
-    return float(np.sum(w * fv * np.log(fv / gv)))
 
 
 def js_divergence(f, g) -> float:

@@ -36,7 +36,7 @@ from math import comb, perm
 import numpy as np
 
 from . import bounds
-from .bounds import RhoMetricParams, discriminator_constants, rho_metric
+from .bounds import discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points
 from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 from .rosenblatt import TriangularMap
@@ -158,18 +158,6 @@ class _QuadBernstein(BernsteinComponent):
         out *= 1.0 - t
         out += t
         return np.clip(out, 0.0, 1.0, out=out)
-
-    def partial(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        w = self.weights(np.asarray(prefix, dtype=np.float64))
-        # w1 (2 (1 - t)) + w2 (2 t), with the generic sum's arithmetic
-        out = np.subtract(1.0, t, out=out)
-        out *= 2.0
-        out *= w[..., 0]
-        right = 2.0 * t
-        right *= w[..., 1]
-        out += right
-        return out
 
     def _root_disc(self, prefix: np.ndarray, x: np.ndarray, out):
         """w1, and sqrt(max(w1 w1 + a x, 0)) written into out (which may be x)."""
@@ -393,21 +381,10 @@ def bound_constants_finite(dim: int, K: float) -> bool:
 # nets
 
 
-@dataclass(frozen=True)
-class EpsNet:
-    """A lattice net: vectors is the read-only (c, n_params) array whose
-    rows are the c member coefficient vectors; a member is its row."""
-
-    epsilon: float
-    vectors: np.ndarray
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.vectors)
-
-
-def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
-    """Uniform lattice of cell centers over the parameter box.
+def build_eps_net(config: HypothesisConfig, epsilon: float) -> np.ndarray:
+    """Uniform lattice of cell centers over the parameter box, as the
+    read-only (c, n_params) array whose rows are the c member coefficient
+    vectors; a member is its row.
 
     Spacing comes from the family's per-parameter sup-norm Lipschitz
     constant: q cells per axis with q >= n L b / eps puts every box point
@@ -434,7 +411,7 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> EpsNet:
     digits %= q
     vectors = axis[digits]
     vectors.flags.writeable = False
-    return EpsNet(epsilon=float(epsilon), vectors=vectors)
+    return vectors
 
 
 def distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
@@ -499,7 +476,7 @@ def family_delta1(config: HypothesisConfig) -> float:
     for pa, pb in itertools.combinations(corners, 2):
         d_phi = max(d_phi, map_sup_distance(config, pa, pb))
     b1, b2 = discriminator_constants(config.dim, config.K)
-    return rho_metric(RhoMetricParams(config.dim, config.K, 1), b2 - b1, d_phi)
+    return rho_metric(config.dim, config.K, 1, b2 - b1, d_phi)
 
 
 # ---------------------------------------------------------------------------

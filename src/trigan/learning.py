@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from . import bounds, rng, rosenblatt
 from .density import GridDensity
 from .divergence import eval_grid, js_divergence, loss_terms, pair_losses
 from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
-from .hypothesis import EpsNet, HypothesisConfig, distinct_maps, family_delta1, make_generator
+from .hypothesis import HypothesisConfig, distinct_maps, family_delta1, make_generator
 from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
                          pushforward_densities)
 
@@ -185,24 +185,24 @@ def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    best_params: np.ndarray    # the winning member's row of net.vectors
+    best_params: np.ndarray    # the winning member's row of the net
     inner_values: dict
     achieved_value: float
     js_to_target: float
 
 
 def minimax_fit(config: HypothesisConfig, target, sample: TrainingSample, *,
-                net: EpsNet) -> MinimaxResult:
-    """The exact empirical minimax over the members of net."""
-    vectors = net.vectors
-    maps, group = _net_maps(config, vectors)
+                net: np.ndarray) -> MinimaxResult:
+    """The exact empirical minimax over the members of net, the
+    (c, n_params) array of build_eps_net."""
+    maps, group = _net_maps(config, net)
     emp = empirical_pair_matrix(maps, sample)
     inner = emp.max(axis=(1, 2))[group]
     best = int(np.argmin(inner))
-    gen = make_generator(config, vectors[best])
+    gen = make_generator(config, net[best])
     js = js_divergence(target, PushforwardDensity(gen))
-    return MinimaxResult(best_params=vectors[best],
-                         inner_values={g: float(inner[g]) for g in range(len(vectors))},
+    return MinimaxResult(best_params=net[best],
+                         inner_values={g: float(inner[g]) for g in range(len(net))},
                          achieved_value=float(inner[best]), js_to_target=float(js))
 
 
@@ -292,52 +292,42 @@ class RateRow:
 class RateReport:
     rows: tuple
     slope: float
-    slope_defined: bool
-    full_C: float
-    delta: float
     delta1: float
-    regular: bool
     net_size: int
-    net_epsilon: float
-    pair_count: int
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
 
 def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
-                    seed: int, *, net: EpsNet, delta: float = 0.1,
+                    seed: int, *, net: np.ndarray, delta: float = 0.1,
                     delta1: float | None = None, threads: int = 1) -> RateReport:
-    """Mean sampling error across n, with the theoretical envelope and the
-    concentration threshold for the configured delta and delta1 (by
-    default family_delta1, or nan when the config is not regular)."""
+    """Mean sampling error across n over the members of net, the (c,
+    n_params) array of build_eps_net. Each row's envelope C / sqrt(n) and
+    concentration threshold are bounds.bound_report's dudley_value and
+    thm54_threshold at that n, for the configured delta and delta1 (by
+    default family_delta1, or nan when the config is not regular); all
+    three bound columns are nan when the report is not regular."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
-    maps, _ = _net_maps(config, net.vectors)
+    maps, _ = _net_maps(config, net)
     losses = pair_loss_matrix(target, maps)
 
     warnings = []
     if delta1 is None:
         delta1 = family_delta1(config) if config.regular else float("nan")
-    if config.regular:
-        full_c = bounds.full_C(config.dim, config.alpha, config.k, config.K, delta1)
-    else:
-        full_c = float("nan")
+    if not config.regular:
         warnings.append("regularity k > 1 - alpha + d/2 fails; bound columns are nan")
 
     rows = []
     grid_vals = sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
     for n, vals in zip(n_grid, grid_vals):
-        if config.regular:
-            bound = full_c / math.sqrt(n)
-            threshold, _ = bounds.thm54_threshold_and_prob(
-                config.dim, config.alpha, config.k, config.K, n, delta,
-                delta1=delta1)
-            exceed = float(np.sum(vals > threshold)) / vals.size
-        else:
-            bound = threshold = exceed = float("nan")
+        rep = bounds.bound_report(config.dim, config.alpha, config.k, config.K, n,
+                                  delta=delta, delta1=delta1)
+        exceed = (float(np.sum(vals > rep.thm54_threshold)) / vals.size
+                  if rep.regularity_ok else float("nan"))
         rows.append(RateRow(n=n, trials=trials, **_summarize(vals),
-                            bound_C_over_sqrt_n=bound, thm54_threshold=threshold,
-                            exceed_frac=exceed))
+                            bound_C_over_sqrt_n=rep.dudley_value,
+                            thm54_threshold=rep.thm54_threshold, exceed_frac=exceed))
 
     slope_defined = len(set(n_grid)) >= 2
     means = np.asarray([r.mean for r in rows], dtype=np.float64)
@@ -354,11 +344,8 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
         slope = float("nan")
         if len(set(n_grid)) < 2:
             warnings.append("single n: slope undefined")
-    return RateReport(rows=tuple(rows), slope=slope, slope_defined=slope_defined,
-                      full_C=full_c, delta=delta, delta1=delta1,
-                      regular=config.regular, net_size=net.cardinality,
-                      net_epsilon=net.epsilon, pair_count=net.cardinality ** 2,
-                      warnings=tuple(warnings))
+    return RateReport(rows=tuple(rows), slope=slope, delta1=delta1,
+                      net_size=len(net), warnings=tuple(warnings))
 
 
 _RATE_COLUMNS = ("n", "trials", "mean", "std", "q05", "q50", "q95",

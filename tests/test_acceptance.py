@@ -179,7 +179,7 @@ def test_criterion_07_error_decomposition(tilted, cfg1):
     """0 <= inner(g_hat) - inner(g_star) <= 2 eps_hat per trial; the 1e-13
     cushion absorbs float roundoff in the two matrix reductions."""
     net = hyp.build_eps_net(cfg1, 0.05)
-    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    maps, group = hyp.distinct_maps(cfg1, net)
     nominal = np.ix_(group, group, group)
     theo = ln.pair_loss_matrix(tilted, maps)[nominal]
     inner_theo = theo.max(axis=(1, 2))
@@ -193,7 +193,7 @@ def test_criterion_07_error_decomposition(tilted, cfg1):
         eps_hat = float(np.abs(emp - theo).max())
         ok &= -1e-13 <= gap <= 2.0 * eps_hat + 1e-13
         worst = max(worst, gap - 2.0 * eps_hat)
-    ok &= net.cardinality <= 1000
+    ok &= len(net) <= 1000
     _verdict(7, "error-decomposition", ok,
              f"100 trials, net 9, worst gap-over-bound {worst:.2e}")
 
@@ -206,7 +206,7 @@ def test_criterion_08_rate_reproduction(uniform1, cfg1):
                                 seed=20260818, net=net)
     secs = time.perf_counter() - t0
     means = [row.mean for row in report.rows]
-    ok = (report.slope_defined and -0.6 <= report.slope <= -0.4
+    ok = (math.isfinite(report.slope) and -0.6 <= report.slope <= -0.4
           and report.net_size <= 200
           and all(a > b for a, b in zip(means, means[1:]))
           and secs < 300.0)
@@ -217,7 +217,7 @@ def test_criterion_08_rate_reproduction(uniform1, cfg1):
 
 def test_criterion_09_concentration_dominance(uniform1, cfg1):
     net = hyp.build_eps_net(cfg1, 0.1)
-    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    maps, _ = hyp.distinct_maps(cfg1, net)
     vals = ln.sampling_error_grid(uniform1, maps, ln.pair_loss_matrix(uniform1, maps),
                                   [1024], 500, seed=4242)[0]
     threshold, prob = bd.thm54_threshold_and_prob(
@@ -232,12 +232,10 @@ def test_criterion_09_concentration_dominance(uniform1, cfg1):
 
 def test_criterion_10_bound_calculator_algebra():
     ok = True
-    r1 = bd.RhoMetricParams(d=2, K=3.0, n=1)
-    base_rho = bd.rho_metric(r1, 0.3, 0.05)
+    base_rho = bd.rho_metric(2, 3.0, 1, 0.3, 0.05)
     base_dud = bd.dudley_bound(1, 0.5, 3, 2.0, 1, 1.0)
     for n in (4, 7, 100, 4096):
-        ok &= bd.rho_metric(bd.RhoMetricParams(d=2, K=3.0, n=n), 0.3, 0.05) \
-            == base_rho / math.sqrt(n)
+        ok &= bd.rho_metric(2, 3.0, n, 0.3, 0.05) == base_rho / math.sqrt(n)
         ok &= bd.dudley_bound(1, 0.5, 3, 2.0, n, 1.0) == base_dud / math.sqrt(n)
     for d, k, alpha in ((4, 1, 0.5), (1, 1, 0.5), (2, 2, 0.0)):
         ok &= d / (2.0 * (alpha + k - 1)) >= 1.0

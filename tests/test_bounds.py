@@ -49,26 +49,24 @@ def test_covering_bound_rejects_nonpositive_smoothness(k, alpha):
 
 
 def test_rho_metric_plugin():
-    p = bd.RhoMetricParams(d=1, K=1.0, n=1)
-    assert bd.rho_metric(p, 0.1, 0.2) == pytest.approx(0.6, rel=1e-15)
-    assert bd.rho_metric(p, 0.0, 0.0) == 0.0
+    assert bd.rho_metric(1, 1.0, 1, 0.1, 0.2) == pytest.approx(0.6, rel=1e-15)
+    assert bd.rho_metric(1, 1.0, 1, 0.0, 0.0) == 0.0
 
 
 def test_rho_metric_root_n_scaling():
     """rho_n = rho_1 / sqrt(n), exact when sqrt(n) is exact."""
-    one = bd.RhoMetricParams(d=2, K=3.0, n=1)
-    four = bd.RhoMetricParams(d=2, K=3.0, n=4)
-    assert bd.rho_metric(four, 0.3, 0.05) == bd.rho_metric(one, 0.3, 0.05) / 2.0
+    assert bd.rho_metric(2, 3.0, 4, 0.3, 0.05) == bd.rho_metric(2, 3.0, 1, 0.3, 0.05) / 2.0
 
 
 def test_rho_metric_factors():
-    p = bd.RhoMetricParams(d=2, K=2.0, n=1)
-    assert p.disc_factor == 1.0 + 2.0 * 2.0 ** 3
-    assert p.gen_factor == 4.0 * 8.0 * 2.0 ** 8
+    # the discriminator factor alone at dD = 1, dPhi = 0; times the
+    # generator factor at dD = 0, dPhi = 1
+    assert bd.rho_metric(2, 2.0, 1, 1.0, 0.0) == 1.0 + 2.0 * 2.0 ** 3
+    assert bd.rho_metric(2, 2.0, 1, 0.0, 1.0) == (1.0 + 2.0 * 2.0 ** 3) * (4.0 * 8.0 * 2.0 ** 8)
     with pytest.raises(ConfigInvalid):
-        bd.RhoMetricParams(d=0, K=2.0, n=1)
+        bd.rho_metric(0, 2.0, 1, 0.0, 0.0)
     with pytest.raises(ConfigInvalid):
-        bd.rho_metric(p, -0.1, 0.0)
+        bd.rho_metric(2, 2.0, 1, -0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,7 @@ def test_largest_accepted_K_keeps_bounds_finite(d):
         mid = math.sqrt(lo) * math.sqrt(hi)
         lo, hi = (mid, hi) if hyp.bound_constants_finite(d, mid) else (lo, mid)
     assert hi < lo * (1.0 + 1e-12) and lo > 1e9
-    p = bd.RhoMetricParams(d=d, K=lo, n=1)
-    delta1 = p.disc_factor * (1.0 + p.gen_factor)    # family_delta1 at dPhi = 1
+    delta1 = bd.rho_metric(d, lo, 1, 1.0, 1.0)    # family_delta1 at dPhi = 1
     for n, delta, exact in ((2, 0.01, False), (2**62, 0.49, True)):
         rep = bd.bound_report(d, 0.5, 3, lo, n, delta=delta, delta1=delta1,
                               exact_integral=exact)

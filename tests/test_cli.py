@@ -583,23 +583,41 @@ def test_rate_artifacts(tmp_path, monkeypatch, capsys):
     assert bj["delta1"] == hyp.family_delta1(hyp.config_from_dict(HYP))
 
 
-@pytest.mark.parametrize("extra", [{}, {"delta1": 0.5}])
-def test_rate_csv_and_bounds_json_share_delta1(tmp_path, monkeypatch, extra):
-    """rate.csv's last row and bounds.json use one delta1: the config key's
-    value, else the family diameter."""
+@pytest.mark.parametrize("extra", [
+    {}, {"delta1": 0.5},
+    {"target": {"family": "uniform", "dim": 2}, "hypothesis": dict(HYP, dim=2, k=1)},
+])
+def test_rate_csv_and_bounds_json_share_delta1(tmp_path, monkeypatch, capsys, extra):
+    """Every rate.csv row's bound columns are bounds.bound_report's at that
+    row's n, under the delta1 of bounds.json: the config key's value, else
+    the family diameter; nan in rate.csv and null in bounds.json when the
+    hypothesis is irregular."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_cfg(tmp_path, "r.json",
-                    {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
-                     "n_grid": [64, 256], "trials": 2, "seed": 1, "epsilon": 0.1,
-                     "out": "rate", **extra})
+    spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
+            "n_grid": [64, 256], "trials": 2, "seed": 1, "epsilon": 0.1,
+            "out": "rate", **extra}
+    cfg = write_cfg(tmp_path, "r.json", spec)
     assert main(["rate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    config = hyp.config_from_dict(spec["hypothesis"])
     lines = (tmp_path / "rate" / "rate.csv").read_text().splitlines()
-    last = dict(zip(lines[0].split(","), map(float, lines[-1].split(","))))
-    bj = json.loads((tmp_path / "rate" / "bounds.json").read_text())
-    assert last["n"] == bj["n"] == 256
-    assert last["thm54_threshold"] == bj["thm54_threshold"]
-    assert last["bound_C_over_sqrt_n"] == bj["dudley_value"]
-    assert bj["delta1"] == extra.get("delta1", hyp.family_delta1(hyp.config_from_dict(HYP)))
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+    bj = json.loads((tmp_path / "rate" / "bounds.json").read_text(),
+                    parse_constant=_refuse_constant)
+    assert [row["n"] for row in rows] == [64, 256] and bj["n"] == 256
+    delta1 = extra.get("delta1", hyp.family_delta1(config) if config.regular else None)
+    assert bj["delta1"] == delta1
+    columns = {"bound_C_over_sqrt_n": "dudley_value", "thm54_threshold": "thm54_threshold"}
+    for row in rows:
+        rep = bd.bound_report(config.dim, config.alpha, config.k, config.K, int(row["n"]),
+                              delta1=math.nan if delta1 is None else delta1)
+        for column, field in columns.items():
+            assert math.isnan(row[column]) is not config.regular
+            assert row[column] == getattr(rep, field) or not config.regular
+    for column, field in columns.items():
+        assert bj[field] == (rows[-1][column] if config.regular else None)
+    assert (bj["C"] is None) is not config.regular
+    assert ("regularity k > 1 - alpha + d/2 fails" in out) is not config.regular
 
 
 # ---------------------------------------------------------------------------

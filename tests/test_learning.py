@@ -27,7 +27,7 @@ def net(cfg1):
 @pytest.fixture(scope="module")
 def realizable_target(cfg1, net):
     # pushforward of a fixed net member: phi_mu lies inside the family
-    vec = net.vectors[1]
+    vec = net[1]
     return ros.PushforwardDensity(hyp.make_generator(cfg1, vec))
 
 
@@ -189,7 +189,7 @@ def _triple_entries(cfg, V, group, cube_of, triples=None):
 ])
 def test_pair_matrices_match_single_evaluations(cfg1, uniform1, eps, n):
     # every entry, bitwise, also where 1/(2n) is not a power of two
-    V = hyp.build_eps_net(cfg1, eps).vectors
+    V = hyp.build_eps_net(cfg1, eps)
     maps, group = hyp.distinct_maps(cfg1, V)
     nominal = np.ix_(group, group, group)
     L = lr.pair_loss_matrix(uniform1, maps)[nominal]
@@ -250,7 +250,7 @@ def test_one_pass_cube_matches_two_pass(tilted, coupled, dim, coupling, eps):
     the largest n whose fakes fit one evaluation chunk and whose merged
     points do not."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
-    V = (hyp.build_eps_net(cfg, eps).vectors if eps
+    V = (hyp.build_eps_net(cfg, eps) if eps
          else random_box_params(cfg, 5, seed=dim + 2 * coupling))
     maps, _ = hyp.distinct_maps(cfg, V)
     h, chunk = len(maps), ros._CHUNK
@@ -301,17 +301,17 @@ def test_net_pair_at_matrix_cap(cfg1, uniform1):
     # the (c, c, c) cubes of 100 members hold exactly 10^6 entries;
     # test_fit_net_over_matrix_cap refuses the next lattice, 121 members
     at_cap = hyp.build_eps_net(cfg1, 0.0125)
-    assert at_cap.cardinality == 100
-    maps, group = lr._net_maps(cfg1, at_cap.vectors)
+    assert len(at_cap) == 100
+    maps, group = lr._net_maps(cfg1, at_cap)
     assert lr.pair_loss_matrix(uniform1, maps)[np.ix_(group, group, group)].size == 10**6
 
 
 def test_diagonal_pairs_floor(cfg1, uniform1, net):
     # D_aa is constant 1/2: its empirical entries are exactly -log 2
     s = lr.make_training_sample(uniform1, 64, seed=5)
-    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    maps, group = hyp.distinct_maps(cfg1, net)
     E = lr.empirical_pair_matrix(maps, s)[np.ix_(group, group, group)]
-    diag = np.arange(net.cardinality)
+    diag = np.arange(len(net))
     assert np.all(E[:, diag, diag] == -math.log(2.0))
 
 
@@ -346,23 +346,22 @@ def test_minimax_achieved_value_reevaluates(cfg1, uniform1):
     net = hyp.build_eps_net(cfg1, 0.1)
     res = lr.minimax_fit(cfg1, uniform1, s, net=net)
     # the inner maximizer (a, b) of the winner, read off the nominal cube
-    kept, group = hyp.distinct_maps(cfg1, net.vectors)
+    kept, group = hyp.distinct_maps(cfg1, net)
     emp = lr.empirical_pair_matrix(kept, s)[np.ix_(group, group, group)]
-    best = next(i for i, v in enumerate(net.vectors) if np.array_equal(v, res.best_params))
+    best = next(i for i, v in enumerate(net) if np.array_equal(v, res.best_params))
     a, b = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
-    maps, at = hyp.distinct_maps(cfg1, [res.best_params, net.vectors[a], net.vectors[b]])
+    maps, at = hyp.distinct_maps(cfg1, [res.best_params, net[a], net[b]])
     assert abs(lr.empirical_pair_matrix(maps, s)[tuple(at)] - res.achieved_value) < 1e-12
     assert res.inner_values[int(np.argmin(list(res.inner_values.values())))] \
         == pytest.approx(res.achieved_value, abs=0)
-    assert len(res.inner_values) == hyp.build_eps_net(cfg1, 0.1).cardinality
+    assert len(res.inner_values) == len(hyp.build_eps_net(cfg1, 0.1))
     assert all(type(v) is float for v in res.inner_values.values())
 
 
 def test_minimax_value_invariant_under_reordering(cfg1, uniform1, net):
     s = lr.make_training_sample(uniform1, 200, seed=4)
     base = lr.minimax_fit(cfg1, uniform1, s, net=net)
-    flipped = hyp.EpsNet(epsilon=net.epsilon, vectors=net.vectors[::-1])
-    again = lr.minimax_fit(cfg1, uniform1, s, net=flipped)
+    again = lr.minimax_fit(cfg1, uniform1, s, net=net[::-1])
     assert again.achieved_value == base.achieved_value
 
 
@@ -377,8 +376,8 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
     target = uniform1 if dim == 1 else product2
     net = hyp.build_eps_net(cfg, eps)
-    kept, group = hyp.distinct_maps(cfg, net.vectors)
-    assert (net.cardinality, len(kept)) == (members, maps)
+    kept, group = hyp.distinct_maps(cfg, net)
+    assert (len(net), len(kept)) == (members, maps)
     nominal = np.ix_(group, group, group)
     s = lr.make_training_sample(target, 64, seed=12)
     emp = lr.empirical_pair_matrix(kept, s)[nominal]
@@ -387,7 +386,7 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     a, b = np.unravel_index(np.argmax(emp[best]), emp[best].shape)
     res = lr.minimax_fit(cfg, target, s, net=net)
     assert res.inner_values == {g: float(v) for g, v in enumerate(inner)}
-    assert np.array_equal(res.best_params, net.vectors[best])
+    assert np.array_equal(res.best_params, net[best])
     assert res.achieved_value == emp[best, a, b]
     losses = lr.pair_loss_matrix(target, kept)
     errors = [float(np.abs(lr.empirical_pair_matrix(
@@ -398,7 +397,7 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
 
 def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
     """0 <= L(phi_hat) - L(phi*) <= 2 sup |L_hat - L| over the same nets."""
-    maps, group = hyp.distinct_maps(cfg1, net.vectors)
+    maps, group = hyp.distinct_maps(cfg1, net)
     nominal = np.ix_(group, group, group)
     losses = lr.pair_loss_matrix(realizable_target, maps)[nominal]
     inner_theo = losses.max(axis=(1, 2))
@@ -419,7 +418,7 @@ def test_minimax_error_decomposition_chain(cfg1, realizable_target, net):
 @pytest.fixture(scope="module")
 def net_cube(cfg1, uniform1, net):
     # the net's distinct maps and their theoretical loss cube against uniform1
-    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    maps, _ = hyp.distinct_maps(cfg1, net)
     return maps, lr.pair_loss_matrix(uniform1, maps)
 
 
@@ -527,7 +526,7 @@ def test_grid_trials_are_prefixes(tilted, coupled, dim, coupling, n_grid, trials
 
 def test_grid_prefixes_past_numpy_buffer(cfg1, uniform1, net):
     # sums longer than numpy's 8192-element buffer, through the process pool
-    maps, _ = hyp.distinct_maps(cfg1, net.vectors)
+    maps, _ = hyp.distinct_maps(cfg1, net)
     _check_prefixes(uniform1, maps, [9000, 8193, 20000], 2, seed=4, threads=2)
 
 
@@ -537,7 +536,7 @@ def test_grid_prefixes_past_numpy_buffer(cfg1, uniform1, net):
 
 def test_rate_singleton_grid(cfg1, uniform1, net, net_cube):
     rep = lr.rate_experiment(cfg1, uniform1, [256], 6, seed=3, net=net)
-    assert not rep.slope_defined and math.isnan(rep.slope)
+    assert math.isnan(rep.slope)
     assert "single n: slope undefined" in rep.warnings
     vals = lr.sampling_error_grid(uniform1, *net_cube, [256], 6, seed=3)[0]
     r = rep.rows[0]
@@ -554,7 +553,7 @@ def test_rate_irregular_config_warns():
     rep = lr.rate_experiment(icfg, u2, [64, 128], 2, seed=3,
                              net=hyp.build_eps_net(icfg, 0.3))
     assert any("regularity" in w for w in rep.warnings)
-    assert math.isnan(rep.full_C)
+    assert math.isnan(rep.delta1)
     assert math.isnan(rep.rows[0].thm54_threshold)
     assert math.isnan(rep.rows[0].bound_C_over_sqrt_n)
 
@@ -563,7 +562,7 @@ def test_rate_csv_shape(cfg1, uniform1):
     rep = lr.rate_experiment(cfg1, uniform1, [128, 256], 3, seed=3,
                              net=hyp.build_eps_net(cfg1, 0.25))
     # the singleton net hits the loss exactly, so the log fit is suppressed
-    assert not rep.slope_defined
+    assert math.isnan(rep.slope)
     assert any("zero mean" in w for w in rep.warnings)
     csv = lr.rate_report_csv(rep)
     lines = csv.splitlines()

@@ -12,13 +12,14 @@ sample(m, ...) draws from it, whichever way the components are read.
 
 Conditional CDFs are exact piecewise-quadratic antiderivatives of the
 piecewise-linear conditional densities, so forward evaluation, inversion
-(closed form per cell), and the diagonal partials are mutually consistent
-to machine precision, and the Jacobian of the forward map telescopes to
-the stored multilinear interpolant of the density. One prefix-linear
-kernel evaluates every component, whatever its rank, and one kernel,
-PushforwardDensity.evaluate, gives every density and Jacobian in _CHUNK-point
-blocks with its scratch allocated once per call. It, apply and every component
-kernel write into the row or array they are given, so nothing is concatenated.
+(closed form per cell, the cell found by binary lifting), and the diagonal
+partials are mutually consistent to machine precision, and the Jacobian of
+the forward map telescopes to the stored multilinear interpolant of the
+density. One prefix-linear kernel evaluates every component, whatever its
+rank, and one kernel, PushforwardDensity.evaluate, gives every density and
+Jacobian in _CHUNK-point blocks with its scratch allocated once per call.
+It, apply and every component kernel write into the row or array they are
+given, so nothing is concatenated.
 
 A density solves only the preimage coordinates it reads. A degree-2 Bernstein
 component psi(t) = 2 w1 t + a t^2 has its partial at the root in closed form,
@@ -55,7 +56,7 @@ class TableComponent:
     interpolation weights, so cumulative (the trapezoid cumsum of table
     along its last axis) is built once; a point then reads only the
     2^(j-1) prefix corners of table and cumulative at the cells it needs,
-    and the inverse finds its cell by bisection over the gathered
+    and the inverse finds its cell by binary lifting over the gathered
     cumulatives. The same kernel serves every rank: the rank-1 component
     has no prefix axes and a single corner of weight 1. cumulative is
     derived data and is never serialized.
@@ -109,21 +110,27 @@ class TableComponent:
         return np.divide(at(table, k) * (1.0 - s) + at(table, k + 1) * s,
                          at(cum, self.knots.size - 1), out=out)
 
+    def _cell_below(self, at, target: np.ndarray) -> np.ndarray:
+        """Last cell k in [0, m-2] with at(cumulative, k) <= target, which is
+        nondecreasing in k, by binary lifting: k moves up by each power of two,
+        clamped to m-2, where the cumulative there is still <= target."""
+        m, cum = self.knots.size, self.cumulative.ravel()
+        k = np.zeros(target.size, dtype=np.int64)
+        for b in reversed(range((m - 2).bit_length())):
+            cand = np.minimum(k + (1 << b), m - 2)
+            below = at(cum, cand) <= target
+            cand -= k
+            cand *= below
+            k += cand
+        return k
+
     def inverse_exact(self, prefix: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
         """Closed-form cell-wise inverse of the piecewise-quadratic CDF, u in [0, 1]."""
         u = np.asarray(u, dtype=np.float64)
         at, table, cum = self._corner_rows(prefix), self.table.ravel(), self.cumulative.ravel()
         h = self.knots[1] - self.knots[0]
-        m = self.knots.size
-        target = u * at(cum, m - 1)
-        # last cell k in [0, m-2] whose left cumulative is <= target
-        lo = np.zeros(u.size, dtype=np.int64)
-        hi = np.full(u.size, m - 1, dtype=np.int64)
-        for _ in range((m - 2).bit_length()):
-            mid = (lo + hi) // 2
-            below = at(cum, mid) <= target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+        target = u * at(cum, self.knots.size - 1)
+        lo = self._cell_below(at, target)
         r = np.maximum(target - at(cum, lo), 0.0)
         p0, p1 = at(table, lo), at(table, lo + 1)
         disc = np.maximum(p0 * p0 + 2.0 * (p1 - p0) * r / h, 0.0)

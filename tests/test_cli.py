@@ -159,14 +159,17 @@ def _samples_csv_oracle(points):
     return "\n".join(lines) + "\n"
 
 
-# the fast domain is 0 and 1e-4 <= |v| <= 1; the edges on both sides of it
+# the fast domain is 0 and 1e-4 <= |v| < 1e16; the edges on both sides of it
 _CSV_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.1 + 0.2, 1e-17,
-               1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1.0, 2)), -1e-4, 1e16]
+               1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1.0, 2)), -1e-4, 1e16,
+               float(np.nextafter(1e16, 0)), -2.5]
+# values that orjson writes in another notation than repr
+_FALLBACK = [1e-5, float("nan"), float("inf"), 1e16]
 
 
 def _off_domain_rows(points) -> int:
     mag = np.abs(points)
-    return int((~((points == 0) | ((mag >= 1e-4) & (mag <= 1))).all(axis=1)).sum())
+    return int((~((points == 0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=1)).sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +182,14 @@ def _off_domain_rows(points) -> int:
 @example(rows=_CSV_BLOCK + 1, dim=3, values=_CSV_VALUES)
 # one sub-1e-4 value in the middle of a block: its row alone takes repr
 @example(rows=_CSV_BLOCK, dim=2, values=[0.5] * _CSV_BLOCK + [1e-5] + [0.5] * (_CSV_BLOCK - 1))
+# d = 1: every comma ends a row
+@example(rows=_CSV_BLOCK + 1, dim=1, values=_CSV_VALUES + _FALLBACK)
+# a fallback row first and last in a block, and alone in the last block
+@example(rows=_CSV_BLOCK + 1, dim=2,
+         values=_FALLBACK[:2] + [0.5] * (2 * _CSV_BLOCK - 4) + _FALLBACK[2:] + _FALLBACK[1:3])
+@example(rows=1, dim=4, values=_FALLBACK)
+# blocks made only of fallback rows
+@example(rows=_CSV_BLOCK + 3, dim=3, values=_FALLBACK + [-1e-300, float("-inf")])
 def test_samples_csv_matches_per_value_repr(rows, dim, values):
     points = np.resize(np.asarray(values, dtype=np.float64), (rows, dim))
     reprs = []

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from box_params import random_box_params
@@ -378,6 +378,32 @@ def test_bernstein_roundtrip_and_telescoping_property(dim, degree, coupling, see
 @given(dens=grid_densities(), seed=st.integers(0, 2**32 - 1))
 def test_table_component_matches_row_cdf_property(dens, seed):
     _check_against_row_cdf(dens, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("m", [2, 3, 100, 129])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cell_search_matches_searchsorted_property(rank, m, seed):
+    # the inverse's cell is the last k in [0, m-2] whose interpolated
+    # cumulative is <= the target, bitwise; a run of zero density makes equal
+    # cumulatives, where only the last one counts
+    gen = np.random.default_rng(seed)
+    table = gen.random((m,) * rank)
+    run = np.sort(gen.integers(0, m, size=2))
+    table[..., run[0]:run[1] + 1] = 0.0
+    comp = rb.TableComponent(table, np.linspace(0.0, 1.0, m))
+    prefix = gen.random((64, rank - 1))
+    prefix[:8] = gen.integers(0, m, size=(8, rank - 1)) / (m - 1)   # on knots
+    at, cum = comp._corner_rows(prefix), comp.cumulative.ravel()
+    rows = np.stack([at(cum, k) for k in range(m)], axis=1)
+    assert np.all(np.diff(rows, axis=1) >= 0.0)
+    u = gen.random(64)
+    u[:16], u[16:32] = 0.0, 1.0
+    hits = rows[np.arange(64), gen.integers(0, m, size=64)]   # a knot's cumulative
+    for target in (u * rows[:, -1], hits):
+        want = [np.searchsorted(row, t, side="right") - 1 for row, t in zip(rows, target)]
+        assert np.array_equal(comp._cell_below(at, target), np.clip(want, 0, m - 2))
 
 
 def test_one_dim_point_convenience(tilted):

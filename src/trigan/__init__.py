@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .bounds import (
     BoundReport,
     bound_report,
-    covering_bound,
     dudley_bound,
     full_C,
     gamma_constant,
@@ -21,15 +20,10 @@ from .bounds import (
     thm54_threshold_and_prob,
 )
 from .density import GridDensity, load_density, make_density, save_density
-from .divergence import (
-    js_divergence,
-    optimal_discriminator,
-    theoretical_loss,
-)
+from .divergence import js_divergence
 from .errors import (
     ConfigInvalid,
     DegenerateJacobian,
-    DiscriminatorOutOfRange,
     IntegralDivergent,
     NetTooLarge,
     NonPositiveDensity,
@@ -47,7 +41,6 @@ from .learning import (
     MinimaxResult,
     RateReport,
     TrainingSample,
-    empirical_loss,
     make_training_sample,
     minimax_fit,
     rate_experiment,

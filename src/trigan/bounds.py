@@ -32,15 +32,6 @@ def _c1(d1: int, d2: int, smooth: float, c1_star: float) -> float:
     return c1_star * d2 ** (1.0 + d1 / (2.0 * smooth))
 
 
-def covering_bound(d1: int, d2: int, k: int, alpha: float, K: float,
-                   epsilon: float, c1_star: float = 1.0) -> float:
-    """Upper bound on log N of a Holder ball: C1 (K/eps)^{d1/(alpha+k)}."""
-    if epsilon <= 0.0 or K <= 0.0:
-        raise ConfigInvalid("epsilon and K must be positive")
-    smooth = alpha + k
-    return _c1(d1, d2, smooth, c1_star) * (K / epsilon) ** (d1 / smooth)
-
-
 def _exponents(d: int, alpha: float, k: int) -> tuple[float, float]:
     return d / (2.0 * (alpha + k)), d / (2.0 * (alpha + k - 1.0))
 

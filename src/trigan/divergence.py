@@ -1,4 +1,4 @@
-"""Divergences, the adversarial loss, and the loss-maximizing discriminator.
+"""The JS divergence and the adversarial loss cubes.
 
 All integrals run over one shared evaluation grid (129 points per axis for
 d <= 2, 33 above; Simpson weights) that is decoupled from density storage
@@ -10,9 +10,9 @@ here (the JS-loss identity, the dominance of the ratio discriminator)
 hold pointwise on the grid, i.e. to floating-point accuracy rather than
 quadrature accuracy.
 
-A discriminator is a plain function of (N, d) points. The ratio class
-D_ab = f_a / (f_a + f_b) of the generator family has one form only: the
-(a, b) axes of the pair_losses cube. The loss's real-data term and each
+The only discriminators are the ratio class D_ab = f_a / (f_a + f_b) of
+the generator family, as the (a, b) axes of the pair_losses cube over the
+densities of a net's stacked maps. The loss's real-data term and each
 generator's term are one weighted sum of log D over a sample, so
 pair_losses takes the real points as the last row group after the
 generators' fakes and computes every term by one formula.
@@ -23,14 +23,14 @@ tree order, independent of worker counts).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .density import (_MAX_GRID_NODES, GridDensity, axis_weights, default_resolution,
                       grid_points)
-from .errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
+from .errors import ConfigInvalid, NonPositiveDensity
 from .rosenblatt import PushforwardDensity
 
 # floats of pair_losses' one scratch array (512 KB): each numpy call fills
@@ -74,55 +74,17 @@ def _values_on(obj, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _renormalized_pair(f, g):
+def js_divergence(f, g) -> float:
+    """Symmetrized divergence to the midpoint; lies in [0, log 2]."""
     d = _dim_of(f)
     if _dim_of(g) != d:
         raise ConfigInvalid("density dimensions differ")
     pts, w = eval_grid(d)
-    fv = _values_on(f, pts)
-    gv = _values_on(g, pts)
-    mass_f, mass_g = float(np.sum(w * fv)), float(np.sum(w * gv))
-    return pts, w, fv / mass_f, gv / mass_g, (mass_f, mass_g)
-
-
-def js_divergence(f, g) -> float:
-    """Symmetrized divergence to the midpoint; lies in [0, log 2]."""
-    _, w, fv, gv, _ = _renormalized_pair(f, g)
+    fv, gv = _values_on(f, pts), _values_on(g, pts)
+    fv, gv = fv / float(np.sum(w * fv)), gv / float(np.sum(w * gv))
     mid = 0.5 * (fv + gv)
     return float(0.5 * (np.sum(w * fv * np.log(fv / mid))
                         + np.sum(w * gv * np.log(gv / mid))))
-
-
-def optimal_discriminator(f_mu, f_phi) -> Callable[[np.ndarray], np.ndarray]:
-    """The pointwise loss maximizer x -> f_mu / (f_mu + f_phi), each density
-    divided by its own quadrature mass on the shared grid."""
-    _, _, _, _, (mass_f, mass_g) = _renormalized_pair(f_mu, f_phi)
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        fv = _values_on(f_mu, x) / mass_f
-        gv = _values_on(f_phi, x) / mass_g
-        return fv / (fv + gv)
-
-    return evaluator
-
-
-def theoretical_loss(f_mu, f_phi, disc: Callable[[np.ndarray], np.ndarray]) -> float:
-    """(1/2) integral of [f_mu log D + f_phi log(1 - D)] on the shared grid,
-    for a discriminator D given as a function of (N, d) points."""
-    pts, w, fv, gv, _ = _renormalized_pair(f_mu, f_phi)
-    dv = np.asarray(disc(pts), dtype=np.float64)
-    if np.any(dv <= 0.0) or np.any(dv >= 1.0) or not np.all(np.isfinite(dv)):
-        raise DiscriminatorOutOfRange("discriminator left the open interval (0, 1)")
-    return float(loss_terms(0.5, w * fv, dv, w * gv, dv))
-
-
-def loss_terms(scale, wy, dy, wx, dx):
-    """scale * (sum wy log dy + sum over the last axis of wx log(1 - dx)),
-    the adversarial loss at discriminator values dy (real) and dx (fake);
-    a leading axis on wx or dx gives one loss per generator. It serves
-    every discriminator given by its values, and the constant-1/2 entries
-    of pair_losses; the ratio discriminators are pair_losses' (a, b) axes."""
-    return scale * (np.sum(wy * np.log(dy)) + np.sum(wx * np.log1p(-dx), axis=-1))
 
 
 def pair_losses(scale, f, w=None, ends=None) -> np.ndarray:
@@ -146,9 +108,10 @@ def pair_losses(scale, f, w=None, ends=None) -> np.ndarray:
     more): about h + h^2 / (2 block) passes of numpy calls, not one per
     pair. Every entry is np.sum along the sample axis of one contiguous
     row, so it is the same number for any block size and in any cube that
-    holds its maps. D_aa is the constant 1/2, and L[g, a, a] is loss_terms
-    at 1/2. Raises NonPositiveDensity unless every density is positive and
-    finite.
+    holds its maps. D_aa is the constant 1/2, whose loss is exactly
+    log(1/2) when scale times each row group's weights sums to 1/2, as in
+    both cubes; so L[g, a, a] is written as log(1/2). Raises
+    NonPositiveDensity unless every density is positive and finite.
 
     With ends, one cube per prefix is stacked into (len(ends), G, h, h):
     cube p sums each row over its first ends[p] points only, in every
@@ -166,11 +129,7 @@ def pair_losses(scale, f, w=None, ends=None) -> np.ndarray:
     out = np.subtract(u_sum[:, :n_gen, None, :], v_sum[:, :n_gen], out=v_sum[:, :n_gen])
     out += real[:, None]
     out *= np.reshape(scales, (p, 1, 1, 1))
-    half = np.full(f.shape[-1], 0.5)
-    for cube, s, end in zip(out, scales, ends):
-        wy, wx = (1.0, 1.0) if w is None else (w[-1, :end], w[:-1, :end])
-        cube[:, np.arange(h), np.arange(h)] = np.reshape(
-            loss_terms(s, wy, half[:end], wx, half[:end]), (-1, 1))
+    out[..., np.arange(h), np.arange(h)] = math.log(0.5)
     return out[0] if single else out
 
 

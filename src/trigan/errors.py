@@ -29,10 +29,6 @@ class NetTooLarge(TriganError):
     """Requested net cardinality exceeds the configured cap."""
 
 
-class DiscriminatorOutOfRange(TriganError):
-    """Discriminator evaluated outside (0, 1)."""
-
-
 class ConfigInvalid(TriganError):
     """Run configuration failed schema validation."""
 

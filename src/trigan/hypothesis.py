@@ -19,6 +19,11 @@ range lies in [1/K, K] and the C^{k,alpha} norm is at most K, both certified
 in closed form with a safety margin. The finite-difference estimate
 estimate_holder_norm in tests/holder.py is the tests' oracle for the bound.
 
+A member is its parameter vector, and a net the (c, n_params) array of
+them. make_generator of such an array stacks its members into one map
+whose blocks carry a leading member axis; distinct_maps centres a whole net
+at once and stacks the first member of each distinct map.
+
 The discriminators are the ratios f_a / (f_a + f_b) of two members'
 pushforwards; they live as the (a, b) axes of the loss cubes
 (divergence.pair_losses), and their range constants
@@ -99,38 +104,48 @@ def _param_lipschitz(p: int) -> float:
 # components
 
 
+def _centred(degree: int, theta: np.ndarray, coupling: np.ndarray):
+    """The mean-centred blocks 1/p + (theta - mean theta) and (c - mean_i c):
+    the only parameters evaluation reads, so members with equal ones are the
+    same map bit for bit (see distinct_maps)."""
+    return (1.0 / degree + (theta - theta.mean(axis=-1, keepdims=True)),
+            coupling - coupling.mean(axis=-2, keepdims=True))
+
+
 @dataclass(frozen=True)
 class BernsteinComponent:
     degree: int
-    theta: np.ndarray      # (p,) raw weight block
-    coupling: np.ndarray   # (p, r) raw coupling block, r = prefix length used
-    # the mean-centred blocks 1/p + (theta - mean theta) and (c - mean_i c):
-    # the only parameters evaluation reads, so components with bitwise-equal
-    # ones are the same map bit for bit (see distinct_maps)
+    theta: np.ndarray      # (*lead, p) raw weight block
+    coupling: np.ndarray   # (*lead, p, r) raw coupling block, r = prefix length used
     base: np.ndarray = field(init=False, repr=False, compare=False)
     centered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         th = np.array(self.theta, dtype=np.float64)
         cp = np.array(self.coupling, dtype=np.float64)
-        base = 1.0 / self.degree + (th - th.mean())
-        centered = cp - cp.mean(axis=0)
+        base, centered = _centred(self.degree, th, cp)
         for name, arr in (("theta", th), ("coupling", cp), ("base", base),
                           ("centered", centered)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
+    def lead(self) -> tuple:
+        """Member axes: () for one member; kernels return lead + (N,) values."""
+        return self.base.shape[:-1]
+
+    @property
     def reads(self) -> int:
         """Leading coordinates the weights read: one per coupling column."""
-        return self.centered.shape[1]
+        return self.centered.shape[-1]
 
     def weights(self, prefix: np.ndarray) -> np.ndarray:
-        """(N, p) per-point weights, or the constant (p,) base when uncoupled."""
+        """lead + (N, p) per-point weights, or lead + (1, p) when uncoupled."""
+        base = self.base[..., None, :]
         if self.centered.size:
-            return self.base[None, :] + (
-                2.0 * prefix[:, : self.centered.shape[1]] - 1.0) @ self.centered.T
-        return self.base
+            return base + (2.0 * prefix[..., : self.reads] - 1.0) @ np.swapaxes(
+                self.centered, -1, -2)
+        return base
 
     def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -160,7 +175,7 @@ class _QuadBernstein(BernsteinComponent):
         return np.clip(out, 0.0, 1.0, out=out)
 
     def _root_disc(self, prefix: np.ndarray, x: np.ndarray, out):
-        """w1, and sqrt(max(w1 w1 + a x, 0)) written into out (which may be x)."""
+        """w1, and s = sqrt(max(w1 w1 + a x, 0)) written into out (which may be x)."""
         w = self.weights(np.asarray(prefix, dtype=np.float64))
         w1 = w[..., 0]
         out = np.multiply(w[..., 1] - w1, x, out=out)
@@ -168,10 +183,22 @@ class _QuadBernstein(BernsteinComponent):
         np.maximum(out, 0.0, out=out)
         return w1, np.sqrt(out, out=out)
 
-    def root_partial(self, prefix: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    @staticmethod
+    def _root(x: np.ndarray, w1: np.ndarray, s: np.ndarray, out) -> np.ndarray:
+        """The root x / (w1 + s) clipped to [0, 1], written into out."""
+        out = np.add(s, w1, out=out)
+        np.divide(x, out, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    def root_partial(self, prefix: np.ndarray, x: np.ndarray, out=None,
+                     root=None) -> np.ndarray:
         """psi'(psi^{-1}(x)) = 2 sqrt(max(w1 w1 + a x, 0)) for targets x in
-        [0, 1], with no root solved."""
-        _, out = self._root_disc(prefix, np.asarray(x, dtype=np.float64), out)
+        [0, 1]; with root given, psi^{-1}(x) is written into it from the
+        same discriminant, and out must not be x."""
+        x = np.asarray(x, dtype=np.float64)
+        w1, out = self._root_disc(prefix, x, out)
+        if root is not None:
+            self._root(x, w1, out, root)
         out *= 2.0
         return out
 
@@ -179,10 +206,8 @@ class _QuadBernstein(BernsteinComponent):
         """Root in [0, 1] of a t^2 + 2 w1 t - x for targets x in [0, 1]:
         x / (w1 + sqrt(max(w1 w1 + a x, 0))), stable for either sign of a."""
         x = np.asarray(x, dtype=np.float64)
-        w1, out = self._root_disc(prefix, x, out)
-        out += w1
-        np.divide(x, out, out=out)
-        return np.clip(out, 0.0, 1.0, out=out)
+        w1, s = self._root_disc(prefix, x, out)
+        return self._root(x, w1, s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +353,12 @@ def make_config(dim: int, k: int = 3, alpha: float = 0.5, K: float = 3.0,
 
 
 def _box_vector(config: HypothesisConfig, vector) -> np.ndarray:
-    """vector as a flat float array; ParamsOutOfBox unless it has the
-    family's length and every entry is finite and inside the certified box."""
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.size != config.n_params:
-        raise ParamsOutOfBox(f"expected {config.n_params} parameters, got {v.size}")
+    """vector as a float array, one member (n_params,) or a stack (c >= 1,
+    n_params); ParamsOutOfBox unless its rows have the family's length and
+    every entry is finite and inside the certified box."""
+    v = np.asarray(vector, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != config.n_params or not len(v):
+        raise ParamsOutOfBox(f"expected rows of {config.n_params} parameters, got {v.shape}")
     if not np.all(np.abs(v) <= config.box_half + _BOX_TOL):
         raise ParamsOutOfBox("a parameter is not finite or leaves the certified box")
     return v
@@ -342,25 +368,26 @@ def jacobian_range(config: HypothesisConfig, vector) -> tuple[float, float]:
     """Certified (lo, hi) bounds on the member's Jacobian over the cube: the
     product over components of p times the smallest and largest weight the
     mean-centred blocks allow at any prefix. ParamsOutOfBox outside the box."""
-    v = _box_vector(config, vector)
+    v = _box_vector(config, np.ravel(vector))
     p = config.degree
     lo = hi = 1.0
     for theta_sl, coup_sl in config.blocks():
-        theta, cc = v[theta_sl], v[coup_sl].reshape(p, -1)
-        dev = theta - theta.mean()
-        reach = np.abs(cc - cc.mean(axis=0)).sum(axis=1)
-        lo *= p * float((1.0 / p + dev - reach).min())
-        hi *= p * float((1.0 / p + dev + reach).max())
+        base, cc = _centred(p, v[theta_sl], v[coup_sl].reshape(p, -1))
+        reach = np.abs(cc).sum(axis=1)
+        lo *= p * float((base - reach).min())
+        hi *= p * float((base + reach).max())
     return lo, hi
 
 
 def make_generator(config: HypothesisConfig, params) -> TriangularMap:
     """Member of the family as a map that evaluates its components: noise z
-    goes to apply(z), so PushforwardDensity of the member is its law."""
+    goes to apply(z), so PushforwardDensity of the member is its law. A
+    (c, n_params) params is c members stacked into one map of lead (c,)."""
     v = _box_vector(config, params)
-    p = config.degree
+    p, lead = config.degree, v.shape[:-1]
     cls = _QuadBernstein if p == 2 else BernsteinComponent
-    comps = tuple(cls(degree=p, theta=v[theta_sl], coupling=v[coup_sl].reshape(p, -1))
+    comps = tuple(cls(degree=p, theta=v[..., theta_sl],
+                      coupling=v[..., coup_sl].reshape(*lead, p, -1))
                   for theta_sl, coup_sl in config.blocks())
     return TriangularMap(components=comps)
 
@@ -414,26 +441,22 @@ def build_eps_net(config: HypothesisConfig, epsilon: float) -> np.ndarray:
     return vectors
 
 
-def distinct_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
-    """The distinct maps the members realize, and each member's map index.
-
-    Builds each member's generator once and keeps the first member of each
-    map; group[i] is the position of member i's map in the returned list.
-    Members are one map exactly when every component's mean-centred blocks
-    are bitwise equal; lattice nets hold many such members, since shifting
-    a whole theta block (or coupling column) by a constant leaves the map
-    unchanged.
-    """
-    first, maps, group = {}, [], []
-    for v in vectors:
-        gen = make_generator(config, v)
-        key = tuple((comp.base.tobytes(), comp.centered.tobytes())
-                    for comp in gen.components)
-        if key not in first:
-            first[key] = len(maps)
-            maps.append(gen)
-        group.append(first[key])
-    return maps, np.asarray(group, dtype=np.intp)
+def distinct_maps(config: HypothesisConfig, vectors) -> tuple[TriangularMap, np.ndarray]:
+    """The distinct maps the members (rows of vectors) realize, stacked in
+    one map in the order of their first members, and each member's map
+    index. Members are one map exactly when every component's mean-centred
+    blocks are equal; lattice nets hold many such members, since shifting a
+    whole theta block (or coupling column) by a constant leaves the map
+    unchanged."""
+    v = _box_vector(config, vectors)
+    c, p = len(v), config.degree
+    keys = np.concatenate([block.reshape(c, -1) for theta_sl, coup_sl in config.blocks()
+                           for block in _centred(p, v[:, theta_sl],
+                                                 v[:, coup_sl].reshape(c, p, -1))], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # np.unique numbers the maps in key order; renumber them by first member
+    order = np.argsort(first)
+    return make_generator(config, v[first[order]]), np.argsort(order)[inverse.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +476,7 @@ def _probe_points(dim: int):
 
 def map_sup_distance(config: HypothesisConfig, params_a, params_b) -> float:
     """sup-norm distance of two members, maximized over a probe grid."""
-    pts = _probe_points(config.dim)
-    a = make_generator(config, params_a).apply(pts)
-    b = make_generator(config, params_b).apply(pts)
+    a, b = make_generator(config, [params_a, params_b]).apply(_probe_points(config.dim))
     return float(np.abs(a - b).max())
 
 

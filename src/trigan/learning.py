@@ -4,15 +4,15 @@ The population suprema over generator and discriminator spaces are taken
 over explicit finite nets here: a lattice net of generator members, and as
 discriminators the ratios D_ab = f_a / (f_a + f_b) of every ordered pair
 of members. Lattice nets hold many members that realize the same map, so
-the net is first reduced to its distinct maps (hypothesis.distinct_maps),
-with group[i] the index of member i's map. Both loss matrices are (h, h, h)
-cubes L[g, a, b] over the h distinct maps, the loss of map g against D_ab;
-member i against the pair of members (j, k) reads L[group[i], group[j],
-group[k]]. Every maximum over members is the same maximum over maps, since
-each map is some member's. The theoretical cube is computed once by
-quadrature and reused across all Monte Carlo trials. Both cubes take their
-densities from one rosenblatt.pushforward_densities call, which writes
-each map's density into its row of one (h, N) array.
+the net is first reduced to its h distinct maps, stacked into one map of
+lead (h,) (hypothesis.distinct_maps), with group[i] the index of member
+i's map. Both loss matrices are (h, h, h) cubes L[g, a, b], the loss of
+map g against D_ab; member i against the pair of members (j, k) reads
+L[group[i], group[j], group[k]]. Every maximum over members is the same
+maximum over maps, since each map is some member's. The theoretical cube
+is computed once by quadrature and reused across all Monte Carlo trials.
+Each cube takes every map's density from one PushforwardDensity.evaluate
+call of the stack, and the empirical cube every map's fakes from one apply.
 
 The cubes are filled in the log domain (divergence.pair_losses): with
 log D_ab = log f_a - log(f_a + f_b) and log(1 - D_ab) = log f_b -
@@ -46,11 +46,10 @@ import numpy as np
 
 from . import bounds, rng, rosenblatt
 from .density import GridDensity
-from .divergence import eval_grid, js_divergence, loss_terms, pair_losses
-from .errors import ConfigInvalid, DiscriminatorOutOfRange, NetTooLarge
+from .divergence import eval_grid, js_divergence, pair_losses
+from .errors import ConfigInvalid, NetTooLarge
 from .hypothesis import HypothesisConfig, distinct_maps, family_delta1, make_generator
-from .rosenblatt import (PushforwardDensity, TriangularMap, build_rosenblatt,
-                         pushforward_densities)
+from .rosenblatt import PushforwardDensity, TriangularMap, build_rosenblatt
 
 # entries of a nominal (c, c, c) loss cube over c members, 8 MB of
 # floats; admits nets of up to 100 members
@@ -120,21 +119,9 @@ def _draw_sample(sampler: TriangularMap, n: int, seed: int, trial: int) -> Train
 # losses
 
 
-def empirical_loss(disc, generator: TriangularMap, sample: TrainingSample) -> float:
-    """(1/2n) sum log D(Y_i) + (1/2n) sum log(1 - D(phi(Z_i))), for a
-    discriminator D given as a function of (N, d) points."""
-    fake = generator.apply(sample.noise_points)
-    dy = np.asarray(disc(sample.real_points), dtype=np.float64)
-    dx = np.asarray(disc(fake), dtype=np.float64)
-    for vals in (dy, dx):
-        if np.any(vals <= 0.0) or np.any(vals >= 1.0) or not np.all(np.isfinite(vals)):
-            raise DiscriminatorOutOfRange("discriminator left (0, 1) on the sample")
-    return float(loss_terms(1.0 / (2.0 * sample.n), 1.0, dy, 1.0, dx))
-
-
-def _net_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
-    """The net's distinct maps and each member's index into them; refuses a
-    net whose nominal (c, c, c) cube would exceed _MATRIX_CAP."""
+def _net_maps(config: HypothesisConfig, vectors) -> tuple[TriangularMap, np.ndarray]:
+    """The net's distinct maps, stacked, and each member's index into them;
+    refuses a net whose nominal (c, c, c) cube would exceed _MATRIX_CAP."""
     c = len(vectors)
     if c ** 3 > _MATRIX_CAP:
         raise NetTooLarge(f"a net of {c} members needs {c ** 3} loss-matrix entries, "
@@ -142,11 +129,12 @@ def _net_maps(config: HypothesisConfig, vectors) -> tuple[list, np.ndarray]:
     return distinct_maps(config, vectors)
 
 
-def pair_loss_matrix(target, maps) -> np.ndarray:
-    """Theoretical loss cube L[g, a, b] of maps[g] against D_ab of maps a
-    and b; each density is renormalized by its own quadrature mass."""
-    pts, w = eval_grid(maps[0].dim)
-    dens = pushforward_densities(maps, pts)
+def pair_loss_matrix(target, maps: TriangularMap) -> np.ndarray:
+    """Theoretical loss cube L[g, a, b] of map g of the stack maps against
+    D_ab of maps a and b; each density is renormalized by its own
+    quadrature mass."""
+    pts, w = eval_grid(maps.dim)
+    dens = PushforwardDensity(maps).evaluate(pts)
     tgt = np.asarray(target.evaluate(pts), dtype=np.float64)
     if np.any(tgt <= 0.0):
         raise ConfigInvalid("target density must be positive on the grid")
@@ -157,23 +145,24 @@ def pair_loss_matrix(target, maps) -> np.ndarray:
     return pair_losses(0.5, dens, weights)
 
 
-def empirical_pair_matrix(maps, sample: TrainingSample, ns=None) -> np.ndarray:
-    """Empirical loss cube L[g, a, b] of maps[g] against D_ab on one sample;
-    with sizes ns, the (len(ns), h, h, h) stack of the cubes of the
-    sample's first n points, one per n in ns (each at most sample.n).
+def empirical_pair_matrix(maps: TriangularMap, sample: TrainingSample,
+                          ns=None) -> np.ndarray:
+    """Empirical loss cube L[g, a, b] of map g of the stack maps against
+    D_ab on one sample; with sizes ns, the (len(ns), h, h, h) stack of the
+    cubes of the sample's first n points, one per n in ns (each at most
+    sample.n).
 
-    Each map writes its fakes, and then the real points are copied, into
-    one ((h + 1) n, d) array, and one pushforward_densities call evaluates
-    every map's density over it; the kernels are pointwise, so the values
-    do not depend on where a point sits in that array.
+    One apply writes every map's fakes, and then the real points are
+    copied, into one ((h + 1) n, d) array, and one density call evaluates
+    every map over it; the kernels are pointwise, so the values do not
+    depend on where a point sits in that array.
     """
-    c, n = len(maps), sample.n
-    points = np.empty(((c + 1) * n, sample.noise_points.shape[1]))
-    for g, gen in enumerate(maps):
-        gen.apply(sample.noise_points, out=points[g * n:(g + 1) * n])
-    points[c * n:] = sample.real_points
+    (h,), n, d = maps.lead, sample.n, maps.dim
+    points = np.empty(((h + 1) * n, d))
+    maps.apply(sample.noise_points, out=points[:h * n].reshape(h, n, d))
+    points[h * n:] = sample.real_points
     # row group g of map a's densities is generator g's fakes, the last the real points
-    dens = pushforward_densities(maps, points).reshape(c, c + 1, n)
+    dens = PushforwardDensity(maps).evaluate(points).reshape(h, h + 1, n)
     ends = [n] if ns is None else ns
     cubes = pair_losses([1.0 / (2.0 * m) for m in ends], dens, ends=ends)
     return cubes[0] if ns is None else cubes

@@ -16,21 +16,26 @@ piecewise-linear conditional densities, so forward evaluation, inversion
 partials are mutually consistent to machine precision, and the Jacobian of
 the forward map telescopes to the stored multilinear interpolant of the
 density. One prefix-linear kernel evaluates every component, whatever its
-rank, and one kernel, PushforwardDensity.evaluate, gives every density and
-Jacobian in _CHUNK-point blocks with its scratch allocated once per call.
-It, apply and every component kernel write into the row or array they are
-given, so nothing is concatenated.
+rank.
+
+A Bernstein map may be a stack of members, as a net's distinct maps are:
+its components' blocks carry leading member axes lead, so apply and
+PushforwardDensity.evaluate read (N, d) points shared by every member and
+return lead + (N, d) and lead + (N,). One member (lead ()) and a table map
+run the same code, in blocks of at most _CHUNK map-points with scratch
+allocated once per call, and write into the array they are given.
 
 A density solves only the preimage coordinates it reads. A degree-2 Bernstein
 component psi(t) = 2 w1 t + a t^2 has its partial at the root in closed form,
-psi'(psi^{-1}(x)) = 2 sqrt(w1^2 + a x) (root_partial), so a member's density
-solves coordinate j only when a later component's coupling reads it: none
-in 1D or uncoupled, the first d - 1 when coupled. Table and higher-degree
-components solve every coordinate and take the partial there.
+psi'(psi^{-1}(x)) = 2 sqrt(w1^2 + a x) (root_partial), and the root itself
+from the same discriminant when a later component's coupling reads it:
+none in 1D or uncoupled, the first d - 1 when coupled. Table and
+higher-degree components solve every coordinate and take the partial there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,6 +70,7 @@ class TableComponent:
     table: np.ndarray
     knots: np.ndarray
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+    lead = ()   # one map: a table component stacks no members
 
     def __post_init__(self):
         h = self.knots[1] - self.knots[0]
@@ -140,7 +146,8 @@ class TableComponent:
 
 @dataclass(frozen=True)
 class TriangularMap:
-    """Lower-triangular monotone bijection of the unit cube.
+    """Lower-triangular monotone bijection of the unit cube, or a stack of
+    them (lead) that reads the same points.
 
     components always realize one fixed triangular map T, one component per
     axis; components_direct says whether T is this object (apply evaluates
@@ -154,23 +161,30 @@ class TriangularMap:
     def dim(self) -> int:
         return len(self.components)
 
+    @property
+    def lead(self) -> tuple:
+        """The stack's leading axes: () for one map, (h,) for h maps."""
+        return self.components[0].lead
+
     def inverse(self) -> "TriangularMap":
         return replace(self, components_direct=not self.components_direct)
 
     def apply(self, points: np.ndarray, out=None) -> np.ndarray:
-        """The map at (N, d) points, written into out when it is given: each
-        component evaluated (direct) or solved coordinate by coordinate."""
+        """The map at (N, d) points, lead + (N, d), written into out when it
+        is given: each component evaluated (direct) or solved coordinate by
+        coordinate."""
         pts = _as_points(points, self.dim)
-        out = np.empty(pts.shape) if out is None else out
-        scratch = np.empty(min(len(pts), _CHUNK))   # clipped solve targets
-        for lo in range(0, len(pts), _CHUNK):
-            block, res = pts[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        out = np.empty(self.lead + pts.shape) if out is None else out
+        step = _block(self.lead)
+        scratch = np.empty(min(len(pts), step))   # clipped solve targets
+        for lo in range(0, len(pts), step):
+            block, res = pts[lo:lo + step], out[..., lo:lo + step, :]
             for j, comp in enumerate(self.components):
                 if self.components_direct:
-                    comp.value(block[:, :j], block[:, j], out=res[:, j])
+                    comp.value(block[:, :j], block[:, j], out=res[..., j])
                 else:
                     target = np.clip(block[:, j], 0.0, 1.0, out=scratch[:len(block)])
-                    _solve_monotone(comp, res[:, :j], target, out=res[:, j])
+                    _solve_monotone(comp, res[..., :j], target, out=res[..., j])
         return out
 
 
@@ -185,39 +199,43 @@ class PushforwardDensity:
         return self.base_map.dim
 
     def evaluate(self, points: np.ndarray, out=None) -> np.ndarray:
-        """The density at (N, d) points, written into out when it is given:
-        the Jacobian of the map's inverse. When the components realize the
-        map, that is 1 / prod_j partial_j at the preimage y of the point x;
-        a component with a root_partial reads its partial off x_j, so y_j is
-        solved only when a later component reads it or component j has no
-        root_partial. Else it is the product at the points. Each partial
-        must clear _JAC_FLOOR."""
+        """The density at (N, d) points, lead + (N,), written into out when
+        it is given: the Jacobian of the map's inverse. When the components
+        realize the map, that is 1 / prod_j partial_j at the preimage y of
+        the point x; a component with a root_partial reads its partial off
+        x_j, and y_j from the same discriminant when a later component reads
+        it; the others solve y_j and take the partial there. Else it is the
+        product at the points. Each partial must clear _JAC_FLOOR."""
         gen = self.base_map
-        direct, comps = gen.components_direct, gen.components
+        direct, comps, lead = gen.components_direct, gen.components, gen.lead
         pts = _as_points(points, gen.dim)
-        out = np.empty(len(pts)) if out is None else out
+        out = np.empty(lead + (len(pts),)) if out is None else out
         # the preimage coordinates the components read are a prefix of it
         read = max(comp.reads for comp in comps)
-        pre = np.empty((min(len(pts), _CHUNK), gen.dim))   # block preimages
-        scratch = np.empty(len(pre))   # clipped solve targets, then partials
-        for lo in range(0, len(pts), _CHUNK):
-            block, dens = pts[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-            at, row = (pre[:len(block)] if direct else block), scratch[:len(block)]
+        step = _block(lead)
+        size = min(len(pts), step)
+        pre = np.empty(lead + (size, gen.dim))   # block preimages
+        part = np.empty(lead + (size,))          # partials
+        target = np.empty(size)                  # clipped coordinates
+        for lo in range(0, len(pts), step):
+            block, dens = pts[lo:lo + step], out[..., lo:lo + step]
+            k = len(block)
+            at, x = (pre[..., :k, :] if direct else block), target[:k]
             for j, comp in enumerate(comps):
-                part = row if j else dens
-                closed = direct and hasattr(comp, "root_partial")
+                row = part[..., :k] if j else dens
                 if direct:
-                    x = np.clip(block[:, j], 0.0, 1.0, out=row)
-                    if j < read or not closed:
-                        _solve_monotone(comp, at[:, :j], x, out=at[:, j])
-                if closed:
-                    comp.root_partial(at[:, :j], x, out=part)
+                    np.clip(block[:, j], 0.0, 1.0, out=x)
+                if direct and hasattr(comp, "root_partial"):
+                    comp.root_partial(at[..., :j], x, out=row,
+                                      root=at[..., j] if j < read else None)
                 else:
-                    comp.partial(at[:, :j], at[:, j], out=part)
-                if np.any(part < _JAC_FLOOR):
+                    if direct:
+                        _solve_monotone(comp, at[..., :j], x, out=at[..., j])
+                    comp.partial(at[..., :j], at[..., j], out=row)
+                if np.any(row < _JAC_FLOOR):
                     raise DegenerateJacobian("diagonal partial below positivity floor")
                 if j:
-                    dens *= part
+                    dens *= row
             if direct:
                 np.divide(1.0, dens, out=dens)
         return out
@@ -254,18 +272,13 @@ def sample(generator: TriangularMap, n: int, seed: int,
     return out
 
 
-def pushforward_densities(generators, points: np.ndarray) -> np.ndarray:
-    """(h, N) array whose row a is the pushforward density of generators[a]
-    at the (N, d) points; each density is evaluated into its own row."""
-    pts = _as_points(points, generators[0].dim)
-    out = np.empty((len(generators), len(pts)))
-    for gen, row in zip(generators, out):
-        PushforwardDensity(gen).evaluate(pts, out=row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # solving and chunking helpers
+
+
+def _block(lead: tuple) -> int:
+    """Points per block, so that a block holds at most _CHUNK map-points."""
+    return max(1, _CHUNK // math.prod(lead))
 
 
 def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
@@ -287,8 +300,8 @@ def _solve_monotone(comp, prefix: np.ndarray, target: np.ndarray, out=None) -> n
     """
     if hasattr(comp, "inverse_exact"):
         return comp.inverse_exact(prefix, target, out=out)
-    lo = np.zeros_like(target)
-    hi = np.ones_like(target)
+    lo = np.zeros(prefix.shape[:-1])   # lead + (N,): one root per map and point
+    hi = np.ones_like(lo)
     flo = comp.value(prefix, lo) - target
     fhi = comp.value(prefix, hi) - target
     if np.any(flo > 1e-9) or np.any(fhi < -1e-9):

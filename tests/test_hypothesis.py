@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box_params import random_box_params
+import oracles
+from box_params import random_box_params, unstack
 from holder import estimate_holder_norm
-import trigan.divergence as dv
 import trigan.hypothesis as hyp
 import trigan.learning as lr
 import trigan.rosenblatt as ros
@@ -194,6 +194,9 @@ def test_degree3_increment_example():
 def test_params_out_of_box(cfg1):
     with pytest.raises(ParamsOutOfBox):
         hyp.make_generator(cfg1, np.zeros(3))        # wrong length
+    for shape in ((0, 2), (2, 2, 2), ()):
+        with pytest.raises(ParamsOutOfBox):
+            hyp.make_generator(cfg1, np.zeros(shape))   # no member, or not a stack
     with pytest.raises(ParamsOutOfBox):
         hyp.make_generator(cfg1, np.array([cfg1.box_half * 1.5, 0.0]))
     hyp.make_generator(cfg1, np.array([cfg1.box_half, -cfg1.box_half]))
@@ -289,23 +292,28 @@ def test_discriminator_equal_params_is_half(cfg1, uniform1, rng):
 
     v = random_box_params(cfg1, 1, seed=3)[0]
     maps, at = hyp.distinct_maps(cfg1, [v, v, v])
-    assert len(maps) == 1
-    f = ros.pushforward_densities(maps, rng.random((200, 1)))[0]
+    assert maps.lead == (1,)
+    f = ros.PushforwardDensity(maps).evaluate(rng.random((200, 1)))[0]
     assert np.all(f / (f + f) == 0.5)
-    # D_vv's cube entry is the loss of the constant 1/2: -log 2 on these 64 points
+    # D_vv's cube entries are the loss of the constant 1/2: -log 2
     s = lr.make_training_sample(uniform1, 64, seed=3)
+    (gen,) = unstack(maps)
     entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
-    assert entry == -math.log(2.0) == lr.empirical_loss(half, maps[0], s)
-    assert (lr.pair_loss_matrix(uniform1, maps)[tuple(at)]
-            == dv.theoretical_loss(uniform1, ros.PushforwardDensity(maps[0]), half))
+    assert entry == -math.log(2.0) == oracles.empirical_loss(half, gen, s)
+    # the theoretical entry is log(1/2) exactly; the quadrature of the
+    # constant 1/2 under renormalized weights rounds to within 1 ulp of it
+    theo = lr.pair_loss_matrix(uniform1, maps)[tuple(at)]
+    assert theo == -math.log(2.0)
+    assert theo == pytest.approx(
+        oracles.theoretical_loss(uniform1, ros.PushforwardDensity(gen), half), rel=1e-15)
 
 
 def test_discriminator_range(cfg1, cfg2, rng):
     for cfg in (cfg1, cfg2):
         b1, b2 = hyp.discriminator_constants(cfg.dim, cfg.K)
         pa, pb = random_box_params(cfg, 2, seed=9)
-        f = ros.pushforward_densities([hyp.make_generator(cfg, v) for v in (pa, pb)],
-                                      rng.random((1000, cfg.dim)))
+        f = ros.PushforwardDensity(hyp.make_generator(cfg, [pa, pb])).evaluate(
+            rng.random((1000, cfg.dim)))
         vals = f[0] / (f[0] + f[1])
         assert vals.min() >= b1 - 1e-12 and vals.max() <= b2 + 1e-12
 
@@ -388,26 +396,31 @@ def test_net_member_invariants(cfg1):
     (2, 0, 0.07, 81, 25),
     (2, 1, 0.1, 64, 27),
 ])
-def test_distinct_members(dim, coupling, eps, members, maps):
+def test_distinct_members(monkeypatch, dim, coupling, eps, members, maps):
     """Lattice members that shift a whole centred block by a constant are
     one map: they apply and push forward bitwise equally, the kept maps
-    all differ, and the first member of each group is kept."""
+    all differ, and the first member of each group is kept, in member
+    order, as one stacked map from one make_generator call."""
     K = 2.0 if dim == 1 else 3.0
     cfg = hyp.make_config(dim, K=K, coupling_degree=coupling)
     net = hyp.build_eps_net(cfg, eps)
     gens = [hyp.make_generator(cfg, v) for v in net]
+    built, make = [], hyp.make_generator
+    monkeypatch.setattr(hyp, "make_generator", lambda *a: built.append(a) or make(*a))
     kept, group = hyp.distinct_maps(cfg, net)
-    keep = [np.flatnonzero(group == h)[0] for h in range(len(kept))]
-    assert (len(net), len(kept)) == (members, maps)
+    assert len(built) == 1
+    assert (len(net), kept.lead) == (members, (maps,))
+    keep = [np.flatnonzero(group == h)[0] for h in range(maps)]
+    assert keep == sorted(keep)
 
     def raw(gen):
         # the raw parameter blocks identify the member a map was built from
         return [(c.theta.tobytes(), c.coupling.tobytes()) for c in gen.components]
 
-    assert [raw(gen) for gen in kept] == [raw(gens[i]) for i in keep]
+    assert [raw(gen) for gen in unstack(kept)] == [raw(gens[i]) for i in keep]
     pts = np.random.default_rng(31).random((257, dim))
-    kept_apply = [gen.apply(pts) for gen in kept]
-    kept_dens = [ros.PushforwardDensity(gen).evaluate(pts) for gen in kept]
+    kept_apply = kept.apply(pts)
+    kept_dens = ros.PushforwardDensity(kept).evaluate(pts)
     for m, gen in enumerate(gens):
         assert np.array_equal(gen.apply(pts), kept_apply[group[m]])
         assert np.array_equal(ros.PushforwardDensity(gen).evaluate(pts),

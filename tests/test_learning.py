@@ -15,8 +15,9 @@ from trigan.density import make_density
 from trigan.errors import ConfigInvalid
 from trigan.rng import KIND_NOISE, KIND_REAL, stream_id, uniforms
 
+import oracles
 import two_pass_cube
-from box_params import random_box_params
+from box_params import random_box_params, unstack
 
 
 @pytest.fixture(scope="module")
@@ -134,21 +135,21 @@ def _half(points):
 def test_loss_at_constant_half_is_exact(cfg1, uniform1):
     """D == 1/2 collapses both sums to -log 2, with no rounding residue."""
     v = random_box_params(cfg1, 1, seed=3)[0]
-    assert len(hyp.distinct_maps(cfg1, [v, v])[0]) == 1
+    assert hyp.distinct_maps(cfg1, [v, v])[0].lead == (1,)
     # the identity map against D_vv, in the cube over the triple's maps
     maps, at = hyp.distinct_maps(cfg1, [np.zeros(cfg1.n_params), v, v])
     for n in (64, 100, 257):
         s = lr.make_training_sample(uniform1, n, seed=2)
         entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
         assert entry == -math.log(2.0)
-        assert entry == lr.empirical_loss(_half, maps[0], s)
+        assert entry == oracles.empirical_loss(_half, unstack(maps)[0], s)
 
 
 def test_loss_hand_value_n1(cfg1):
     # D(Y1) = 0.2 and D(phi(Z1)) = 0.8 give (log 0.2 + log 0.2) / 2
     s = lr.TrainingSample(real_points=np.array([[0.3]]), noise_points=np.array([[0.7]]))
     ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
-    val = lr.empirical_loss(lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8), ident, s)
+    val = oracles.empirical_loss(lambda p: np.where(p[:, 0] < 0.5, 0.2, 0.8), ident, s)
     assert val == pytest.approx(-1.6094379124341003, abs=5e-16)
 
 
@@ -158,9 +159,8 @@ def test_loss_rejects_degenerate_discriminator(cfg1, uniform1):
 
     ident = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
     s = lr.make_training_sample(uniform1, 4, seed=1)
-    with pytest.raises(dv.DiscriminatorOutOfRange
-                       if hasattr(dv, "DiscriminatorOutOfRange") else Exception):
-        lr.empirical_loss(bad, ident, s)
+    with pytest.raises(oracles.DiscriminatorOutOfRange):
+        oracles.empirical_loss(bad, ident, s)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +247,15 @@ def test_cubes_match_single_losses(tilted, coupled, dim, degree, coupling, membe
 ])
 def test_one_pass_cube_matches_two_pass(tilted, coupled, dim, coupling, eps):
     """The merged density pass gives the two-pass cube bit for bit, also at
-    the largest n whose fakes fit one evaluation chunk and whose merged
-    points do not."""
+    the n of one block of the stacked density, whose merged points cross h
+    block boundaries."""
     cfg = hyp.make_config(dim, K=2.0 if dim == 1 else 3.0, coupling_degree=coupling)
     V = (hyp.build_eps_net(cfg, eps) if eps
          else random_box_params(cfg, 5, seed=dim + 2 * coupling))
     maps, _ = hyp.distinct_maps(cfg, V)
-    h, chunk = len(maps), ros._CHUNK
-    assert h * (chunk // h) <= chunk < (h + 1) * (chunk // h)
+    (h,) = maps.lead
     target = tilted if dim == 1 else coupled
-    for n in (1, 37, chunk // h):
+    for n in (1, 37, ros._CHUNK // h):
         s = lr.make_training_sample(target, n, seed=n)
         one = lr.empirical_pair_matrix(maps, s)
         assert one.shape == (h, h, h)
@@ -283,18 +282,38 @@ def test_same_map_pair_is_constant_half(uniform1, product2, dim, coupling, seed)
         w[coup] = (cols + step * gen.integers(-k, k + 1, cols.shape[1])).ravel()
     assume(not np.array_equal(v, w))
     pair, _ = hyp.distinct_maps(cfg, [v, w])
-    assert len(pair) == 1
+    assert pair.lead == (1,)
     target = uniform1 if dim == 1 else product2
     s = lr.make_training_sample(target, 33, seed=seed % 1000)
-    f = ros.pushforward_densities(pair, s.real_points)[0]
+    f = ros.PushforwardDensity(pair).evaluate(s.real_points)[0]
     assert np.all(f / (f + f) == 0.5)
     maps, at = hyp.distinct_maps(cfg, [gen.permutation([v, w])[0], v, w])
-    g, pf = maps[0], ros.PushforwardDensity(maps[0])
     entry = lr.empirical_pair_matrix(maps, s)[tuple(at)]
     assert entry == -math.log(2.0)
-    assert entry == lr.empirical_loss(_half, g, s)
-    assert (lr.pair_loss_matrix(target, maps)[tuple(at)]
-            == dv.theoretical_loss(target, pf, _half))
+    assert entry == oracles.empirical_loss(_half, unstack(maps)[0], s)
+    theo = lr.pair_loss_matrix(target, maps)[tuple(at)]
+    assert theo == -math.log(2.0)
+    assert theo == pytest.approx(oracles.theoretical_loss(
+        target, ros.PushforwardDensity(unstack(maps)[0]), _half), rel=1e-15)
+
+
+def test_each_cube_makes_one_density_call(monkeypatch, cfg1, uniform1, net):
+    """A cube evaluates all of the net's maps with one density call, which
+    checks its points once; the empirical cube writes every map's fakes
+    with one apply."""
+    maps, _ = hyp.distinct_maps(cfg1, net)
+    s = lr.make_training_sample(uniform1, 100, seed=2)
+    calls = []
+    for cls, name in ((ros.PushforwardDensity, "evaluate"), (ros.TriangularMap, "apply")):
+        monkeypatch.setattr(cls, name, lambda self, *a, _f=getattr(cls, name), _n=name, **k:
+                            calls.append(_n) or _f(self, *a, **k))
+    check = ros.require_finite
+    monkeypatch.setattr(ros, "require_finite", lambda pts: calls.append("finite") or check(pts))
+    lr.pair_loss_matrix(uniform1, maps)
+    assert calls == ["evaluate", "finite"]
+    calls.clear()
+    lr.empirical_pair_matrix(maps, s)
+    assert calls == ["apply", "finite", "evaluate", "finite"]
 
 
 def test_net_pair_at_matrix_cap(cfg1, uniform1):
@@ -377,7 +396,7 @@ def test_minimax_net_matches_nominal_cube(uniform1, product2, dim, coupling, eps
     target = uniform1 if dim == 1 else product2
     net = hyp.build_eps_net(cfg, eps)
     kept, group = hyp.distinct_maps(cfg, net)
-    assert (len(net), len(kept)) == (members, maps)
+    assert (len(net), *kept.lead) == (members, maps)
     nominal = np.ix_(group, group, group)
     s = lr.make_training_sample(target, 64, seed=12)
     emp = lr.empirical_pair_matrix(kept, s)[nominal]
@@ -503,7 +522,7 @@ def _check_prefixes(target, maps, n_grid, trials, seed, threads=1):
     last = trials - 1
     cubes = lr.empirical_pair_matrix(
         maps, lr.make_training_sample(target, max(n_grid), seed, last), n_grid)
-    assert cubes.shape == (len(n_grid),) + (len(maps),) * 3
+    assert cubes.shape == (len(n_grid),) + maps.lead * 3
     for n, cube, err in zip(n_grid, cubes, grid[:, last]):
         fresh = lr.empirical_pair_matrix(maps, lr.make_training_sample(target, n, seed, last))
         assert np.array_equal(cube, fresh)
@@ -572,6 +591,19 @@ def test_rate_csv_shape(cfg1, uniform1):
     cells = lines[1].split(",")
     assert int(cells[0]) == 128 and int(cells[1]) == 3
     assert float(cells[2]) == rep.rows[0].mean     # repr round-trips
+
+
+@pytest.mark.parametrize("coupling", [0, 1])
+def test_rate_one_map_2d_net_is_exact(product2, coupling):
+    """A one-map 2D net's cubes are only the same-map diagonal, log(1/2) in
+    both: every sup error is exactly 0.0, so the log fit is suppressed."""
+    cfg = hyp.make_config(2, K=3.0, coupling_degree=coupling)
+    net = hyp.build_eps_net(cfg, 1.0)
+    assert hyp.distinct_maps(cfg, net)[0].lead == (1,)
+    rep = lr.rate_experiment(cfg, product2, [64, 128], 3, seed=3, net=net)
+    assert [(r.mean, r.q95) for r in rep.rows] == [(0.0, 0.0)] * 2
+    assert math.isnan(rep.slope)
+    assert "zero mean sampling error: slope undefined" in rep.warnings
 
 
 def test_rate_rejects_bad_grid(cfg1, uniform1, net):

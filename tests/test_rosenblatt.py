@@ -173,17 +173,21 @@ def _reference_density(gen, pts):
     return 1.0 / jac if direct else jac
 
 
-def _generators(family, dim: int, count: int, gen) -> list:
-    """count generators of a family: "table" maps of random grid densities,
-    or Bernstein members (degree, coupling_degree) drawn from the box."""
+def _generators(family, dim: int, count: int, seed: int) -> tuple:
+    """count generators of a family, as (stack, singles): "table" maps of
+    random grid densities, which stack nothing (stack is the first one),
+    or Bernstein members (degree, coupling_degree) drawn from the box, as
+    one stacked map and each member alone."""
+    gen = np.random.default_rng(seed)
     if family == "table":
         m = int(gen.integers(3, 10))
         grids = [dn.GridDensity(dim, m, 0.2 + gen.random((m,) * dim)) for _ in range(count)]
-        return [rb.build_rosenblatt(dn.normalize(g)).inverse() for g in grids]
+        maps = [rb.build_rosenblatt(dn.normalize(g)).inverse() for g in grids]
+        return maps[0], maps
     degree, coupling = family
     cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
-    return [hyp.make_generator(cfg, v)
-            for v in random_box_params(cfg, count, seed=int(gen.integers(2**31)))]
+    vectors = random_box_params(cfg, count, seed=seed)
+    return hyp.make_generator(cfg, vectors), [hyp.make_generator(cfg, v) for v in vectors]
 
 
 # every family in every dimension, on both sides of each block boundary;
@@ -195,24 +199,29 @@ def _generators(family, dim: int, count: int, gen) -> list:
     ((3, 0), 1, 16385), ((3, 0), 2, 1), ((3, 0), 3, 1),
     ((3, 1), 1, 16383), ((3, 1), 2, 1), ((3, 1), 3, 1),
 ])
-def test_batched_kernels_match_reference(family, dim, n):
-    # rows of one batch, single evaluations and whole-array references agree
-    # bitwise, across block boundaries and into caller-owned arrays
+@settings(max_examples=3)
+@given(count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_kernels_match_reference(family, dim, n, count, seed):
+    """A batch equals its batch of one, bitwise: each row of a stack of
+    count box members, applied and pushed forward (direct and inverse,
+    across the stack's blocks of _CHUNK // count points and into
+    caller-owned arrays), is the member's own result and the whole-array
+    reference. A table map stacks nothing and matches the references."""
     assert rb._CHUNK == 16384
-    gen = np.random.default_rng(n + 10 * dim)
-    maps = _generators(family, dim, 2, gen)
-    pts = gen.random((n, dim))
+    stack, singles = _generators(family, dim, 1 if family == "table" else count, seed)
+    pts = np.random.default_rng(seed).random((n, dim))
     pts[-1], pts[0] = 1.0, 0.0
-    dens = rb.pushforward_densities(maps, pts)
-    assert dens.shape == (2, n)
-    assert np.array_equal(dens[0], rb.PushforwardDensity(maps[0]).evaluate(pts))
-    for gen_map, row in zip(maps, dens):
-        assert np.array_equal(row, _reference_density(gen_map, pts))
-        buf = np.full_like(pts, np.nan)
-        assert gen_map.apply(pts, out=buf) is buf
-        assert np.array_equal(buf, _reference_transport(gen_map, pts, gen_map.components_direct))
-    assert np.array_equal(maps[0].inverse().apply(pts),
-                          _reference_transport(maps[0], pts, not maps[0].components_direct))
+    for tri, ones in ((stack, singles), (stack.inverse(), [m.inverse() for m in singles])):
+        buf = np.full(tri.lead + pts.shape, np.nan)
+        assert tri.apply(pts, out=buf) is buf
+        dens = rb.PushforwardDensity(tri).evaluate(pts)
+        assert dens.shape == tri.lead + (n,)
+        for g, one in enumerate(ones):
+            row = (g,) if tri.lead else ()
+            assert np.array_equal(buf[row], one.apply(pts))
+            assert np.array_equal(buf[row], _reference_transport(one, pts, one.components_direct))
+            assert np.array_equal(dens[row], rb.PushforwardDensity(one).evaluate(pts))
+            assert np.array_equal(dens[row], _reference_density(one, pts))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -224,11 +233,12 @@ def test_kernels_refuse_nonfinite_points(coupled, cfg2, kernel, axis, bad):
     # index cast, and one in the last to come back as a NaN value
     table = rb.build_rosenblatt(coupled)
     bern = hyp.make_generator(cfg2, np.zeros(cfg2.n_params))
+    stack = hyp.make_generator(cfg2, random_box_params(cfg2, 3, seed=1))
     run = {"table-apply": table.apply, "table-inverse-apply": table.inverse().apply,
            "table-density": rb.PushforwardDensity(table).evaluate,
            "bernstein-apply": bern.apply,
            "bernstein-density": rb.PushforwardDensity(bern).evaluate,
-           "densities": lambda pts: rb.pushforward_densities([bern, table], pts)}[kernel]
+           "densities": rb.PushforwardDensity(stack).evaluate}[kernel]
     pts = np.full((5, 2), 0.5)
     pts[3, axis] = bad
     with warnings.catch_warnings():
@@ -239,7 +249,9 @@ def test_kernels_refuse_nonfinite_points(coupled, cfg2, kernel, axis, bad):
 
 def _count_solves(monkeypatch) -> list:
     """Record the component of every preimage solve: every _solve_monotone
-    call, and every inverse_exact call of a table or degree-2 component."""
+    call, every inverse_exact call of a table or degree-2 component, and
+    every root_partial call that writes the root; and of every discriminant
+    a degree-2 component takes (_root_disc)."""
     calls = []
     solve = rb._solve_monotone
     monkeypatch.setattr(rb, "_solve_monotone",
@@ -248,6 +260,16 @@ def _count_solves(monkeypatch) -> list:
         exact = cls.inverse_exact
         monkeypatch.setattr(cls, "inverse_exact", lambda self, *a, _f=exact, **k:
                             calls.append(("exact", self)) or _f(self, *a, **k))
+    disc, partial = hyp._QuadBernstein._root_disc, hyp._QuadBernstein.root_partial
+
+    def root_partial(self, *args, root=None, **kwargs):
+        if root is not None:
+            calls.append(("root", self))
+        return partial(self, *args, root=root, **kwargs)
+
+    monkeypatch.setattr(hyp._QuadBernstein, "_root_disc", lambda self, *a, **k:
+                        calls.append(("disc", self)) or disc(self, *a, **k))
+    monkeypatch.setattr(hyp._QuadBernstein, "root_partial", root_partial)
     return calls
 
 
@@ -260,24 +282,30 @@ def _count_solves(monkeypatch) -> list:
     ("table", 1, 1), ("table", 2, 2), ("table", 3, 3),
 ])
 def test_density_solves_only_read_coordinates(monkeypatch, family, dim, per_block):
-    gen = np.random.default_rng(dim)
-    maps = _generators(family, dim, 1, gen)
-    if family == "table":
-        # the forward map, whose density reads its partials at the preimage
-        maps = [maps[0].inverse()]
+    # two stacked members, or the forward table map, whose density reads
+    # its partials at the preimage
+    stack, _ = _generators(family, dim, 2, dim)
+    tri = stack.inverse() if family == "table" else stack
     n = 3 if family in ((3, 0), (3, 1)) else rb._CHUNK + 1
-    pts = gen.random((n, dim))
-    want = rb.PushforwardDensity(maps[0]).evaluate(pts)
+    pts = np.random.default_rng(dim).random((n, dim))
+    want = rb.PushforwardDensity(tri).evaluate(pts)
     calls = _count_solves(monkeypatch)
-    assert np.array_equal(rb.pushforward_densities(maps, pts)[0], want)
-    blocks = -(-n // rb._CHUNK)
-    solves = [c for kind, c in calls if kind == "solve"]
+    assert np.array_equal(rb.PushforwardDensity(tri).evaluate(pts), want)
+    blocks = -(-n // rb._block(tri.lead))
+    solves = [c for kind, c in calls if kind in ("solve", "root")]
     assert len(solves) == per_block * blocks
     if family == "table" or family[0] == 2:
         # every solve is the closed form, once per solved coordinate
-        assert [c for kind, c in calls if kind == "exact"] == solves
         assert solves == [comp for _ in range(blocks)
-                          for comp in maps[0].components[:per_block]]
+                          for comp in tri.components[:per_block]]
+    if family == "table":
+        assert [c for kind, c in calls if kind == "exact"] == solves
+    elif family[0] == 2:
+        # one discriminant per component per block gives the partial and,
+        # when a later component reads it, the preimage coordinate
+        assert [c for kind, c in calls if kind == "disc"] == [
+            comp for _ in range(blocks) for comp in tri.components]
+        assert not [c for kind, c in calls if kind in ("solve", "exact")]
 
 
 def _thin_quad(reads: int):
@@ -287,14 +315,18 @@ def _thin_quad(reads: int):
                               coupling=np.zeros((2, reads)))
 
 
-def test_degenerate_partial_raises_in_batch(cfg1):
-    bad = rb.TriangularMap(components=(_thin_quad(0),))
-    good = hyp.make_generator(cfg1, np.zeros(cfg1.n_params))
+def test_degenerate_partial_raises_in_batch():
+    # the identity member stacked with the thin one, whose partial fails at
+    # the last point, in the last block
+    thin = _thin_quad(0)
+    bad = rb.TriangularMap(components=(thin,))
+    stack = rb.TriangularMap(components=(hyp._QuadBernstein(
+        degree=2, theta=np.stack([np.zeros(2), thin.theta]), coupling=np.zeros((2, 2, 0))),))
     pts = np.full((rb._CHUNK + 1, 1), 0.5)
-    assert np.all(np.isfinite(rb.pushforward_densities([good, bad], pts)))
+    assert np.all(np.isfinite(rb.PushforwardDensity(stack).evaluate(pts)))
     pts[-1] = 0.0
     with pytest.raises(DegenerateJacobian):
-        rb.pushforward_densities([good, bad], pts)
+        rb.PushforwardDensity(stack).evaluate(pts)
     with pytest.raises(DegenerateJacobian):
         rb.PushforwardDensity(bad).evaluate(pts)
 

@@ -293,7 +293,8 @@ def _cmd_rate(rc: RunConfig) -> None:
     target, config, net = _build_model(rc)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
                                       rc.seed, delta=rc.delta, delta1=rc.delta1,
-                                      threads=rc.threads, net=net)
+                                      threads=rc.threads, net=net,
+                                      exact_integral=rc.exact_integral)
     csv_path = _out_path(rc, "rate.csv")
     density_mod.write_text_atomic(learning.rate_report_csv(report), csv_path)
     svg_path = _out_path(rc, "rate.svg")

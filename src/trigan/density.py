@@ -265,18 +265,18 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
                             f"{_MAX_GRID_NODES}")
     params = dict(params or {})
     if name == "uniform":
-        _reject_unknown(params, set(), name)
+        _reject_unknown(params, name)
         return GridDensity(d, m, np.ones((m,) * d))
     if name == "tilted":
         if d != 1:
             raise ConfigInvalid("tilted family is one-dimensional")
-        _reject_unknown(params, set(), name)
+        _reject_unknown(params, name)
         y = np.linspace(0.0, 1.0, m)
         return normalize(GridDensity(1, m, (2.0 / 3.0) * (1.0 + y)))
     if name == "product":
         if d < 2:
             raise ConfigInvalid("product family needs dim >= 2")
-        _reject_unknown(params, set(), name)
+        _reject_unknown(params, name)
         grids = _mesh(d, m)
         vals = np.ones((m,) * d)
         for g in grids:
@@ -286,7 +286,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
         if d != 2:
             raise ConfigInvalid("coupled family is two-dimensional")
         a = float(params.pop("a", 0.8))
-        _reject_unknown(params, set(), name)
+        _reject_unknown(params, name)
         if a <= -1.0:
             raise NonPositiveDensity("coupled family needs a > -1 for positivity")
         y1, y2 = _mesh(2, m)
@@ -295,7 +295,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     # bimodal-mollified
     sigma = float(params.pop("sigma", 0.05))
     floor = float(params.pop("floor", 0.1))
-    _reject_unknown(params, set(), name)
+    _reject_unknown(params, name)
     profile = lambda t: (floor + np.exp(-0.5 * ((t - 0.3) / 0.08) ** 2)
                          + 0.75 * np.exp(-0.5 * ((t - 0.72) / 0.09) ** 2))
     grids = _mesh(d, m)
@@ -305,7 +305,7 @@ def make_density(name: str, dim: int | None = None, resolution: int | None = Non
     return mollify(normalize(GridDensity(d, m, vals)), sigma)
 
 
-def _reject_unknown(params: dict, allowed: set, name: str) -> None:
+def _reject_unknown(params: dict, name: str) -> None:
     if params:
         raise ConfigInvalid(f"unknown parameters {sorted(params)} for family {name!r}")
 

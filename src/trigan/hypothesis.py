@@ -11,18 +11,20 @@ sums (each increasing from 0 to 1, with sum_i S_i(t) = p t), component j is
 Mean-centering forces sum_i w_i = 1, so components fix the endpoints 0 and 1
 for every parameter choice, and the all-zero parameter vector is the
 identity map. The diagonal partial is p * sum_i w_i B_{i-1,p-1}, a convex
-combination of the p w_i scaled by p, which gives closed-form bounds on the
-Jacobian from the parameter ranges alone; every other derivative is a
-Bernstein polynomial bounded by its coefficients (holder_bound). The
-parameter box is back-solved from the norm bound K: inside it the Jacobian
-range lies in [1/K, K] and the C^{k,alpha} norm is at most K, both certified
-in closed form with a safety margin. The finite-difference estimate
+combination of the p w_i scaled by p, so jacobian_range bounds the Jacobian
+by the weights' ranges; every other derivative is a Bernstein polynomial
+bounded by its coefficients (holder_bound). Both bound every member within
+a sup-norm radius of a vector, so the box back-solved from K is certified
+by the two at the origin: inside it the Jacobian range lies in [1/K, K] and
+the C^{k,alpha} norm is at most K, with a safety margin. The estimate
 estimate_holder_norm in tests/holder.py is the tests' oracle for the bound.
 
 A member is its parameter vector, and a net the (c, n_params) array of
 them. make_generator of such an array stacks its members into one map
 whose blocks carry a leading member axis; distinct_maps centres a whole net
-at once and stacks the first member of each distinct map.
+at once and stacks the first member of each distinct map; sup_distances
+maps a stack once for its (c, c) sup distances on a probe grid, and the
+diameter family_delta1 is one such call on the stacked box corners.
 
 The discriminators are the ratios f_a / (f_a + f_b) of two members'
 pushforwards; they live as the (a, b) axes of the loss cubes
@@ -32,7 +34,6 @@ bounds.discriminator_constants depend only on (d, K).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -49,6 +50,8 @@ from .rosenblatt import TriangularMap
 _SAFETY = 0.95          # certification margin for the box back-solve
 _BOX_TOL = 1e-9
 _NET_CAP = 1_000_000
+# pairwise gap values per sup_distances block: 8 MiB of scratch at any d
+_GAP_CHUNK = 1 << 20
 # highest Bernstein degree: every evaluation builds p + 1 basis columns per
 # point, and a net has q^p members per component block
 _MAX_DEGREE = 16
@@ -273,19 +276,6 @@ class HypothesisConfig:
         return last.stop
 
 
-def _analytic_box_ok(config: HypothesisConfig, b: float) -> bool:
-    """All-corner Jacobian range inside [1/(sK), sK] for half-width b."""
-    p = config.degree
-    lo = hi = 1.0
-    for j in range(1, config.dim + 1):
-        spread = 2.0 * b * (p - 1) * (1 + (j - 1) * config.coupling_degree)
-        if spread >= 1.0:
-            return False
-        lo *= 1.0 - spread
-        hi *= 1.0 + spread
-    return lo >= 1.0 / (_SAFETY * config.K) and hi <= _SAFETY * config.K
-
-
 def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float:
     """Upper bound on the C^{k,alpha} norm, as holder.estimate_holder_norm
     measures it, of every member within radius (sup norm) of vector.
@@ -327,12 +317,12 @@ def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float
 def _solve_box_half(config: HypothesisConfig) -> float:
     """Largest half-width, to 60 bisection steps, whose whole box has its
     Jacobian range and Holder bound certified against the safety-scaled K."""
-    origin = np.zeros(config.n_params)
+    origin, cap = np.zeros(config.n_params), _SAFETY * config.K
     lo_b, hi_b = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
-        if (_analytic_box_ok(config, mid)
-                and holder_bound(config, origin, mid) <= _SAFETY * config.K):
+        lo, hi = jacobian_range(config, origin, mid)
+        if lo >= 1.0 / cap and hi <= cap and holder_bound(config, origin, mid) <= cap:
             lo_b = mid
         else:
             hi_b = mid
@@ -364,18 +354,23 @@ def _box_vector(config: HypothesisConfig, vector) -> np.ndarray:
     return v
 
 
-def jacobian_range(config: HypothesisConfig, vector) -> tuple[float, float]:
-    """Certified (lo, hi) bounds on the member's Jacobian over the cube: the
-    product over components of p times the smallest and largest weight the
-    mean-centred blocks allow at any prefix. ParamsOutOfBox outside the box."""
+def jacobian_range(config: HypothesisConfig, vector,
+                   radius: float = 0.0) -> tuple[float, float]:
+    """Certified (lo, hi) bounds on the Jacobian over the cube of every
+    member within radius (sup norm) of vector: the product over components
+    of p times the smallest and largest weight the mean-centred blocks allow
+    at any prefix, where a component whose smallest weight reaches 0 makes
+    lo 0. ParamsOutOfBox when vector is outside the box."""
     v = _box_vector(config, np.ravel(vector))
     p = config.degree
+    # a raw move of radius moves each mean-centred entry by at most reach
+    reach = radius * np.abs(np.eye(p) - 1.0 / p).sum(axis=1)
     lo = hi = 1.0
     for theta_sl, coup_sl in config.blocks():
         base, cc = _centred(p, v[theta_sl], v[coup_sl].reshape(p, -1))
-        reach = np.abs(cc).sum(axis=1)
-        lo *= p * float((base - reach).min())
-        hi *= p * float((base + reach).max())
+        spread = np.abs(cc).sum(axis=1) + reach * (1 + cc.shape[1])
+        lo *= p * max(float((base - spread).min()), 0.0)
+        hi *= p * float((base + spread).max())
     return lo, hi
 
 
@@ -474,28 +469,30 @@ def _probe_points(dim: int):
     return pts
 
 
-def map_sup_distance(config: HypothesisConfig, params_a, params_b) -> float:
-    """sup-norm distance of two members, maximized over a probe grid."""
-    a, b = make_generator(config, [params_a, params_b]).apply(_probe_points(config.dim))
-    return float(np.abs(a - b).max())
-
-
-def _corner_signs(n: int) -> list[np.ndarray]:
-    """The distinct patterns among +-1, +-alternating and +-half-and-half."""
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    half = np.where(np.arange(n) < n // 2, 1.0, -1.0)
-    signs = {tuple(s): s for r in (np.ones(n), alt, half) for s in (r, -r)}
-    return list(signs.values())
+def sup_distances(config: HypothesisConfig, vectors) -> np.ndarray:
+    """(c, c) sup-norm distances between the members (rows of vectors),
+    maximized over the probe grid: one stacked map, applied to blocks of
+    probe points whose pairwise gaps hold at most _GAP_CHUNK values."""
+    maps = make_generator(config, vectors)
+    (c,), pts = maps.lead, _probe_points(config.dim)
+    step = max(1, _GAP_CHUNK // (c * c * config.dim))
+    dist = np.zeros((c, c))
+    for lo in range(0, len(pts), step):
+        vals = maps.apply(pts[lo:lo + step])
+        gaps = np.abs(vals[:, None] - vals[None])
+        np.maximum(dist, gaps.max(axis=(2, 3)), out=dist)
+    return dist
 
 
 def family_delta1(config: HypothesisConfig) -> float:
     """Family diameter: bounds.rho_metric at n = 1 of the certified range width
-    B2 - B1 and the generator spread over box corner pairs on a probe grid."""
-    b = config.box_half
-    corners = [b * s for s in _corner_signs(config.n_params)]
-    d_phi = 0.0
-    for pa, pb in itertools.combinations(corners, 2):
-        d_phi = max(d_phi, map_sup_distance(config, pa, pb))
+    B2 - B1 and the generator spread, the largest sup distance on the probe
+    grid between the box corners of signs +-1, +-alternating and
+    +-half-and-half."""
+    i = np.arange(config.n_params)
+    signs = np.where([i >= 0, i % 2 == 0, i < len(i) // 2], 1.0, -1.0)
+    corners = config.box_half * np.concatenate([signs, -signs])
+    d_phi = float(sup_distances(config, corners).max())
     b1, b2 = discriminator_constants(config.dim, config.K)
     return rho_metric(config.dim, config.K, 1, b2 - b1, d_phi)
 

@@ -288,13 +288,14 @@ class RateReport:
 
 def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
                     seed: int, *, net: np.ndarray, delta: float = 0.1,
-                    delta1: float | None = None, threads: int = 1) -> RateReport:
+                    delta1: float | None = None, threads: int = 1,
+                    exact_integral: bool = False) -> RateReport:
     """Mean sampling error across n over the members of net, the (c,
     n_params) array of build_eps_net. Each row's envelope C / sqrt(n) and
     concentration threshold are bounds.bound_report's dudley_value and
-    thm54_threshold at that n, for the configured delta and delta1 (by
-    default family_delta1, or nan when the config is not regular); all
-    three bound columns are nan when the report is not regular."""
+    thm54_threshold at that n, for the configured delta, exact_integral and
+    delta1 (by default family_delta1, or nan when the config is not
+    regular); all three bound columns are nan when the report is not regular."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise ConfigInvalid("n_grid must be a nonempty list of positive sizes")
@@ -311,7 +312,7 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
     grid_vals = sampling_error_grid(target, maps, losses, n_grid, trials, seed, threads)
     for n, vals in zip(n_grid, grid_vals):
         rep = bounds.bound_report(config.dim, config.alpha, config.k, config.K, n,
-                                  delta=delta, delta1=delta1)
+                                  delta=delta, delta1=delta1, exact_integral=exact_integral)
         exceed = (float(np.sum(vals > rep.thm54_threshold)) / vals.size
                   if rep.regularity_ok else float("nan"))
         rows.append(RateRow(n=n, trials=trials, **_summarize(vals),

@@ -597,12 +597,13 @@ def test_rate_artifacts(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("extra", [
     {}, {"delta1": 0.5},
     {"target": {"family": "uniform", "dim": 2}, "hypothesis": dict(HYP, dim=2, k=1)},
+    {"exact_integral": True},
 ])
 def test_rate_csv_and_bounds_json_share_delta1(tmp_path, monkeypatch, capsys, extra):
     """Every rate.csv row's bound columns are bounds.bound_report's at that
-    row's n, under the delta1 of bounds.json: the config key's value, else
-    the family diameter; nan in rate.csv and null in bounds.json when the
-    hypothesis is irregular."""
+    row's n, under the exact_integral flag and the delta1 of bounds.json:
+    the config key's value, else the family diameter; nan in rate.csv and
+    null in bounds.json when the hypothesis is irregular."""
     monkeypatch.chdir(tmp_path)
     spec = {"target": {"family": "uniform", "dim": 1}, "hypothesis": HYP,
             "n_grid": [64, 256], "trials": 2, "seed": 1, "epsilon": 0.1,
@@ -621,7 +622,8 @@ def test_rate_csv_and_bounds_json_share_delta1(tmp_path, monkeypatch, capsys, ex
     columns = {"bound_C_over_sqrt_n": "dudley_value", "thm54_threshold": "thm54_threshold"}
     for row in rows:
         rep = bd.bound_report(config.dim, config.alpha, config.k, config.K, int(row["n"]),
-                              delta1=math.nan if delta1 is None else delta1)
+                              delta1=math.nan if delta1 is None else delta1,
+                              exact_integral=extra.get("exact_integral", False))
         for column, field in columns.items():
             assert math.isnan(row[column]) is not config.regular
             assert row[column] == getattr(rep, field) or not config.regular
@@ -957,7 +959,7 @@ def _mutated_configs(draw):
 
 
 def _probe_grid_costs_seconds(cfg) -> bool:
-    # family_delta1 maps 17^4 and 17^5 probe points per box corner pair
+    # family_delta1 maps the box corners on 17^4 and 17^5 probe points
     hyp_cfg = cfg.get("hypothesis")
     return (isinstance(hyp_cfg, dict) and type(hyp_cfg.get("dim")) is int
             and 4 <= hyp_cfg["dim"] <= 5)

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from holder import estimate_holder_norm
 import trigan.hypothesis as hyp
 import trigan.learning as lr
 import trigan.rosenblatt as ros
-from trigan.density import read_json
+from trigan.density import grid_points, read_json
 from trigan.errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
 
 EPS = np.finfo(np.float64).eps
@@ -74,12 +75,12 @@ def test_regular_flag():
 
 
 def test_box_half_frozen_values(cfg1, cfg2):
-    assert cfg1.box_half == pytest.approx(0.2368421052631579, rel=1e-12)
-    assert cfg2.box_half == pytest.approx(0.13110524990724579, rel=1e-12)
+    assert cfg1.box_half == 0.2368421052631579
+    assert cfg2.box_half == 0.13110524990724579
     deg3 = hyp.make_config(1, K=6.0, degree=3)
-    assert deg3.box_half == pytest.approx(0.20614035087719296, rel=1e-12)
+    assert deg3.box_half == 0.2061403508771929
     uncoupled = hyp.make_config(2, K=3.0, coupling_degree=0)
-    assert uncoupled.box_half == pytest.approx(0.20382556112045383, rel=1e-12)
+    assert uncoupled.box_half == 0.20382556112045383
     assert uncoupled.n_params == 4 and cfg2.n_params == 6
 
 
@@ -212,6 +213,37 @@ def test_non_finite_or_out_of_box_params_refused(cfg1, bad):
         hyp.jacobian_range(cfg1, vec)
     with pytest.raises(ParamsOutOfBox):
         hyp.jacobian_range(cfg1, vec[::-1])
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(1, 3), degree=st.integers(2, 4), coupling=st.integers(0, 1),
+       frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_jacobian_range_covers_the_radius(dim, degree, coupling, frac, seed):
+    """Every box member within r of v has its own Jacobian range, and the
+    product of its diagonal partials on a probe grid, inside
+    jacobian_range(config, v, r); up to 1e-12 relative rounding, since a
+    member on the ball's corner can meet the bound exactly."""
+    cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
+    g, b = np.random.default_rng(seed), cfg.box_half
+    v = b * g.uniform(-1.0, 1.0, cfg.n_params)
+    lo, hi = hyp.jacobian_range(cfg, v, frac * b)
+    assert 0.0 <= lo <= hi
+    steps = g.uniform(-1.0, 1.0, (8, cfg.n_params))
+    steps[:4] = np.sign(steps[:4])            # corners of the ball
+    pts = grid_points(dim, 9)
+    for m in np.clip(v + frac * b * steps, -b, b):
+        jac = np.ones(len(pts))
+        for j, comp in enumerate(hyp.make_generator(cfg, m).components):
+            jac *= comp.partial(pts[:, :j], pts[:, j])
+        for m_lo, m_hi in (hyp.jacobian_range(cfg, m), (jac.min(), jac.max())):
+            assert lo * (1.0 - 1e-12) <= m_lo and m_hi <= hi * (1.0 + 1e-12)
+
+
+def test_jacobian_range_floor_is_zero(cfg2):
+    """A radius past the box makes both components' smallest weights
+    negative; lo is 0 then, not their positive product."""
+    lo, hi = hyp.jacobian_range(cfg2, np.zeros(cfg2.n_params), 1.0)
+    assert (lo, hi) == (0.0, 2.0 * 1.5 * 2.0 * 2.5)
 
 
 def test_jacobian_range(cfg1):
@@ -435,7 +467,7 @@ def test_net_covers_box(cfg1):
     eps = 0.1
     net = hyp.build_eps_net(cfg1, eps)
     for vec in random_box_params(cfg1, 40, seed=21):
-        d = min(hyp.map_sup_distance(cfg1, vec, v) for v in net)
+        d = hyp.sup_distances(cfg1, np.vstack([vec, net]))[0, 1:].min()
         assert d <= eps + 1e-12
 
 
@@ -466,15 +498,32 @@ def test_map_sup_distance_closed_form(cfg1):
     a = np.array([0.1, -0.15])
     b = np.array([-0.05, 0.1])
     e = ((a[0] - b[0]) - (a[1] - b[1])) / 2.0
-    d = hyp.map_sup_distance(cfg1, a, b)
-    assert d == pytest.approx(abs(e) * 0.5, rel=1e-12)
-    assert hyp.map_sup_distance(cfg1, b, a) == d
+    d = hyp.sup_distances(cfg1, [a, b])
+    assert d[0, 1] == pytest.approx(abs(e) * 0.5, rel=1e-12)
+    assert d[1, 0] == d[0, 1] and d[0, 0] == d[1, 1] == 0.0
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(1, 3), degree=st.integers(2, 3), coupling=st.integers(0, 1),
+       count=st.integers(1, 8), block=st.integers(1, 3000), seed=st.integers(0, 999))
+def test_sup_distances_match_whole_arrays(dim, degree, coupling, count, block, seed):
+    """Each entry of the stacked, point-blocked kernel is, bitwise, the
+    whole-array maximum of |apply_a - apply_b| of two single members; the
+    drawn block size puts block boundaries anywhere in the probe grid."""
+    cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
+    vecs = random_box_params(cfg, count, seed=seed)
+    with mock.patch.object(hyp, "_GAP_CHUNK", block * count * count * dim):
+        dist = hyp.sup_distances(cfg, vecs)
+    vals = [hyp.make_generator(cfg, v).apply(hyp._probe_points(dim)) for v in vecs]
+    assert dist.shape == (count, count)
+    for a, b in itertools.product(range(count), repeat=2):
+        assert dist[a, b] == np.abs(vals[a] - vals[b]).max()
 
 
 def test_family_delta1_frozen(cfg1):
-    d1 = hyp.family_delta1(cfg1)
-    assert d1 == pytest.approx(40.89473684210526, rel=1e-12)
-    assert d1 > 0.0
+    assert hyp.family_delta1(cfg1) == 40.894736842105274
+    assert hyp.family_delta1(hyp.make_config(2, K=3.0)) == 3027892.0371378683
+    assert hyp.family_delta1(hyp.make_config(3, K=3.0)) == 23905413738.61583
 
 
 def test_realizability_improves_with_degree():

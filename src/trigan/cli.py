@@ -23,8 +23,7 @@ from . import divergence
 from . import hypothesis as hyp_mod
 from . import learning
 from . import rosenblatt
-from ._svg import render_rate_plot
-from .errors import ConfigInvalid, TriganError
+from .errors import ConfigInvalid, TriganError, _finite_number
 
 _COMMANDS = ("sample", "density", "fit", "rate", "bounds")
 
@@ -86,7 +85,7 @@ def _positive_int(raw, key: str, minimum: int = 1) -> int:
 
 
 def _positive_float(raw, key: str) -> float:
-    val = hyp_mod._finite_number(raw, key)
+    val = _finite_number(raw, key)
     if not val > 0.0:
         raise ConfigInvalid(f"{key} must be positive")
     return val
@@ -187,7 +186,7 @@ def _build_target(spec, resolution: int | None) -> density_mod.GridDensity:
     if not isinstance(params, dict):
         raise ConfigInvalid("target params must be an object")
     for key, val in params.items():
-        hyp_mod._finite_number(val, f"target param {key!r}")
+        _finite_number(val, f"target param {key!r}")
     return density_mod.make_density(spec["family"], dim=dim, resolution=resolution,
                                     params=params)
 
@@ -254,7 +253,7 @@ def _samples_csv(points: np.ndarray):
 
 def _cmd_sample(rc: RunConfig) -> None:
     target = _build_target(rc.target, rc.resolution)
-    gen = learning.target_sampler(target)
+    gen = rosenblatt.target_sampler(target)
     pts = rosenblatt.sample(gen, rc.n, rc.seed)
     path = _out_path(rc, "samples.csv")
     density_mod.write_chunks_atomic(_samples_csv(pts), path)
@@ -290,6 +289,10 @@ def _cmd_fit(rc: RunConfig) -> None:
 
 
 def _cmd_rate(rc: RunConfig) -> None:
+    # bound here, so that both modules run before the trials start
+    from ._svg import render_rate_plot
+    from .bounds import bound_report, report_to_dict
+
     target, config, net = _build_model(rc)
     report = learning.rate_experiment(config, target, list(rc.n_grid), rc.trials,
                                       rc.seed, delta=rc.delta, delta1=rc.delta1,
@@ -300,11 +303,11 @@ def _cmd_rate(rc: RunConfig) -> None:
     svg_path = _out_path(rc, "rate.svg")
     density_mod.write_text_atomic(render_rate_plot(report), svg_path)
     n_ref = max(rc.n_grid)
-    brep = bounds_mod.bound_report(config.dim, config.alpha, config.k, config.K,
-                                   n_ref, delta=rc.delta, delta1=report.delta1,
-                                   exact_integral=rc.exact_integral)
+    brep = bound_report(config.dim, config.alpha, config.k, config.K, n_ref,
+                        delta=rc.delta, delta1=report.delta1,
+                        exact_integral=rc.exact_integral)
     bounds_path = _out_path(rc, "bounds.json")
-    density_mod.write_json_atomic(bounds_mod.report_to_dict(brep), bounds_path)
+    density_mod.write_json_atomic(report_to_dict(brep), bounds_path)
     for warning in report.warnings:
         print(f"rate: warning: {warning}")
     print(f"rate: slope {report.slope!r}, net {report.net_size} members "

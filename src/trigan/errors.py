@@ -4,6 +4,8 @@ Every error raised by the library derives from TriganError so callers can
 catch library failures without masking programming errors.
 """
 
+import math
+
 
 class TriganError(Exception):
     """Base class for all library errors."""
@@ -35,3 +37,16 @@ class ConfigInvalid(TriganError):
 
 class IntegralDivergent(TriganError):
     """Entropy integral diverges: d / (2(alpha + k - 1)) >= 1."""
+
+
+def _finite_number(raw, key: str) -> float:
+    """raw as a float; ConfigInvalid unless it is a finite int or float
+    (a bool or a numeric string is refused)."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            val = float(raw)
+        except OverflowError:
+            val = math.inf
+        if math.isfinite(val):
+            return val
+    raise ConfigInvalid(f"{key} must be a number: finite, not a boolean or a string")

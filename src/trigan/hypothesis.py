@@ -42,9 +42,8 @@ from math import comb, perm
 import numpy as np
 
 from . import bounds
-from .bounds import discriminator_constants, rho_metric
 from .density import _MAX_DIM, _MAX_GRID_NODES, grid_points
-from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox
+from .errors import ConfigInvalid, NetTooLarge, ParamsOutOfBox, _finite_number
 from .rosenblatt import TriangularMap
 
 _SAFETY = 0.95          # certification margin for the box back-solve
@@ -472,15 +471,20 @@ def _probe_points(dim: int):
 def sup_distances(config: HypothesisConfig, vectors) -> np.ndarray:
     """(c, c) sup-norm distances between the members (rows of vectors),
     maximized over the probe grid: one stacked map, applied to blocks of
-    probe points whose pairwise gaps hold at most _GAP_CHUNK values."""
+    probe points whose gaps over the c (c - 1) / 2 pairs a < b hold at most
+    _GAP_CHUNK values; |a - b| is exact either way round, so the maxima are
+    mirrored, and the diagonal is 0."""
     maps = make_generator(config, vectors)
     (c,), pts = maps.lead, _probe_points(config.dim)
-    step = max(1, _GAP_CHUNK // (c * c * config.dim))
-    dist = np.zeros((c, c))
+    a, b = np.triu_indices(c, 1)
+    step = max(1, _GAP_CHUNK // (max(len(a), 1) * config.dim))
+    top = np.zeros(len(a))
     for lo in range(0, len(pts), step):
         vals = maps.apply(pts[lo:lo + step])
-        gaps = np.abs(vals[:, None] - vals[None])
-        np.maximum(dist, gaps.max(axis=(2, 3)), out=dist)
+        gaps = vals[a] - vals[b]
+        np.maximum(top, np.abs(gaps, out=gaps).max(axis=(1, 2)), out=top)
+    dist = np.zeros((c, c))
+    dist[a, b] = dist[b, a] = top
     return dist
 
 
@@ -493,8 +497,8 @@ def family_delta1(config: HypothesisConfig) -> float:
     signs = np.where([i >= 0, i % 2 == 0, i < len(i) // 2], 1.0, -1.0)
     corners = config.box_half * np.concatenate([signs, -signs])
     d_phi = float(sup_distances(config, corners).max())
-    b1, b2 = discriminator_constants(config.dim, config.K)
-    return rho_metric(config.dim, config.K, 1, b2 - b1, d_phi)
+    b1, b2 = bounds.discriminator_constants(config.dim, config.K)
+    return bounds.rho_metric(config.dim, config.K, 1, b2 - b1, d_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +523,3 @@ def config_from_dict(payload: dict) -> HypothesisConfig:
                        K=_finite_number(payload["K"], "K"),
                        family=str(payload["family"]), degree=payload["degree"],
                        coupling_degree=payload["coupling_degree"])
-
-
-def _finite_number(raw, key: str) -> float:
-    """raw as a float; ConfigInvalid unless it is a finite int or float
-    (a bool or a numeric string is refused)."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        try:
-            val = float(raw)
-        except OverflowError:
-            val = math.inf
-        if math.isfinite(val):
-            return val
-    raise ConfigInvalid(f"{key} must be a number: finite, not a boolean or a string")

@@ -45,11 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, rng, rosenblatt
-from .density import GridDensity
 from .divergence import eval_grid, js_divergence, pair_losses
 from .errors import ConfigInvalid, NetTooLarge
 from .hypothesis import HypothesisConfig, distinct_maps, family_delta1, make_generator
-from .rosenblatt import PushforwardDensity, TriangularMap, build_rosenblatt
+from .rosenblatt import PushforwardDensity, TriangularMap, target_sampler
 
 # entries of a nominal (c, c, c) loss cube over c members, 8 MB of
 # floats; admits nets of up to 100 members
@@ -82,16 +81,6 @@ class TrainingSample:
     @property
     def n(self) -> int:
         return len(self.real_points)
-
-
-def target_sampler(target) -> TriangularMap:
-    """The map whose pushforward of uniform noise is the target: a
-    PushforwardDensity's own map, a grid density's inverse Rosenblatt map."""
-    if isinstance(target, PushforwardDensity):
-        return target.base_map
-    if isinstance(target, GridDensity):
-        return build_rosenblatt(target).inverse()
-    raise ConfigInvalid(f"cannot sample from {type(target).__name__}")
 
 
 def check_trial_size(n: int, dim: int, members: int) -> None:

@@ -8,7 +8,8 @@ TriangularMap is the components of ONE triangular map T and a flag saying
 whether the object is T (apply evaluates the components) or its inverse
 (apply solves them coordinate by coordinate). A map's law is what it does
 to uniform noise: PushforwardDensity(m) is the density of m.apply(Z), and
-sample(m, ...) draws from it, whichever way the components are read.
+sample(m, ...) draws from it, whichever way the components are read;
+target_sampler(target) is the map whose law is a grid or pushforward target.
 
 Conditional CDFs are exact piecewise-quadratic antiderivatives of the
 piecewise-linear conditional densities, so forward evaluation, inversion
@@ -270,6 +271,16 @@ def sample(generator: TriangularMap, n: int, seed: int,
         z = rng.uniforms(seed, stream, lo, hi - lo, generator.dim)
         generator.apply(z, out=out[lo:hi])
     return out
+
+
+def target_sampler(target) -> TriangularMap:
+    """The map whose pushforward of uniform noise is the target: a
+    PushforwardDensity's own map, a grid density's inverse Rosenblatt map."""
+    if isinstance(target, PushforwardDensity):
+        return target.base_map
+    if isinstance(target, GridDensity):
+        return build_rosenblatt(target).inverse()
+    raise ConfigInvalid(f"cannot sample from {type(target).__name__}")
 
 
 # ---------------------------------------------------------------------------

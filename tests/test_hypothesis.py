@@ -9,12 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from box_params import random_box_params, unstack
 from holder import estimate_holder_norm
+import trigan.bounds as bd
 import trigan.hypothesis as hyp
 import trigan.learning as lr
 import trigan.rosenblatt as ros
@@ -306,14 +307,14 @@ def test_quad_kernels_match_formulas(prefix_dim, seed):
 
 
 def test_discriminator_constants_plugin():
-    b1, b2 = hyp.discriminator_constants(1, 2.0)
+    b1, b2 = bd.discriminator_constants(1, 2.0)
     assert b1 == 0.2 and b2 == 0.8
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("K", [2.0, 3.0, 7.5])
 def test_discriminator_constants_sum_exact(dim, K):
-    b1, b2 = hyp.discriminator_constants(dim, K)
+    b1, b2 = bd.discriminator_constants(dim, K)
     assert b1 + b2 == 1.0
     assert 0.0 < b1 < 0.5 < b2 < 1.0
 
@@ -342,7 +343,7 @@ def test_discriminator_equal_params_is_half(cfg1, uniform1, rng):
 
 def test_discriminator_range(cfg1, cfg2, rng):
     for cfg in (cfg1, cfg2):
-        b1, b2 = hyp.discriminator_constants(cfg.dim, cfg.K)
+        b1, b2 = bd.discriminator_constants(cfg.dim, cfg.K)
         pa, pb = random_box_params(cfg, 2, seed=9)
         f = ros.PushforwardDensity(hyp.make_generator(cfg, [pa, pb])).evaluate(
             rng.random((1000, cfg.dim)))
@@ -506,13 +507,17 @@ def test_map_sup_distance_closed_form(cfg1):
 @settings(max_examples=30)
 @given(dim=st.integers(1, 3), degree=st.integers(2, 3), coupling=st.integers(0, 1),
        count=st.integers(1, 8), block=st.integers(1, 3000), seed=st.integers(0, 999))
+@example(dim=2, degree=2, coupling=1, count=1, block=7, seed=0)     # no pairs
+@example(dim=2, degree=2, coupling=1, count=2, block=7, seed=0)     # one pair
 def test_sup_distances_match_whole_arrays(dim, degree, coupling, count, block, seed):
     """Each entry of the stacked, point-blocked kernel is, bitwise, the
     whole-array maximum of |apply_a - apply_b| of two single members; the
-    drawn block size puts block boundaries anywhere in the probe grid."""
+    drawn block size (probe points per block) puts block boundaries
+    anywhere in the probe grid."""
     cfg = hyp.make_config(dim, K=3.0, degree=degree, coupling_degree=coupling)
     vecs = random_box_params(cfg, count, seed=seed)
-    with mock.patch.object(hyp, "_GAP_CHUNK", block * count * count * dim):
+    pairs = max(count * (count - 1) // 2, 1)
+    with mock.patch.object(hyp, "_GAP_CHUNK", block * pairs * dim):
         dist = hyp.sup_distances(cfg, vecs)
     vals = [hyp.make_generator(cfg, v).apply(hyp._probe_points(dim)) for v in vecs]
     assert dist.shape == (count, count)

@@ -15,8 +15,8 @@ The entropy integral converges iff b < 1, equivalently k > 1 - alpha + d/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ConfigInvalid, IntegralDivergent
 
@@ -218,8 +218,7 @@ def k_schedule(n: float, beta: float) -> float:
 # report
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     d: int
     alpha: float
     k: int
@@ -277,10 +276,9 @@ def bound_report(d: int, alpha: float, k: int, K: float, n: int,
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    return {f: getattr(report, f) for f in report.__dataclass_fields__}
+    return report._asdict()
 
 
 def report_table(report: BoundReport) -> str:
-    rows = [(f, getattr(report, f)) for f in report.__dataclass_fields__]
-    width = max(len(f) for f, _ in rows)
-    return "\n".join(f"{f.ljust(width)}  {v!r}" for f, v in rows)
+    width = max(map(len, report._fields))
+    return "\n".join(f"{f.ljust(width)}  {v!r}" for f, v in zip(report._fields, report))

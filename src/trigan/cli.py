@@ -13,7 +13,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ _REQUIRED = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     target: dict | None = None
     hypothesis: dict | None = None
@@ -191,19 +190,13 @@ def _build_target(spec, resolution: int | None) -> density_mod.GridDensity:
                                     params=params)
 
 
-def _build_hypothesis(payload) -> hyp_mod.HypothesisConfig:
-    if not isinstance(payload, dict):
-        raise ConfigInvalid("hypothesis must be an object")
-    return hyp_mod.config_from_dict(payload)
-
-
 def _build_model(rc: RunConfig) -> tuple:
     """Target, hypothesis config and net; bad dims, grids and trial sizes fail first."""
     target = _build_target(rc.target, rc.resolution)
     if isinstance(rc.hypothesis, dict) and rc.hypothesis.get("dim", target.dim) != target.dim:
         raise ConfigInvalid(f"hypothesis dim {rc.hypothesis['dim']!r} differs from "
                             f"target dim {target.dim}")
-    config = _build_hypothesis(rc.hypothesis)
+    config = hyp_mod.config_from_dict(rc.hypothesis)
     divergence.eval_resolution(config.dim)
     net = hyp_mod.build_eps_net(config, rc.epsilon)
     learning.check_trial_size(max(rc.n_grid or (rc.n,)), config.dim, len(net))
@@ -315,7 +308,7 @@ def _cmd_rate(rc: RunConfig) -> None:
 
 
 def _cmd_bounds(rc: RunConfig) -> None:
-    config = _build_hypothesis(rc.hypothesis)
+    config = hyp_mod.config_from_dict(rc.hypothesis)
     big_k = config.K
     if rc.beta is not None:
         big_k = bounds_mod.k_schedule(rc.n, rc.beta)
@@ -350,17 +343,16 @@ _DISPATCH = {
 def _make_parser() -> _Parser:
     parser = _Parser(prog="trigan",
                      description="Triangular-map generative learning workbench")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--exact-integral", dest="exact_integral",
+    # every command parses every flag; build_run_config refuses those it does not take
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--exact-integral", dest="exact_integral",
                         action="store_true", default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
+    parser.add_argument("--delta", type=float, default=None)
+    parser.add_argument("--beta", type=float, default=None)
     return parser
 
 
@@ -372,9 +364,8 @@ def main(argv=None) -> int:
             file_cfg = density_mod.read_json(args.config)
             if not isinstance(file_cfg, dict):
                 raise ConfigInvalid("config file must hold a JSON object")
-        overrides = {"seed": args.seed, "threads": args.threads, "out": args.out,
-                     "exact_integral": args.exact_integral, "delta": args.delta,
-                     "beta": args.beta}
+        overrides = {key: val for key, val in vars(args).items()
+                     if key not in ("command", "config")}
         rc = build_run_config(args.command, file_cfg, overrides)
         if gc.get_freeze_count() == 0:
             # frozen, the import-time heap (~22k containers) is not rescanned at exit

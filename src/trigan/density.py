@@ -14,8 +14,8 @@ tables and mollification all operate on that interpolant:
 * mollification is a per-axis circular (mod 1) convolution with a wrapped
   Gaussian, truncated at eight standard deviations.
 
-All objects are immutable after construction and safe to share across
-workers; every operation is a pure function.
+A GridDensity is an immutable tuple, checked when it is built and safe
+to share across workers; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,37 +49,36 @@ def default_resolution(dim: int) -> int:
     return 129 if dim <= 2 else 33
 
 
-@dataclass(frozen=True)
-class GridDensity:
+class GridDensity(NamedTuple("_GridFields", [
+        ("dim", int), ("resolution", int), ("values", np.ndarray)])):
     """Strictly positive density sampled on a uniform tensor grid.
 
-    values has shape (resolution,) * dim; kappa is the minimum node value
-    (the lower density bound). The density between nodes is the multilinear
-    interpolant of the node values.
+    values is a read-only copy of shape (resolution,) * dim; kappa is the
+    minimum node value (the lower density bound). The density between nodes
+    is the multilinear interpolant of the node values.
     """
 
-    dim: int
-    resolution: int
-    values: np.ndarray
-    kappa: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigInvalid(f"dim must be >= 1, got {self.dim}")
-        if self.resolution < 2:
+    def __new__(cls, dim: int, resolution: int, values):
+        if dim < 1:
+            raise ConfigInvalid(f"dim must be >= 1, got {dim}")
+        if resolution < 2:
             raise ConfigInvalid("resolution must be >= 2")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.resolution,) * self.dim:
-            raise ConfigInvalid(
-                f"values shape {vals.shape} does not match (resolution,)*dim")
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.shape != (resolution,) * dim:
+            raise ConfigInvalid(f"values shape {vals.shape} does not match (resolution,)*dim")
         if not np.all(np.isfinite(vals)):
             raise NonPositiveDensity("density values must be finite")
         if np.any(vals <= 0.0):
             raise NonPositiveDensity("density values must be strictly positive")
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "kappa", float(vals.min()))
+        return super().__new__(cls, dim, resolution, vals)
+
+    @property
+    def kappa(self) -> float:
+        return float(self.values.min())
 
     @property
     def knots(self) -> np.ndarray:

@@ -35,9 +35,9 @@ bounds.discriminator_constants depend only on (d, K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, perm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,22 +114,24 @@ def _centred(degree: int, theta: np.ndarray, coupling: np.ndarray):
             coupling - coupling.mean(axis=-2, keepdims=True))
 
 
-@dataclass(frozen=True)
-class BernsteinComponent:
-    degree: int
-    theta: np.ndarray      # (*lead, p) raw weight block
-    coupling: np.ndarray   # (*lead, p, r) raw coupling block, r = prefix length used
-    base: np.ndarray = field(init=False, repr=False, compare=False)
-    centered: np.ndarray = field(init=False, repr=False, compare=False)
+class BernsteinComponent(NamedTuple("_BernsteinFields", [
+        ("degree", int), ("theta", np.ndarray), ("coupling", np.ndarray),
+        ("base", np.ndarray), ("centered", np.ndarray)])):
+    """The (*lead, p) raw weight block theta and (*lead, p, r) raw coupling
+    block (r = prefix length used), and their mean-centred blocks base and
+    centered (_centred), each a read-only copy."""
 
-    def __post_init__(self):
-        th = np.array(self.theta, dtype=np.float64)
-        cp = np.array(self.coupling, dtype=np.float64)
-        base, centered = _centred(self.degree, th, cp)
-        for name, arr in (("theta", th), ("coupling", cp), ("base", base),
-                          ("centered", centered)):
+    __slots__ = ()
+
+    def __new__(cls, degree: int, theta, coupling):
+        arrays = [np.array(theta, dtype=np.float64), np.array(coupling, dtype=np.float64)]
+        arrays += _centred(degree, *arrays)
+        for arr in arrays:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        return super().__new__(cls, degree, *arrays)
+
+    def __getnewargs__(self):
+        return self[:3]     # pickle rebuilds base and centered
 
     @property
     def lead(self) -> tuple:
@@ -161,11 +163,12 @@ class BernsteinComponent:
         return np.sum(w * _upper_sum_derivs(self.degree, t), axis=-1, out=out)
 
 
-@dataclass(frozen=True)
 class _QuadBernstein(BernsteinComponent):
     """Degree-2 component psi(t) = 2 w1 t + a t^2, a = w2 - w1: its inverse
     and its partial at the root are closed forms of one discriminant, since
     psi'(t) = 2 w1 + 2 a t at the root of psi(t) = x is 2 sqrt(w1^2 + a x)."""
+
+    __slots__ = ()
 
     def value(self, prefix: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -216,44 +219,42 @@ class _QuadBernstein(BernsteinComponent):
 # configuration
 
 
-@dataclass(frozen=True)
-class HypothesisConfig:
+class HypothesisConfig(NamedTuple("_ConfigFields", [
+        ("dim", int), ("k", int), ("alpha", float), ("K", float), ("family", str),
+        ("degree", int), ("coupling_degree", int), ("box_half", float)])):
     """Family description plus the derived certified parameter box.
 
     box_half is the half-width of the symmetric per-parameter interval; it
-    is derived from K by make_config, not chosen by callers.
+    is derived from K by make_config, not chosen by callers. A config is an
+    immutable, hashable tuple of its fields, checked when it is built.
     """
 
-    dim: int
-    k: int
-    alpha: float
-    K: float
-    family: str = "bernstein_triangular"
-    degree: int = 2
-    coupling_degree: int = 1
-    box_half: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks, too
 
-    def __post_init__(self):
+    def __new__(cls, dim: int, k: int, alpha: float, K: float,
+                family: str = "bernstein_triangular", degree: int = 2,
+                coupling_degree: int = 1, box_half: float = 0.0):
         # family_delta1 evaluates maps on the probe grid; dim is bounded first
-        if (not 1 <= self.dim <= _MAX_DIM
-                or _probe_resolution(self.dim) ** self.dim > _MAX_GRID_NODES):
-            raise ConfigInvalid(f"dim {self.dim} is outside [1, {_MAX_DIM}] or its probe "
+        if not 1 <= dim <= _MAX_DIM or _probe_resolution(dim) ** dim > _MAX_GRID_NODES:
+            raise ConfigInvalid(f"dim {dim} is outside [1, {_MAX_DIM}] or its probe "
                                 f"grid exceeds {_MAX_GRID_NODES} nodes")
-        if not 1 <= self.k <= _MAX_K or int(self.k) != self.k:
+        if not 1 <= k <= _MAX_K or int(k) != k:
             raise ConfigInvalid(f"k must be an integer in [1, {_MAX_K}]")
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < alpha <= 1.0:
             raise ConfigInvalid("alpha must lie in (0, 1]")
-        if self.K <= 1.0:
+        if K <= 1.0:
             raise ConfigInvalid("K must exceed 1")
-        if not bound_constants_finite(self.dim, self.K):
-            raise ConfigInvalid(f"K = {self.K!r} overflows the bound constants "
-                                f"in dimension {self.dim}")
-        if self.family not in _KNOWN_FAMILIES:
-            raise ConfigInvalid(f"unknown family {self.family!r}")
-        if not 2 <= self.degree <= _MAX_DEGREE:
+        if not bound_constants_finite(dim, K):
+            raise ConfigInvalid(f"K = {K!r} overflows the bound constants in dimension {dim}")
+        if family not in _KNOWN_FAMILIES:
+            raise ConfigInvalid(f"unknown family {family!r}")
+        if not 2 <= degree <= _MAX_DEGREE:
             raise ConfigInvalid(f"degree must lie in [2, {_MAX_DEGREE}]")
-        if self.coupling_degree not in (0, 1):
+        if coupling_degree not in (0, 1):
             raise ConfigInvalid("coupling_degree must be 0 or 1")
+        return super().__new__(cls, dim, k, alpha, K, family, degree, coupling_degree,
+                               box_half)
 
     @property
     def regular(self) -> bool:
@@ -271,8 +272,24 @@ class HypothesisConfig:
 
     @property
     def n_params(self) -> int:
-        last = self.blocks()[-1][1]
-        return last.stop
+        return self.blocks()[-1][1].stop
+
+
+@lru_cache(maxsize=16)
+def _box_operators(p: int, k: int) -> tuple:
+    """The radius-independent operators of jacobian_range and holder_bound,
+    read-only: the row sums of |centring| (raw block -> mean-centred block),
+    and per derivative order m, (m, p!/(p-m)!, op, base part, |op| row sums)."""
+    centring = np.eye(p) - 1.0 / p
+    orders = []
+    for m in range(min(k + 1, p) + 1):
+        rows = np.tril(np.ones((p, p))) if m == 0 else np.diff(np.eye(p), m - 1, axis=0)
+        op = rows @ centring
+        orders.append((m, perm(p, m), op, rows.sum(axis=1) / p, np.abs(op).sum(axis=1)))
+    reach = np.abs(centring).sum(axis=1)
+    for arr in (reach, *(arr for order in orders for arr in order[2:])):
+        arr.flags.writeable = False
+    return reach, tuple(orders)
 
 
 def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float:
@@ -289,20 +306,17 @@ def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float
     """
     p, k = config.degree, config.k
     v = np.asarray(vector, dtype=np.float64).ravel()
-    centring = np.eye(p) - 1.0 / p          # raw block -> mean-centred block
     ck = semi = 0.0
     for theta_sl, coup_sl in config.blocks():
         theta, coup = v[theta_sl], v[coup_sl].reshape(p, -1)
         quotient = 0.0
-        for m in range(min(k + 1, p) + 1):
-            rows = np.tril(np.ones((p, p))) if m == 0 else np.diff(np.eye(p), m - 1, axis=0)
-            op = rows @ centring
-            reach = radius * np.abs(op).sum(axis=1)
+        for m, scale, op, base, spread in _box_operators(p, k)[1]:
+            reach = radius * spread
             # sups of the coefficients' base part and of each coupling column
-            w_sup = np.abs(rows.sum(axis=1) / p + op @ theta) + reach
+            w_sup = np.abs(base + op @ theta) + reach
             c_sup = np.abs(op @ coup) + reach[:, None]
-            along = perm(p, m) * float((w_sup + c_sup.sum(axis=1)).max())
-            across = 2.0 * perm(p, m) * c_sup.max(axis=0)
+            along = scale * float((w_sup + c_sup.sum(axis=1)).max())
+            across = 2.0 * scale * c_sup.max(axis=0)
             # along has order m; across adds one y_l-derivative per column l
             for order, sups in ((m, [along]), (m + 1, list(across))):
                 if order <= k:
@@ -315,11 +329,15 @@ def holder_bound(config: HypothesisConfig, vector, radius: float = 0.0) -> float
 
 def _solve_box_half(config: HypothesisConfig) -> float:
     """Largest half-width, to 60 bisection steps, whose whole box has its
-    Jacobian range and Holder bound certified against the safety-scaled K."""
+    Jacobian range and Holder bound certified against the safety-scaled K.
+    It stops once the ends are adjacent floats, which no later step moves;
+    the untested end 1.0 is never one: past 1/(2 (p - 1)) <= 1/2 a weight is 0."""
     origin, cap = np.zeros(config.n_params), _SAFETY * config.K
     lo_b, hi_b = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
+        if not lo_b < mid < hi_b:
+            break
         lo, hi = jacobian_range(config, origin, mid)
         if lo >= 1.0 / cap and hi <= cap and holder_bound(config, origin, mid) <= cap:
             lo_b = mid
@@ -334,7 +352,7 @@ def make_config(dim: int, k: int = 3, alpha: float = 0.5, K: float = 3.0,
     """Build a family config with the certified parameter box derived from K."""
     base = HypothesisConfig(int(dim), int(k), float(alpha), float(K),
                             family, int(degree), int(coupling_degree))
-    return replace(base, box_half=_solve_box_half(base))
+    return base._replace(box_half=_solve_box_half(base))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +381,7 @@ def jacobian_range(config: HypothesisConfig, vector,
     v = _box_vector(config, np.ravel(vector))
     p = config.degree
     # a raw move of radius moves each mean-centred entry by at most reach
-    reach = radius * np.abs(np.eye(p) - 1.0 / p).sum(axis=1)
+    reach = radius * _box_operators(p, config.k)[0]
     lo = hi = 1.0
     for theta_sl, coup_sl in config.blocks():
         base, cc = _centred(p, v[theta_sl], v[coup_sl].reshape(p, -1))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,21 +62,22 @@ _TRIAL_CAP = 1 << 26
 # samples
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    real_points: np.ndarray    # (n, d) draws from the target
-    noise_points: np.ndarray   # (n, d) uniform noise
+class TrainingSample(NamedTuple("_SampleFields", [
+        ("real_points", np.ndarray), ("noise_points", np.ndarray)])):
+    """(n, d) draws from the target and (n, d) uniform noise, as read-only views."""
 
-    def __post_init__(self):
-        for name in ("real_points", "noise_points"):
-            # a view, so freezing it leaves the caller's array writeable
-            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
+    __slots__ = ()
+
+    def __new__(cls, real_points, noise_points):
+        # views, so freezing them leaves the caller's arrays writeable
+        arrays = [np.asarray(a, dtype=np.float64).view() for a in (real_points, noise_points)]
+        for arr in arrays:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        shape = self.real_points.shape
-        if len(shape) != 2 or shape != self.noise_points.shape or shape[0] < 1:
+        shape = arrays[0].shape
+        if len(shape) != 2 or shape != arrays[1].shape or shape[0] < 1:
             raise ConfigInvalid(f"real and noise points must be (n, d) arrays of one "
-                                f"shape, n >= 1: {shape}, {self.noise_points.shape}")
+                                f"shape, n >= 1: {shape}, {arrays[1].shape}")
+        return super().__new__(cls, *arrays)
 
     @property
     def n(self) -> int:
@@ -161,8 +162,7 @@ def empirical_pair_matrix(maps: TriangularMap, sample: TrainingSample,
 # minimax
 
 
-@dataclass(frozen=True)
-class MinimaxResult:
+class MinimaxResult(NamedTuple):
     best_params: np.ndarray    # the winning member's row of the net
     inner_values: dict
     achieved_value: float
@@ -252,8 +252,7 @@ def _summarize(values: np.ndarray) -> dict:
 # rate experiment
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     n: int
     trials: int
     mean: float
@@ -266,8 +265,7 @@ class RateRow:
     exceed_frac: float
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     rows: tuple
     slope: float
     delta1: float
@@ -327,14 +325,8 @@ def rate_experiment(config: HypothesisConfig, target, n_grid, trials: int,
                       net_size=len(net), warnings=tuple(warnings))
 
 
-_RATE_COLUMNS = ("n", "trials", "mean", "std", "q05", "q50", "q95",
-                 "bound_C_over_sqrt_n", "thm54_threshold", "exceed_frac")
-
-
 def rate_report_csv(report: RateReport) -> str:
-    lines = [",".join(_RATE_COLUMNS)]
+    lines = [",".join(RateRow._fields)]
     for r in report.rows:
-        cells = [str(r.n), str(r.trials)]
-        cells += [repr(float(getattr(r, c))) for c in _RATE_COLUMNS[2:]]
-        lines.append(",".join(cells))
+        lines.append(",".join([str(r.n), str(r.trials), *(repr(float(v)) for v in r[2:])]))
     return "\n".join(lines) + "\n"

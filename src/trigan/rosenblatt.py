@@ -24,7 +24,8 @@ its components' blocks carry leading member axes lead, so apply and
 PushforwardDensity.evaluate read (N, d) points shared by every member and
 return lead + (N, d) and lead + (N,). One member (lead ()) and a table map
 run the same code, in blocks of at most _CHUNK map-points with scratch
-allocated once per call, and write into the array they are given.
+allocated once per call, and write into the array they are given (a table
+map's apply in GridDensity.evaluate's blocks, below the mmap threshold).
 
 A density solves only the preimage coordinates it reads. A degree-2 Bernstein
 component psi(t) = 2 w1 t + a t^2 has its partial at the root in closed form,
@@ -37,21 +38,21 @@ higher-degree components solve every coordinate and take the partial there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .density import (GridDensity, _corner_sum, _corners, prefix_marginal_tables,
-                      require_finite)
+from .density import (_EVAL_BLOCK, GridDensity, _corner_sum, _corners,
+                      prefix_marginal_tables, require_finite)
 from .errors import ConfigInvalid, DegenerateJacobian, RootNotBracketed
 
 _CHUNK = 16384
 _JAC_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class TableComponent:
+class TableComponent(NamedTuple("_TableFields", [
+        ("table", np.ndarray), ("knots", np.ndarray), ("cumulative", np.ndarray)])):
     """Conditional-CDF component backed by prefix-marginal value tables.
 
     table has rank j (the component index, 1-based); trapezoid contraction
@@ -68,17 +69,18 @@ class TableComponent:
     derived data and is never serialized.
     """
 
-    table: np.ndarray
-    knots: np.ndarray
-    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ()
     lead = ()   # one map: a table component stacks no members
 
-    def __post_init__(self):
-        h = self.knots[1] - self.knots[0]
-        cells = h * (self.table[..., :-1] + self.table[..., 1:]) / 2.0
-        zero = np.zeros(self.table.shape[:-1] + (1,))
-        object.__setattr__(self, "cumulative",
-                           np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1))
+    def __new__(cls, table: np.ndarray, knots: np.ndarray):
+        h = knots[1] - knots[0]
+        cells = h * (table[..., :-1] + table[..., 1:]) / 2.0
+        zero = np.zeros(table.shape[:-1] + (1,))
+        return super().__new__(cls, table, knots,
+                               np.concatenate([zero, np.cumsum(cells, axis=-1)], axis=-1))
+
+    def __getnewargs__(self):
+        return self[:2]     # pickle rebuilds cumulative
 
     @property
     def reads(self) -> int:
@@ -145,8 +147,7 @@ class TableComponent:
         return np.clip(self.knots[lo] + s, 0.0, 1.0, out=out)
 
 
-@dataclass(frozen=True)
-class TriangularMap:
+class TriangularMap(NamedTuple):
     """Lower-triangular monotone bijection of the unit cube, or a stack of
     them (lead) that reads the same points.
 
@@ -168,7 +169,7 @@ class TriangularMap:
         return self.components[0].lead
 
     def inverse(self) -> "TriangularMap":
-        return replace(self, components_direct=not self.components_direct)
+        return self._replace(components_direct=not self.components_direct)
 
     def apply(self, points: np.ndarray, out=None) -> np.ndarray:
         """The map at (N, d) points, lead + (N, d), written into out when it
@@ -176,7 +177,8 @@ class TriangularMap:
         coordinate."""
         pts = _as_points(points, self.dim)
         out = np.empty(self.lead + pts.shape) if out is None else out
-        step = _block(self.lead)
+        table = isinstance(self.components[0], TableComponent)  # GridDensity.evaluate's blocks
+        step = _EVAL_BLOCK if table else _block(self.lead)
         scratch = np.empty(min(len(pts), step))   # clipped solve targets
         for lo in range(0, len(pts), step):
             block, res = pts[lo:lo + step], out[..., lo:lo + step, :]
@@ -189,8 +191,7 @@ class TriangularMap:
         return out
 
 
-@dataclass(frozen=True)
-class PushforwardDensity:
+class PushforwardDensity(NamedTuple):
     """Density of base_map.apply(Z) for Z uniform: f(x) = 1/|J(base_map^{-1}(x))|."""
 
     base_map: TriangularMap

@@ -3,8 +3,6 @@ single members of a stacked map."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from trigan import rng
@@ -24,6 +22,6 @@ def unstack(maps: TriangularMap) -> list:
     """The maps stacked along the lead axis of maps, each as a map of its
     own (lead ()), rebuilt from its raw parameter blocks."""
     (h,) = maps.lead
-    return [TriangularMap(tuple(replace(c, theta=c.theta[g], coupling=c.coupling[g])
+    return [TriangularMap(tuple(type(c)(c.degree, c.theta[g], c.coupling[g])
                                 for c in maps.components), maps.components_direct)
             for g in range(h)]

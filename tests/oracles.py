@@ -7,11 +7,14 @@ of (N, d) points, and state the loss by its definition: the optimal
 discriminator and the theoretical loss on the shared evaluation grid, and
 the empirical loss on a training sample. covering_bound is the entropy
 bound of a Holder ball that the chaining constants of trigan.bounds start
-from.
+from. holder_bound, jacobian_range and solve_box_half are the box solve as
+first written: every operator rebuilt on each call, and all 60 bisection
+steps taken.
 """
 
 from __future__ import annotations
 
+from math import perm
 from typing import Callable
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from trigan.bounds import _c1
 from trigan.divergence import _dim_of, _values_on, eval_grid
 from trigan.errors import ConfigInvalid, TriganError
+from trigan.hypothesis import _SAFETY, _box_vector, _centred
 
 
 class DiscriminatorOutOfRange(TriganError):
@@ -87,3 +91,57 @@ def covering_bound(d1: int, d2: int, k: int, alpha: float, K: float,
         raise ConfigInvalid("epsilon and K must be positive")
     smooth = alpha + k
     return _c1(d1, d2, smooth, c1_star) * (K / epsilon) ** (d1 / smooth)
+
+
+def holder_bound(config, vector, radius: float = 0.0) -> float:
+    """hypothesis.holder_bound with its operators rebuilt on every call."""
+    p, k = config.degree, config.k
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    centring = np.eye(p) - 1.0 / p
+    ck = semi = 0.0
+    for theta_sl, coup_sl in config.blocks():
+        theta, coup = v[theta_sl], v[coup_sl].reshape(p, -1)
+        quotient = 0.0
+        for m in range(min(k + 1, p) + 1):
+            rows = np.tril(np.ones((p, p))) if m == 0 else np.diff(np.eye(p), m - 1, axis=0)
+            op = rows @ centring
+            reach = radius * np.abs(op).sum(axis=1)
+            w_sup = np.abs(rows.sum(axis=1) / p + op @ theta) + reach
+            c_sup = np.abs(op @ coup) + reach[:, None]
+            along = perm(p, m) * float((w_sup + c_sup.sum(axis=1)).max())
+            across = 2.0 * perm(p, m) * c_sup.max(axis=0)
+            for order, sups in ((m, [along]), (m + 1, list(across))):
+                if order <= k:
+                    ck = max([ck, *sups])
+                elif order == k + 1:
+                    quotient += sum(sups)
+        semi = max(semi, quotient)
+    return float(ck + semi)
+
+
+def jacobian_range(config, vector, radius: float = 0.0) -> tuple:
+    """hypothesis.jacobian_range with its centring rebuilt on every call."""
+    v = _box_vector(config, np.ravel(vector))
+    p = config.degree
+    reach = radius * np.abs(np.eye(p) - 1.0 / p).sum(axis=1)
+    lo = hi = 1.0
+    for theta_sl, coup_sl in config.blocks():
+        base, cc = _centred(p, v[theta_sl], v[coup_sl].reshape(p, -1))
+        spread = np.abs(cc).sum(axis=1) + reach * (1 + cc.shape[1])
+        lo *= p * max(float((base - spread).min()), 0.0)
+        hi *= p * float((base + spread).max())
+    return lo, hi
+
+
+def solve_box_half(config) -> float:
+    """The certified box half-width by all 60 bisection steps of the oracle kernels."""
+    origin, cap = np.zeros(config.n_params), _SAFETY * config.K
+    lo_b, hi_b = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo_b + hi_b)
+        lo, hi = jacobian_range(config, origin, mid)
+        if lo >= 1.0 / cap and hi <= cap and holder_bound(config, origin, mid) <= cap:
+            lo_b = mid
+        else:
+            hi_b = mid
+    return lo_b

@@ -382,6 +382,56 @@ def test_command_runs_its_modules_before_its_first_trial(tmp_path, command, mark
     assert lines[0] == lines[-1] == repr(unrun)
 
 
+def test_commands_never_import_dataclasses(tmp_path):
+    # a dataclass writes its methods with exec when its module runs; trigan's
+    # records are NamedTuples, so no command pays for that or for the import
+    runs = []
+    for command in ("sample", "rate", "fit"):
+        cfg = write_cfg(tmp_path, f"{command}.json", _TINY[command])
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command), "--threads", "1"]
+        runs.append(f"assert main({argv!r}) == 0; ")
+    code = ("import sys; from trigan.cli import main; " + "".join(runs)
+            + "print('dataclasses' in sys.modules)")
+    assert _child_stdout(code).splitlines()[-1] == "False"
+
+
+# flag -> (its dest on the parsed namespace, its argv value, the parsed value)
+_FLAGS = {"--config": ("config", ["c.json"], "c.json"), "--seed": ("seed", ["3"], 3),
+          "--threads": ("threads", ["2"], 2), "--out": ("out", ["o"], "o"),
+          "--exact-integral": ("exact_integral", [], True),
+          "--delta": ("delta", ["0.2"], 0.2), "--beta": ("beta", ["0.5"], 0.5)}
+
+
+@pytest.mark.parametrize("command", trigan.cli._COMMANDS)
+def test_one_parser_takes_every_flag(capsys, command):
+    """The one parser reads each of the seven flags after any command and
+    leaves the others None; a flag the command does not take is refused by
+    build_run_config, with exit 2 and one JSON object on stderr."""
+    parser = trigan.cli._make_parser()
+    for flag, (dest, raw, want) in _FLAGS.items():
+        args = vars(parser.parse_args([command, flag, *raw]))
+        assert args.pop("command") == command and args.pop(dest) == want
+        assert set(args.values()) == {None}, flag
+    refused = [flag for flag, (dest, _, _) in _FLAGS.items()
+               if dest not in trigan.cli._ALLOWED[command] and dest != "config"]
+    assert refused, command
+    for flag in refused:
+        assert main([command, flag, *_FLAGS[flag][1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "ConfigInvalid", "message": f"flag {flag} not valid for {command}"}]
+
+
+def test_help_exits_zero():
+    out = subprocess.run([sys.executable, "-m", "trigan.cli", "--help"],
+                         env=_env_importing_trigan(), capture_output=True, text=True,
+                         timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: trigan ")
+    assert all(name in out.stdout for name in trigan.cli._COMMANDS)
+
+
 def test_public_surface():
     names = ["BoundReport", "ConfigInvalid", "DegenerateJacobian", "GridDensity",
              "HypothesisConfig", "IntegralDivergent", "MinimaxResult", "NetTooLarge",

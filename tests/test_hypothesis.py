@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -133,7 +132,7 @@ def test_holder_bound_dominates_estimate(dim, degree, k, coupling, unit):
                                dim=dim, resolution=res)
     slack = 8.0 * EPS * h ** -(k + 1)
     if degree > 2:
-        slack += 2.0 * h ** (2.0 - cfg.alpha) * hyp.holder_bound(replace(cfg, k=k + 2), vec)
+        slack += 2.0 * h ** (2.0 - cfg.alpha) * hyp.holder_bound(cfg._replace(k=k + 2), vec)
     assert est.total <= hyp.holder_bound(cfg, vec) + slack
 
 
@@ -158,6 +157,35 @@ def test_holder_bound_attained_at_degree_two(cfg1, cfg2):
 
 def test_box_collapses_near_k_one():
     assert hyp.make_config(1, K=1.04).box_half == 0.0
+
+
+@pytest.mark.parametrize("dim,degree", itertools.product((1, 2, 3), (2, 3, 4)))
+def test_box_half_matches_the_unhoisted_solve(dim, degree):
+    """make_config's box, from cached operators and a bisection that stops at
+    adjacent ends, is bit for bit the box of the un-hoisted kernels' full 60
+    steps (tests/oracles.py) at every admitted coupling, k and K."""
+    for coupling, k, K in itertools.product((0, 1), (1, 3, 6), (1.5, 2.0, 3.0, 5.0)):
+        try:
+            cfg = hyp.make_config(dim, k=k, K=K, degree=degree, coupling_degree=coupling)
+        except ConfigInvalid:
+            continue
+        assert cfg.box_half.hex() == oracles.solve_box_half(cfg).hex(), (coupling, k, K)
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 3), degree=st.integers(2, 4), coupling=st.integers(0, 1),
+       k=st.sampled_from([1, 3, 6]), frac=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_box_kernels_match_the_unhoisted_oracle(dim, degree, coupling, k, frac, seed):
+    """holder_bound and jacobian_range with cached operators return the
+    oracle's bits on an in-box vector at any radius, past the box too."""
+    cfg = hyp.make_config(dim, k=k, K=3.0, degree=degree, coupling_degree=coupling)
+    v = cfg.box_half * np.random.default_rng(seed).uniform(-1.0, 1.0, cfg.n_params)
+    radius = frac * cfg.box_half
+    assert hyp.holder_bound(cfg, v, radius) == oracles.holder_bound(cfg, v, radius)
+    assert hyp.jacobian_range(cfg, v, radius) == oracles.jacobian_range(cfg, v, radius)
+    ops = hyp._box_operators(degree, k)
+    arrays = [ops[0], *(arr for order in ops[1] for arr in order[2:])]
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 # ---------------------------------------------------------------------------
